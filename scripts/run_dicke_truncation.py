@@ -46,16 +46,13 @@ def main() -> int:
     from lrlab.dynamics import commutator_norm_sweep
     from lrlab.lattice import (
         compute_bound_constants,
+        noncommuting_adjacency,
         observable_conditions,
         observable_from_sites,
+        occupation_projector_diagonal,
         pair_commutator_norm,
     )
-    from lrlab.models import (
-        PAULI_X,
-        build_dicke_chain,
-        mode_quadratures,
-        occupation_projector_diagonal,
-    )
+    from lrlab.models import PAULI_X, build_dicke_chain, mode_quadratures
     from lrlab.operators import spectral_norm
     from lrlab.reporting import write_csv, write_json
 
@@ -70,12 +67,15 @@ def main() -> int:
         by_n = {t.index: t for t in model.terms}
         pair_full = pair_commutator_norm(model, by_n[0], by_n[1])
         pair_proj = pair_commutator_norm(model, by_n[0], by_n[1], projected=True)
-        consts = compute_bound_constants(model, lam=args.lam, projected=True)
+        adj = noncommuting_adjacency(model, projected=True)
+        consts = compute_bound_constants(
+            model, lam=args.lam, projected=True, adjacency=adj
+        )
         _, q_op = mode_quadratures(m)
         obs_p = observable_from_sites(model, (0,), q_op, "Qt@mode0")
         obs_q = observable_from_sites(model, (last_mode,), q_op, f"Qt@mode{last_mode // 2}")
         cond = observable_conditions(
-            model, obs_p, obs_q, consts=consts, projected=True
+            model, obs_p, obs_q, consts=consts, adjacency=adj, projected=True
         )
         bound = observable_bound(consts, cond, args.time)
         prefactor = (

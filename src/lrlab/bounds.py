@@ -13,20 +13,11 @@ sqrt(h0 h1 K).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.optimize import minimize_scalar
 
 from .chains import ChainCountTable
 from .lattice import BoundConstants, ObservableConditions
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    method: str
-    d: int
-    times: tuple
-    values: tuple
 
 
 def _series_rate(consts: BoundConstants) -> float:
@@ -97,17 +88,12 @@ def closed_form_bound(
     return consts.Mtildetilde * math.exp(exponent)
 
 
-def lr_velocity(consts: BoundConstants) -> float:
-    return 2.0 * (consts.gamma / consts.xi) * math.e * math.sqrt(
-        consts.h0 * consts.h1 * consts.K
-    )
-
-
 def optimize_lambda(consts: BoundConstants) -> tuple:
     """Minimize the slope e^{lam/xi}/lam of the closed form over lam > 0.
 
     Returns (lam_star, v_min); analytically lam_star = xi and v_min equals
-    lr_velocity, so this doubles as a consistency check on the rate algebra.
+    BoundConstants.v_lr, so this doubles as a consistency check on the rate
+    algebra.
     """
     xi = consts.xi
 
@@ -178,9 +164,3 @@ def bounded_term_check(model, consts: BoundConstants | None = None) -> dict:
     )
     return {"Ktilde": ktilde, "K": consts.K, "Q": consts.Q, "ok": ok}
 
-
-def bound_curve(values_fn, method: str, d: int, times) -> BoundCurve:
-    ts = tuple(float(t) for t in times)
-    return BoundCurve(
-        method=method, d=d, times=ts, values=tuple(values_fn(t) for t in ts)
-    )

@@ -28,15 +28,6 @@ BRUTE_FORCE_MAX_ORDER = 10
 
 
 @dataclass(frozen=True)
-class ChainState:
-    """Suffix of a partial chain: the last two terms and the added count."""
-
-    last: int
-    penult: int | None
-    length: int
-
-
-@dataclass(frozen=True)
 class ChainCountTable:
     start: int
     target: SupportRegion

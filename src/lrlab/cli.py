@@ -66,15 +66,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_model(cfg: RunConfig):
-    from . import models
+# The ModelConfig fields each model's builder takes.
+_MODEL_PARAMS = {
+    "tfim": ("j", "g"),
+    "commuting_ising": ("j",),
+    "dicke_chain": ("h", "truncation"),
+}
+
+
+def _setup(cfg: RunConfig, args, constants: bool = True):
+    """(model, adjacency, constants) for one command.
+
+    The noncommuting adjacency is built once and shared by everything the
+    command computes from it; both it and the constants are None when
+    `constants` is false.
+    """
+    from .lattice import compute_bound_constants, noncommuting_adjacency
+    from .models import build_model
 
     m = cfg.model
-    if m.name == "tfim":
-        return models.build_tfim(m.length, j=m.j, g=m.g)
-    if m.name == "commuting_ising":
-        return models.build_commuting_ising(m.length, j=m.j)
-    return models.build_dicke_chain(m.length, h=m.h, truncation=m.truncation)
+    params = {key: getattr(m, key) for key in _MODEL_PARAMS[m.name]}
+    model = build_model(m.name, m.length, **params)
+    if not constants:
+        return model, None, None
+    adj = noncommuting_adjacency(model, projected=cfg.projected)
+    consts = compute_bound_constants(
+        model,
+        lam=_effective_lambda(cfg, args),
+        projected=cfg.projected,
+        adjacency=adj,
+    )
+    return model, adj, consts
 
 
 def _pauli(name: str):
@@ -148,7 +170,7 @@ def _effective_lambda(cfg: RunConfig, args) -> float | None:
 def _cmd_check(cfg: RunConfig, args) -> int:
     from .lattice import validate_two_family
 
-    model = _build_model(cfg)
+    model, _, _ = _setup(cfg, args, constants=False)
     report = validate_two_family(model)
     print(
         f"{model.name}: {len(model.family0)} family-0 terms, "
@@ -163,12 +185,7 @@ def _cmd_check(cfg: RunConfig, args) -> int:
 
 
 def _cmd_constants(cfg: RunConfig, args) -> int:
-    from .lattice import compute_bound_constants
-
-    model = _build_model(cfg)
-    consts = compute_bound_constants(
-        model, lam=_effective_lambda(cfg, args), projected=cfg.projected
-    )
+    _, _, consts = _setup(cfg, args)
     out = _ensure_out(args)
     write_json(out / "constants.json", consts.as_dict())
     for key, val in sorted(consts.as_dict().items()):
@@ -176,29 +193,16 @@ def _cmd_constants(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _chain_setup(cfg: RunConfig, args, model):
-    from .lattice import compute_bound_constants, noncommuting_adjacency, region
+def _cmd_chains(cfg: RunConfig, args) -> int:
+    from .chains import closed_form_chain_bound, count_chains_dp
+    from .lattice import region
 
-    adj = noncommuting_adjacency(model, projected=cfg.projected)
-    consts = compute_bound_constants(
-        model,
-        lam=_effective_lambda(cfg, args),
-        projected=cfg.projected,
-        adjacency=adj,
-    )
+    model, adj, consts = _setup(cfg, args)
     op, oqs = _observables(cfg, model)
     start, _ = _matching_term_scale(model, op)
     if start is None:
         start = _fallback_start(model, op)
     target = region(model.graph, [s for oq in oqs for s in oq.support.sites])
-    return adj, consts, start, target
-
-
-def _cmd_chains(cfg: RunConfig, args) -> int:
-    from .chains import closed_form_chain_bound, count_chains_dp
-
-    model = _build_model(cfg)
-    adj, consts, start, target = _chain_setup(cfg, args, model)
     table = count_chains_dp(adj, start, target, cfg.chain_order)
     out = _ensure_out(args)
     d0 = _min_dist(model, adj, start, target)
@@ -229,8 +233,9 @@ def _min_dist(model, adj, start, target) -> int:
     return region_distance(model.graph, adj.supports[start], target)
 
 
-def _bound_functions(cfg: RunConfig, model, consts, op, oqs):
-    """Per-method (t, d) -> bound callables for the configured observables."""
+def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs):
+    """Per-method (t, oq_label) -> bound callables for the configured
+    observables; each O_Q gets its own chain table and conditions."""
     from .bounds import (
         bounded_reference_bound,
         closed_form_bound,
@@ -238,21 +243,19 @@ def _bound_functions(cfg: RunConfig, model, consts, op, oqs):
         series_bound,
     )
     from .chains import count_chains_dp
-    from .lattice import (
-        noncommuting_adjacency,
-        observable_conditions,
-        region_distance,
-    )
+    from .lattice import observable_conditions, region_distance
     from .operators import spectral_norm
 
     lam = consts.lam
     fns = {}
     seps = {
-        region_distance(model.graph, op.support, oq.support): oq for oq in oqs
+        oq.label: region_distance(model.graph, op.support, oq.support) for oq in oqs
     }
 
     if "closed_form" in cfg.methods:
-        fns["closed_form"] = lambda t, d: closed_form_bound(consts, t, d, lam=lam)
+        fns["closed_form"] = lambda t, label: closed_form_bound(
+            consts, t, seps[label], lam=lam
+        )
 
     if "series_exact_cn" in cfg.methods:
         start, alpha_p = _matching_term_scale(model, op)
@@ -265,58 +268,58 @@ def _bound_functions(cfg: RunConfig, model, consts, op, oqs):
 
         t_max = max(abs(t) for t in cfg.time_grid.times())
         n_max = max(cfg.chain_order, series_terms_needed(consts, t_max, cfg.series_tol))
-        adj = noncommuting_adjacency(model, projected=cfg.projected)
         tables = {}
         scales = {}
-        for d, oq in seps.items():
+        for oq in oqs:
             tgt, alpha_q = _matching_term_scale(model, oq)
             if tgt is None:
                 raise ConfigError(
                     "method 'series_exact_cn' needs O_Q to match a "
                     "Hamiltonian term up to scale"
                 )
-            tables[d] = count_chains_dp(adj, start, oq.support, n_max)
-            scales[d] = abs(alpha_p) * abs(alpha_q)
+            tables[oq.label] = count_chains_dp(adj, start, oq.support, n_max)
+            scales[oq.label] = abs(alpha_p) * abs(alpha_q)
 
-        def series_fn(t, d):
-            return scales[d] * series_bound(
-                consts, tables[d], t, tol=cfg.series_tol
+        def series_fn(t, label):
+            return scales[label] * series_bound(
+                consts, tables[label], t, tol=cfg.series_tol
             )
 
         fns["series_exact_cn"] = series_fn
 
     if "observable" in cfg.methods or "bounded_reference" in cfg.methods:
         conds = {}
-        for d, oq in seps.items():
-            if d <= consts.R:
+        for oq in oqs:
+            if seps[oq.label] <= consts.R:
                 continue
-            conds[d] = observable_conditions(
-                model, op, oq, consts=consts, projected=cfg.projected
+            conds[oq.label] = observable_conditions(
+                model, op, oq, consts=consts, adjacency=adj, projected=cfg.projected
             )
         if "observable" in cfg.methods:
-            fns["observable"] = lambda t, d: observable_bound(
-                consts, conds[d], t, lam=lam
+            fns["observable"] = lambda t, label: observable_bound(
+                consts, conds[label], t, lam=lam
             )
         if "bounded_reference" in cfg.methods:
             op_norm = spectral_norm(op.payload)
-            oq_norms = {
-                d: spectral_norm(oq.payload) for d, oq in seps.items()
-            }
-            fns["bounded_reference"] = lambda t, d: bounded_reference_bound(
-                consts, op_norm, oq_norms[d], conds[d].n_P, t, d, lam=lam
+            oq_norms = {oq.label: spectral_norm(oq.payload) for oq in oqs}
+            fns["bounded_reference"] = lambda t, label: bounded_reference_bound(
+                consts,
+                op_norm,
+                oq_norms[label],
+                conds[label].n_P,
+                t,
+                seps[label],
+                lam=lam,
             )
     return fns
 
 
 def _cmd_bound(cfg: RunConfig, args) -> int:
-    from .lattice import compute_bound_constants, region_distance
+    from .lattice import region_distance
 
-    model = _build_model(cfg)
-    consts = compute_bound_constants(
-        model, lam=_effective_lambda(cfg, args), projected=cfg.projected
-    )
+    model, adj, consts = _setup(cfg, args)
     op, oqs = _observables(cfg, model)
-    fns = _bound_functions(cfg, model, consts, op, oqs)
+    fns = _bound_functions(cfg, model, adj, consts, op, oqs)
     times = cfg.time_grid.times()
     rows = []
     for method in sorted(fns):
@@ -326,9 +329,9 @@ def _cmd_bound(cfg: RunConfig, args) -> int:
             if method in ("observable", "bounded_reference") and d <= consts.R:
                 continue
             for t in times:
-                rows.append((method, d, float(t), float(fn(t, d))))
+                rows.append((method, d, float(t), float(fn(t, oq.label)), oq.label))
     out = _ensure_out(args)
-    write_csv(out / "bounds.csv", ("method", "d", "t", "value"), rows)
+    write_csv(out / "bounds.csv", ("method", "d", "t", "value", "oq"), rows)
     write_json(out / "constants.json", consts.as_dict())
     print(f"wrote {len(rows)} bound values for methods {sorted(fns)}")
     return 0
@@ -336,7 +339,7 @@ def _cmd_bound(cfg: RunConfig, args) -> int:
 
 def _run_sweep(cfg: RunConfig, model, op, oqs):
     from .dynamics import commutator_norm_sweep
-    from .models import occupation_projector_diagonal
+    from .lattice import occupation_projector_diagonal
 
     projector = None
     if cfg.occupation_cap is not None:
@@ -346,16 +349,20 @@ def _run_sweep(cfg: RunConfig, model, op, oqs):
     )
 
 
+def _write_simulation(out: Path, sweep) -> None:
+    write_csv(
+        out / "simulation.csv",
+        ("d", "t", "measured", "oq"),
+        [(p.d, p.t, p.value, p.oq) for p in sweep.points],
+    )
+
+
 def _cmd_simulate(cfg: RunConfig, args) -> int:
-    model = _build_model(cfg)
+    model, _, _ = _setup(cfg, args, constants=False)
     op, oqs = _observables(cfg, model)
     sweep = _run_sweep(cfg, model, op, oqs)
     out = _ensure_out(args)
-    write_csv(
-        out / "simulation.csv",
-        ("d", "t", "measured"),
-        [(p.d, p.t, p.value) for p in sweep.points],
-    )
+    _write_simulation(out, sweep)
     write_json(
         out / "meta.json",
         {
@@ -376,16 +383,11 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
-    from .bounds import lr_velocity
     from .dynamics import extract_velocity, verify_bound
-    from .lattice import compute_bound_constants
 
-    model = _build_model(cfg)
-    consts = compute_bound_constants(
-        model, lam=_effective_lambda(cfg, args), projected=cfg.projected
-    )
+    model, adj, consts = _setup(cfg, args)
     op, oqs = _observables(cfg, model)
-    fns = _bound_functions(cfg, model, consts, op, oqs)
+    fns = _bound_functions(cfg, model, adj, consts, op, oqs)
     sweep = _run_sweep(cfg, model, op, oqs)
     report = verify_bound(
         sweep,
@@ -399,26 +401,25 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         vel = extract_velocity(sweep, threshold=cfg.threshold)
         velocity = {
             "v_emp": vel.v_emp,
-            "v_lr": lr_velocity(consts),
+            "v_lr": consts.v_lr,
             "intercept": vel.intercept,
             "residual": vel.residual,
             "threshold": vel.threshold,
             "crossings": [[d, t] for d, t in vel.crossings],
         }
     except ValueError as e:
-        velocity = {"error": str(e), "v_lr": lr_velocity(consts)}
+        velocity = {"error": str(e), "v_lr": consts.v_lr}
 
     out = _ensure_out(args)
     write_json(out / "constants.json", consts.as_dict())
-    write_csv(
-        out / "simulation.csv",
-        ("d", "t", "measured"),
-        [(p.d, p.t, p.value) for p in sweep.points],
-    )
+    _write_simulation(out, sweep)
     write_csv(
         out / "verification.csv",
-        ("method", "d", "t", "measured", "bound", "margin"),
-        [(r.method, r.d, r.t, r.measured, r.bound, r.margin) for r in report.rows],
+        ("method", "d", "t", "measured", "bound", "margin", "oq"),
+        [
+            (r.method, r.d, r.t, r.measured, r.bound, r.margin, r.oq)
+            for r in report.rows
+        ],
     )
     write_json(
         out / "verification.json",

@@ -1,10 +1,12 @@
 """Exact Heisenberg dynamics on small systems, and checking bounds against it.
 
-The sweep diagonalizes H once, conjugates O_P into the eigenbasis, and walks
-the time grid with two matrix products per step.  Commutators against a
-site-diagonal O_Q reduce to an elementwise product, which is what keeps the
-10-qubit acceptance sweeps inside their single-CPU budgets; everything else
-goes through a sparse embedding of O_Q.
+The sweep diagonalizes H once (`operators.decompose`, which also checks the
+reconstruction) and walks the time grid with `operators.heisenberg_evolve`,
+two matrix products per step.  Commutators against a site-diagonal O_Q reduce
+to an elementwise product, which is what keeps the 10-qubit acceptance sweeps
+inside their single-CPU budgets; everything else goes through a sparse
+embedding of O_Q.  Every point carries the label of its O_Q, so two
+observables at the same separation are scored against their own bounds.
 """
 
 from __future__ import annotations
@@ -19,9 +21,15 @@ from .lattice import (
     region_distance,
 )
 from .models import full_hamiltonian
-from .operators import commutator, decompose, embed_dense, embed_sparse, spectral_norm
+from .operators import (
+    commutator,
+    decompose,
+    embed_dense,
+    embed_sparse,
+    heisenberg_evolve,
+    spectral_norm,
+)
 
-EIG_RECONSTRUCTION_TOL = 1e-9
 DEFAULT_CONE_THRESHOLD = 1e-3
 
 
@@ -30,6 +38,7 @@ class SweepPoint:
     d: int
     t: float
     value: float
+    oq: str
 
 
 @dataclass(frozen=True)
@@ -46,17 +55,6 @@ class SimulationSweep:
         """(times, values) at one separation, time-ordered."""
         pts = sorted((p.t, p.value) for p in self.points if p.d == d)
         return tuple(t for t, _ in pts), tuple(v for _, v in pts)
-
-
-def _checked_decomposition(h: np.ndarray):
-    decomp = decompose(h)
-    v, w = decomp.eigenvectors, decomp.eigenvalues
-    recon = (v * w) @ v.conj().T
-    scale = max(float(np.abs(w).max()), 1.0)
-    dev = float(np.abs(recon - h).max())
-    if dev > EIG_RECONSTRUCTION_TOL * scale:
-        raise ValueError(f"eigendecomposition reconstruction off by {dev:.3e}")
-    return decomp
 
 
 def _is_diagonal(m: np.ndarray) -> bool:
@@ -77,12 +75,9 @@ def commutator_norm_sweep(
     used for truncation-convergence checks on bosonic models.
     """
     h = full_hamiltonian(model) if h_matrix is None else h_matrix
-    decomp = _checked_decomposition(h)
-    v, w = decomp.eigenvectors, decomp.eigenvalues
+    decomp = decompose(h)
     dims = list(model.site_dims)
-
     p_full = embed_dense(op_p.payload, op_p.support.sites, dims)
-    w_p = v.conj().T @ p_full @ v
 
     qs = []
     seps = []
@@ -102,9 +97,7 @@ def commutator_norm_sweep(
 
     points = []
     ts = tuple(float(t) for t in times)
-    for t in ts:
-        phase = np.exp(1j * w * t)
-        a_t = (v * phase) @ w_p @ (v * phase).conj().T
+    for t, a_t in zip(ts, heisenberg_evolve(p_full, decomp, ts)):
         for (kind, q_emb), oq, d in zip(qs, oq_list, seps):
             if kind == "diag":
                 qdiag = q_emb
@@ -114,7 +107,9 @@ def commutator_norm_sweep(
                 c = b - b.conj().T
             if projector_diag is not None:
                 c = c * np.outer(projector_diag, projector_diag)
-            points.append(SweepPoint(d=d, t=t, value=spectral_norm(c)))
+            points.append(
+                SweepPoint(d=d, t=t, value=spectral_norm(c), oq=oq.label)
+            )
 
     return SimulationSweep(
         model_name=model.name,
@@ -182,6 +177,7 @@ class VerificationRow:
     measured: float
     bound: float
     margin: float
+    oq: str
 
 
 @dataclass(frozen=True)
@@ -203,7 +199,9 @@ def verify_bound(
     slack: float = 1e-9,
     bound_scale: float = 1.0,
 ) -> VerificationReport:
-    """Compare measured norms against each named bound function (t, d) -> value.
+    """Compare measured norms against each named bound function
+    (t, oq_label) -> value, so every point is scored against the bound for
+    its own observable.
 
     Separations at or below `min_separation` (typically R) are excluded and
     reported rather than scored.  `bound_scale` rescales the bound values; the
@@ -218,7 +216,7 @@ def verify_bound(
         for p in sweep.points:
             if p.d <= min_separation:
                 continue
-            bound = float(fn(p.t, p.d)) * bound_scale
+            bound = float(fn(p.t, p.oq)) * bound_scale
             rows.append(
                 VerificationRow(
                     method=method,
@@ -227,6 +225,7 @@ def verify_bound(
                     measured=p.value,
                     bound=bound,
                     margin=bound - p.value,
+                    oq=p.oq,
                 )
             )
     passed = all(r.margin >= -slack for r in rows)
@@ -269,8 +268,7 @@ def derivative_identity_check(
     adj = adjacency if adjacency is not None else noncommuting_adjacency(model)
     gid_a = _global_id(model, family_a, index_a)
     gid_b = _global_id(model, family_b, index_b)
-    h = full_hamiltonian(model)
-    decomp = _checked_decomposition(h)
+    decomp = decompose(full_hamiltonian(model))
     dims = list(model.site_dims)
 
     terms = model.terms
@@ -278,22 +276,18 @@ def derivative_identity_check(
     b_full = embed_dense(terms[gid_b].payload, terms[gid_b].support.sites, dims)
     h_opp = model.coupling(1 - family_a)
 
-    def evolve(mat, s):
-        v, w = decomp.eigenvectors, decomp.eigenvalues
-        phase = np.exp(1j * w * s)
-        return (v * phase) @ (v.conj().T @ mat @ v) @ (v * phase).conj().T
-
-    k_plus = commutator(evolve(a_full, t + step), b_full)
-    k_minus = commutator(evolve(a_full, t - step), b_full)
-    lhs = (k_plus - k_minus) / (2.0 * step)
-
-    a_t = evolve(a_full, t)
+    a_plus, a_minus, a_t = heisenberg_evolve(
+        a_full, decomp, (t + step, t - step, t)
+    )
+    lhs = (commutator(a_plus, b_full) - commutator(a_minus, b_full)) / (2.0 * step)
     k_t = commutator(a_t, b_full)
     rhs = np.zeros_like(k_t)
     partner_sum = np.zeros_like(k_t)
     for gid in sorted(adj.zmap[gid_a]):
         term = terms[gid]
-        phi_t = evolve(embed_dense(term.payload, term.support.sites, dims), t)
+        (phi_t,) = heisenberg_evolve(
+            embed_dense(term.payload, term.support.sites, dims), decomp, (t,)
+        )
         partner_sum += phi_t
         rhs += (-1j * h_opp) * commutator(a_t, commutator(phi_t, b_full))
     rhs += commutator(k_t, -1j * h_opp * partner_sum)

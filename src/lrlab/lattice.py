@@ -145,7 +145,8 @@ class TwoFamilyHamiltonian:
 
     @property
     def hilbert_dim(self) -> int:
-        return int(np.prod(self.site_dims))
+        # math.prod on Python ints: a numpy product wraps past 2^63.
+        return math.prod(int(d) for d in self.site_dims)
 
 
 def observable_from_sites(
@@ -164,14 +165,23 @@ def _region_embed(model: TwoFamilyHamiltonian, op, sites_union):
     return embed_dense(op.payload, op_sites, dims)
 
 
-def _interior_diagonal(model: TwoFamilyHamiltonian, sites_union) -> np.ndarray:
-    """Diagonal of the projector dropping each boson site's top Fock level."""
+def occupation_projector_diagonal(
+    model: TwoFamilyHamiltonian, max_level: int | None = None, sites=None
+) -> np.ndarray:
+    """Diagonal of the projector keeping boson occupations <= max_level.
+
+    The diagonal is over the product space of `sites` (default: the whole
+    lattice), in site order.  `max_level=None` keeps the interior of every
+    boson site, i.e. drops its top retained Fock level.
+    """
+    if sites is None:
+        sites = range(model.graph.site_count)
     keep = np.ones(1)
-    for s in sites_union:
+    for s in sites:
         d = model.site_dims[s]
         vec = np.ones(d)
         if s in model.boson_sites and d >= 2:
-            vec[d - 1] = 0.0
+            vec[(d - 1 if max_level is None else max_level + 1) :] = 0.0
         keep = np.kron(keep, vec)
     return keep
 
@@ -187,7 +197,7 @@ def operator_norm_on_union(model, ops, combine, projected: bool = False) -> floa
     mats = [_region_embed(model, op, union) for op in ops]
     out = combine(*mats)
     if projected:
-        keep = _interior_diagonal(model, union)
+        keep = occupation_projector_diagonal(model, sites=union)
         out = out * np.outer(keep, keep)
     return spectral_norm(out)
 
@@ -438,8 +448,11 @@ def observable_conditions(
     model is fully commuting (the constants are undefined), or when Q = 0 but
     O_Q sees a nonzero pair commutator (condition (iii) unsatisfiable).
     """
+    adj = adjacency if adjacency is not None else noncommuting_adjacency(
+        model, projected=projected
+    )
     if consts is None:
-        consts = compute_bound_constants(model, projected=projected)
+        consts = compute_bound_constants(model, projected=projected, adjacency=adj)
     if consts.zero_velocity:
         raise ValueError("constants undefined for commuting system (K = 0)")
     d = region_distance(model.graph, op_p.support, op_q.support)
@@ -447,20 +460,9 @@ def observable_conditions(
         raise ValueError(
             f"condition (i) violated: separation d = {d} must exceed R = {consts.R}"
         )
-    adj = adjacency if adjacency is not None else noncommuting_adjacency(
-        model, projected=projected
-    )
     terms = model.terms
-
-    def obs_term_norm(obs, term):
-        if not regions_overlap(obs.support, term.support):
-            return 0.0
-        return operator_norm_on_union(
-            model, (obs, term), commutator, projected=projected
-        )
-
-    p_norms = [obs_term_norm(op_p, t) for t in terms]
-    q_norms = [obs_term_norm(op_q, t) for t in terms]
+    p_norms = [pair_commutator_norm(model, op_p, t, projected) for t in terms]
+    q_norms = [pair_commutator_norm(model, op_q, t, projected) for t in terms]
     n_P = sum(1 for x in p_norms if x > NONCOMMUTING_TOL)
     F_P = max(p_norms) / consts.K
     F_Q = max(q_norms) / consts.K

@@ -190,14 +190,3 @@ def full_hamiltonian(
         )
     return h
 
-
-def occupation_projector_diagonal(model: TwoFamilyHamiltonian, max_level: int):
-    """Diagonal of the projector keeping boson occupations <= max_level."""
-    keep = np.ones(1)
-    for s in range(model.graph.site_count):
-        d = model.site_dims[s]
-        vec = np.ones(d)
-        if s in model.boson_sites:
-            vec[max_level + 1 :] = 0.0
-        keep = np.kron(keep, vec)
-    return keep

@@ -1,34 +1,27 @@
 """Dense operator algebra on finite tensor-product Hilbert spaces.
 
 Everything here is plain ndarray manipulation: embedding local operators into
-a labeled product space, commutators, spectral norms, and Heisenberg evolution
-through a cached eigenbasis.  Site 0 is the first (leftmost) Kronecker factor,
-so a basis index decomposes as b = sum_k s_k * prod_{j>k} d_j.
+a labeled product space, commutators, spectral norms, a checked Hermitian
+eigendecomposition, and the one Heisenberg-evolution routine, which rotates
+an operator into that eigenbasis once and then costs two matrix products per
+time point.  Site 0 is the first (leftmost) Kronecker factor, so a basis
+index decomposes as b = sum_k s_k * prod_{j>k} d_j.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 HERMITICITY_TOL = 1e-10
+EIG_RECONSTRUCTION_TOL = 1e-9
 
 # Detection threshold for (anti-)Hermitian structure, relative to the largest
 # entry.  Commutators of Hermitian matrices land well inside this.
 _SYMMETRY_DETECT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FullOperator:
-    """An operator already embedded on the full lattice Hilbert space."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -37,16 +30,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
-
-def _as_matrix(a) -> np.ndarray:
-    if isinstance(a, FullOperator):
-        return a.matrix
-    return np.asarray(a)
 
 
 def _embedding_layout(op_sites, site_dims):
@@ -59,8 +42,9 @@ def _embedding_layout(op_sites, site_dims):
     if op_sites[0] < 0 or op_sites[-1] >= n:
         raise ValueError(f"operator sites {op_sites} outside lattice of {n} sites")
     rest = [k for k in range(n) if k not in set(op_sites)]
-    d_op = int(np.prod([site_dims[k] for k in op_sites]))
-    d_rest = int(np.prod([site_dims[k] for k in rest])) if rest else 1
+    # math.prod on Python ints: a numpy product wraps past 2^63.
+    d_op = math.prod(int(site_dims[k]) for k in op_sites)
+    d_rest = math.prod(int(site_dims[k]) for k in rest)
     return op_sites, rest, d_op, d_rest
 
 
@@ -112,8 +96,7 @@ def embed_sparse(payload, op_sites, site_dims) -> sp.csr_matrix:
 
 
 def commutator(a, b) -> np.ndarray:
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    return ma @ mb - mb @ ma
+    return a @ b - b @ a
 
 
 def spectral_norm(a) -> float:
@@ -122,7 +105,7 @@ def spectral_norm(a) -> float:
     Hermitian and anti-Hermitian inputs (commutators of Hermitians are the
     latter) take the eigvalsh path, which is about twice as fast as SVD.
     """
-    m = _as_matrix(a)
+    m = np.asarray(a)
     if m.size == 0:
         return 0.0
     scale = float(np.abs(m).max())
@@ -138,23 +121,32 @@ def spectral_norm(a) -> float:
 
 
 def decompose(h) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix, rejecting non-Hermitian input."""
-    m = _as_matrix(h)
+    """Eigendecompose a Hermitian matrix.
+
+    Rejects non-Hermitian input, and an eigenbasis that does not reconstruct
+    the input to EIG_RECONSTRUCTION_TOL relative to its largest eigenvalue.
+    """
+    m = np.asarray(h)
     dev = float(np.abs(m - m.conj().T).max())
     scale = max(float(np.abs(m).max()), 1.0)
     if dev > HERMITICITY_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     w, v = np.linalg.eigh(m)
+    dev = float(np.abs((v * w) @ v.conj().T - m).max())
+    if dev > EIG_RECONSTRUCTION_TOL * max(float(np.abs(w).max()), 1.0):
+        raise ValueError(f"eigendecomposition reconstruction off by {dev:.3e}")
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def heisenberg_evolve(a, decomp: SpectralDecomposition, t: float):
-    """A(t) = e^{iHt} A e^{-iHt} through the eigenbasis of H."""
-    m = _as_matrix(a)
-    v = decomp.eigenvectors
-    phase = np.exp(1j * decomp.eigenvalues * t)
-    inner = (v.conj().T @ m @ v) * np.outer(phase, phase.conj())
-    out = v @ inner @ v.conj().T
-    if isinstance(a, FullOperator):
-        return FullOperator(out)
-    return out
+def heisenberg_evolve(a, decomp: SpectralDecomposition, times):
+    """Yield A(t) = e^{iHt} A e^{-iHt} for each t in `times`.
+
+    A is rotated into the eigenbasis of H once; each time point is then
+    u A_eig u^dagger with u = V diag(e^{iwt}).  No n x n temporary outlives
+    its step, so the caller's work between steps sees no extra array.
+    """
+    w, v = decomp.eigenvalues, decomp.eigenvectors
+    a_eig = v.conj().T @ a @ v
+    for t in times:
+        phase = np.exp(1j * w * t)
+        yield (v * phase) @ a_eig @ (v * phase).conj().T

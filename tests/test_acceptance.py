@@ -17,7 +17,6 @@ from lrlab import cli
 from lrlab.bounds import (
     bounded_term_check,
     closed_form_bound,
-    lr_velocity,
     observable_bound,
     optimize_lambda,
     series_bound,
@@ -104,13 +103,17 @@ def test_criterion_02_tfim_margins(tfim10_sweep):
     start = len(model.family0)  # field on site 0
     t_max = max(sweep.times)
     n_max = series_terms_needed(consts, t_max, 1e-9)
+    # O_Q = Z@d sits at separation d from O_P = Z@0.
+    seps = {f"Z@{d}": d for d in range(3, 9)}
     tables = {
-        d: count_chains_dp(adj, start, region(model.graph, (d,)), n_max)
-        for d in range(3, 9)
+        oq: count_chains_dp(adj, start, region(model.graph, (d,)), n_max)
+        for oq, d in seps.items()
     }
     fns = {
-        "closed_form": lambda t, d: closed_form_bound(consts, t, d),
-        "series_exact_cn": lambda t, d: series_bound(consts, tables[d], t, tol=1e-9),
+        "closed_form": lambda t, oq: closed_form_bound(consts, t, seps[oq]),
+        "series_exact_cn": lambda t, oq: series_bound(
+            consts, tables[oq], t, tol=1e-9
+        ),
     }
     report = verify_bound(sweep, fns, min_separation=consts.R, slack=1e-9)
     elapsed = sweep_elapsed + (time.perf_counter() - t0)
@@ -127,7 +130,7 @@ def test_criterion_03_velocity_below_lr(tfim10_sweep):
     model, sweep, _ = tfim10_sweep
     consts = compute_bound_constants(model)
     est = extract_velocity(sweep, threshold=1e-3)
-    v_bound = lr_velocity(consts)
+    v_bound = consts.v_lr
     _report(
         3,
         0.0 < est.v_emp <= v_bound,
@@ -261,11 +264,14 @@ def test_criterion_07_lambda_optimum_is_xi():
             zero_velocity=False,
         )
         lam_star, v_min = optimize_lambda(consts)
-        worst = max(
-            worst,
-            abs(lam_star - xi) / xi,
-            abs(v_min - lr_velocity(consts)) / lr_velocity(consts),
+        # v_lr = 0.0 above is a placeholder; the velocity is written out here.
+        v_lr = (
+            2.0
+            * (consts.gamma / consts.xi)
+            * np.e
+            * np.sqrt(consts.h0 * consts.h1 * consts.K)
         )
+        worst = max(worst, abs(lam_star - xi) / xi, abs(v_min - v_lr) / v_lr)
     _report(
         7,
         worst <= 1e-6,

@@ -13,7 +13,6 @@ from lrlab.bounds import (
     bounded_reference_bound,
     bounded_term_check,
     closed_form_bound,
-    lr_velocity,
     observable_bound,
     optimize_lambda,
     series_bound,
@@ -124,16 +123,16 @@ def test_closed_form_rejects_nonpositive_lambda():
         closed_form_bound(_consts(), 1.0, 3, lam=0.0)
 
 
-def test_lr_velocity_frozen():
-    assert lr_velocity(_consts()) == pytest.approx(16.0 * math.e, rel=1e-12)
-
-
 def test_optimize_lambda_recovers_xi():
     for gamma, xi in ((0.3, 0.25), (5.0, 2.0), (1.0, 1.0 / 3.0)):
         consts = _consts(gamma=gamma, xi=xi, lam=xi)
         lam_star, v_min = optimize_lambda(consts)
         assert lam_star == pytest.approx(xi, rel=1e-6)
-        assert v_min == pytest.approx(lr_velocity(consts), rel=1e-6)
+        # _consts() does not recompute v_lr from gamma and xi.
+        v_lr = 2.0 * (gamma / xi) * math.e * math.sqrt(
+            consts.h0 * consts.h1 * consts.K
+        )
+        assert v_min == pytest.approx(v_lr, rel=1e-6)
 
 
 def test_observable_bound_is_prefactor_times_closed_form():

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
-from importlib import resources
-from pathlib import Path
 
 import pytest
 
 from lrlab import cli
 from lrlab.config import ConfigError, parse_config
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 GOOD = {
     "model": {"name": "tfim", "length": 5},
@@ -84,12 +81,6 @@ def test_missing_file_and_bad_json(tmp_path):
         parse_config(p)
 
 
-def test_root_schema_copy_matches_packaged():
-    packaged = resources.files("lrlab").joinpath("config.schema.json").read_text()
-    root_copy = (REPO_ROOT / "config.schema.json").read_text()
-    assert root_copy == packaged
-
-
 def test_thread_env_translation(monkeypatch):
     for var in cli._THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
@@ -113,6 +104,9 @@ def test_cli_verify_passes_and_is_deterministic(tmp_path):
     ]
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    lines = (out1 / "verification.csv").read_text().splitlines()
+    assert lines[0] == "method,d,t,measured,bound,margin,oq"
+    assert lines[1].endswith(",Z@3")
 
 
 def test_cli_verify_bound_scale_fails_with_exit_1(tmp_path):
@@ -178,9 +172,9 @@ def test_cli_bound_and_simulate(tmp_path):
     assert cli.main(["bound", "--config", str(cfg), "--out", str(out_b)]) == 0
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out_s)]) == 0
     b_lines = (out_b / "bounds.csv").read_text().splitlines()
-    assert b_lines[0] == "method,d,t,value"
+    assert b_lines[0] == "method,d,t,value,oq"
     s_lines = (out_s / "simulation.csv").read_text().splitlines()
-    assert s_lines[0] == "d,t,measured"
+    assert s_lines[0] == "d,t,measured,oq"
     meta = json.loads((out_s / "meta.json").read_text())
     assert meta["model"] == "tfim"
     assert meta["separations"] == [3, 4]
@@ -203,3 +197,43 @@ def test_cli_pauli_on_boson_site_rejected(tmp_path):
     cfg = _write(tmp_path, raw)
     rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_cli_bound_scores_each_observable_at_equal_separation(tmp_path):
+    # Z@1 and Z@9 both sit 4 sites from Z@5 on a 10-site chain, but Z@1 has
+    # more chains reaching it (c_10 = 230 against 218 for the chain end), so
+    # each must get its own series bound.
+    from lrlab.bounds import series_bound, series_terms_needed
+    from lrlab.chains import count_chains_dp
+    from lrlab.lattice import compute_bound_constants, noncommuting_adjacency, region
+    from lrlab.models import build_tfim
+
+    raw = {
+        "model": {"name": "tfim", "length": 10},
+        "observables": {"op_site": 5, "oq_sites": [1, 9]},
+        "time_grid": {"start": 0.0, "stop": 1.0, "points": 3},
+        "methods": ["series_exact_cn"],
+    }
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "o"
+    assert cli.main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "bounds.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert {r["d"] for r in rows} == {"4"}
+
+    model = build_tfim(10)
+    consts = compute_bound_constants(model)
+    adj = noncommuting_adjacency(model)
+    start = len(model.family0) + 5  # the field term Z@5
+    n_max = max(12, series_terms_needed(consts, 1.0, 1e-9))
+    got = {}
+    for site in (1, 9):
+        table = count_chains_dp(adj, start, region(model.graph, (site,)), n_max)
+        assert table.counts[10] == {1: 230, 9: 218}[site]
+        mine = [r for r in rows if r["oq"] == f"Z@{site}"]
+        assert [float(r["t"]) for r in mine] == [0.0, 0.5, 1.0]
+        for r in mine:
+            expected = series_bound(consts, table, float(r["t"]), tol=1e-9)
+            assert float(r["value"]) == pytest.approx(expected, rel=1e-12)
+        got[site] = float(mine[-1]["value"])
+    assert got[1] > got[9]

@@ -49,7 +49,7 @@ def test_sweep_matches_direct_computation(tfim5_sweep):
     for d, t in ((2, 0.5), (4, 1.0)):
         oq = next(o for o in oqs if o.support.sites == (d,))
         q_full = embed_dense(oq.payload, oq.support.sites, dims)
-        a_t = heisenberg_evolve(p_full, dec, t)
+        (a_t,) = heisenberg_evolve(p_full, dec, (t,))
         expected = spectral_norm(commutator(a_t, q_full))
         got = next(p.value for p in sweep.points if p.d == d and p.t == t)
         assert got == pytest.approx(expected, abs=1e-11)
@@ -62,7 +62,7 @@ def test_sweep_nondiagonal_oq_agrees_with_direct():
     sweep = commutator_norm_sweep(model, op, [oq], [0.8])
     dims = list(model.site_dims)
     dec = decompose(full_hamiltonian(model))
-    a_t = heisenberg_evolve(embed_dense(op.payload, (0,), dims), dec, 0.8)
+    (a_t,) = heisenberg_evolve(embed_dense(op.payload, (0,), dims), dec, (0.8,))
     q_full = embed_dense(oq.payload, (3,), dims)
     expected = spectral_norm(commutator(a_t, q_full))
     assert sweep.points[0].value == pytest.approx(expected, abs=1e-11)
@@ -121,7 +121,7 @@ def _synthetic_sweep(v_true, ds, times):
     for d in ds:
         for t in times:
             val = max(0.0, 0.1 * (t - d / v_true))
-            points.append(SweepPoint(d=d, t=t, value=val))
+            points.append(SweepPoint(d=d, t=t, value=val, oq=f"B{d}"))
     return SimulationSweep(
         model_name="synthetic",
         op_label="A",

@@ -7,7 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from lrlab.lattice import pair_commutator_norm, validate_two_family
+from lrlab.lattice import (
+    occupation_projector_diagonal,
+    pair_commutator_norm,
+    validate_two_family,
+)
 from lrlab.models import (
     PAULI_Z,
     build_commuting_ising,
@@ -18,7 +22,6 @@ from lrlab.models import (
     full_hamiltonian,
     ladder_lower,
     mode_quadratures,
-    occupation_projector_diagonal,
 )
 from lrlab.operators import commutator, embed_dense, spectral_norm
 
@@ -131,6 +134,16 @@ def test_full_hamiltonian_dim_cap():
         full_hamiltonian(model)
 
 
+def test_hilbert_dim_does_not_wrap():
+    # A numpy product wraps to -2^63 at 63 qubits and to 0 at 64, which
+    # would slip under the size cap; the cap must fire before any allocation.
+    assert build_tfim(63).hilbert_dim == 2**63
+    model = build_tfim(64)
+    assert model.hilbert_dim == 2**64
+    with pytest.raises(ValueError, match="exceeds cap"):
+        full_hamiltonian(model)
+
+
 def test_full_hamiltonian_real_when_possible():
     assert full_hamiltonian(build_tfim(3)).dtype == np.float64
     assert full_hamiltonian(build_dicke_chain(2, truncation=2)).dtype == np.complex128
@@ -143,6 +156,12 @@ def test_occupation_projector_diagonal():
     assert keep.sum() == 16  # (2 kept levels x 2 spin states)^2
     # The all-zero-occupation basis state is always kept.
     assert keep[0] == 1.0
+    # At truncation 3 the interior (top level dropped) is occupation <= 1.
+    np.testing.assert_array_equal(occupation_projector_diagonal(model), keep)
+    np.testing.assert_array_equal(
+        occupation_projector_diagonal(model, sites=(0, 1)),
+        np.kron([1.0, 1.0, 0.0], [1.0, 1.0]),
+    )
 
 
 def test_pauli_z_matches_embedding_convention():
