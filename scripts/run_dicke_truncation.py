@@ -14,12 +14,12 @@ spare).
 Usage:
   python scripts/run_dicke_truncation.py
   python scripts/run_dicke_truncation.py --length 3 --occupation-cap 1 --t-max 2
+  LRLAB_THREADS=1 python scripts/run_dicke_truncation.py
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 from pathlib import Path
 
 
@@ -35,12 +35,8 @@ def main() -> int:
     # while little weight has leaked into the upper Fock levels
     ap.add_argument("--t-max", type=float, default=0.5)
     ap.add_argument("--points", type=int, default=6)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--out", default="out/dicke_truncation")
     args = ap.parse_args()
-
-    if args.threads is not None:
-        os.environ["LRLAB_THREADS"] = str(args.threads)
 
     from lrlab.bounds import observable_bound
     from lrlab.dynamics import commutator_norm_sweep
@@ -68,15 +64,11 @@ def main() -> int:
         pair_full = pair_commutator_norm(model, by_n[0], by_n[1])
         pair_proj = pair_commutator_norm(model, by_n[0], by_n[1], projected=True)
         adj = noncommuting_adjacency(model, projected=True)
-        consts = compute_bound_constants(
-            model, lam=args.lam, projected=True, adjacency=adj
-        )
+        consts = compute_bound_constants(model, adj, lam=args.lam)
         _, q_op = mode_quadratures(m)
         obs_p = observable_from_sites(model, (0,), q_op, "Qt@mode0")
         obs_q = observable_from_sites(model, (last_mode,), q_op, f"Qt@mode{last_mode // 2}")
-        cond = observable_conditions(
-            model, obs_p, obs_q, consts=consts, adjacency=adj, projected=True
-        )
+        cond = observable_conditions(model, obs_p, obs_q, consts, adj)
         bound = observable_bound(consts, cond, args.time)
         prefactor = (
             spectral_norm(obs_p.payload)

@@ -6,7 +6,7 @@ check, empirical velocity extraction.  Artifacts land in --out.
 
 Usage:
   python scripts/run_tfim_verify.py
-  python scripts/run_tfim_verify.py --length 12 --threads 8 --out out/tfim12
+  LRLAB_THREADS=8 python scripts/run_tfim_verify.py --length 12 --out out/tfim12
 
 Length 12 is a 4096-dimensional run; expect it to take a while on one core.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 from pathlib import Path
 
 
@@ -27,12 +26,8 @@ def main() -> int:
     ap.add_argument("--t-max", type=float, default=3.0)
     ap.add_argument("--points", type=int, default=61)
     ap.add_argument("--lambda", dest="lam", type=float, default=None)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--out", default="out/tfim_verify")
     args = ap.parse_args()
-
-    if args.threads is not None:
-        os.environ["LRLAB_THREADS"] = str(args.threads)
 
     from lrlab import cli
 

@@ -8,6 +8,10 @@ sums that envelope in closed form and carries the familiar
 exp(v (lambda/xi) ... t - lambda d) shape; it dominates the series term by
 term, and minimizing over lambda recovers the velocity 2 (gamma/xi) e
 sqrt(h0 h1 K).
+
+Every formula reads lambda from `BoundConstants.lam`, which owns it; a bound
+at another lambda comes from constants built with that lambda.  A series that
+cannot be certified raises `NumericalError`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from scipy.optimize import minimize_scalar
 
 from .chains import ChainCountTable
 from .lattice import BoundConstants, ObservableConditions
+from .operators import NumericalError
 
 
 def _series_rate(consts: BoundConstants) -> float:
@@ -44,7 +49,7 @@ def series_terms_needed(consts: BoundConstants, t: float, tol: float) -> int:
     while consts.M * _tail_remainder(x_env, n) >= tol:
         n += 1
         if n > 10_000:
-            raise ValueError("series tail does not certify; tolerance too tight")
+            raise NumericalError("series tail does not certify; tolerance too tight")
     return n
 
 
@@ -61,7 +66,7 @@ def series_bound(
     """
     n_needed = series_terms_needed(consts, t, tol)
     if n_needed > table.n_max:
-        raise ValueError(
+        raise NumericalError(
             f"chain table covers orders <= {table.n_max}; tolerance {tol} at "
             f"t = {t} needs orders through n = {n_needed}"
         )
@@ -76,13 +81,9 @@ def series_bound(
     return consts.M * (total + _tail_remainder(x_env, n_needed))
 
 
-def closed_form_bound(
-    consts: BoundConstants, t: float, d: int, lam: float | None = None
-) -> float:
+def closed_form_bound(consts: BoundConstants, t: float, d: int) -> float:
     """Mtildetilde * exp(2 sqrt(h0 h1 K) gamma e^{lam/xi} t - lam d)."""
-    lam = consts.lam if lam is None else lam
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    lam = consts.lam
     rate = 2.0 * math.sqrt(consts.h0 * consts.h1 * consts.K) * consts.gamma
     exponent = rate * math.exp(lam / consts.xi) * abs(t) - lam * d
     return consts.Mtildetilde * math.exp(exponent)
@@ -117,11 +118,10 @@ def observable_bound(
     consts: BoundConstants,
     conditions: ObservableConditions,
     t: float,
-    lam: float | None = None,
 ) -> float:
     """F_P F_Q n_P (n_P + 1) times the closed form at the pair's separation."""
     pref = conditions.F_P * conditions.F_Q * conditions.n_P * (conditions.n_P + 1)
-    return pref * closed_form_bound(consts, t, conditions.d, lam=lam)
+    return pref * closed_form_bound(consts, t, conditions.d)
 
 
 def bounded_reference_bound(
@@ -131,30 +131,26 @@ def bounded_reference_bound(
     n_p: int,
     t: float,
     d: int,
-    lam: float | None = None,
 ) -> float:
     """Norm-based reference bound for bounded terms; no K under the square root.
 
     The prefactor carries ||O_P|| ||O_Q||, so on truncated bosonic models it
     grows with the truncation while the commutator-based route stays put.
     """
-    lam = consts.lam if lam is None else lam
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    lam = consts.lam
     rate = 2.0 * math.sqrt(consts.h0 * consts.h1) * consts.gamma
     exponent = rate * math.exp(lam / consts.xi) * abs(t) - lam * d
     return op_norm * oq_norm * n_p * consts.Mtildetilde * math.exp(exponent)
 
 
-def bounded_term_check(model, consts: BoundConstants | None = None) -> dict:
+def bounded_term_check(model) -> dict:
     """For models with bounded terms, Ktilde = max_a h_a max_i ||Phi_a^i||
     controls the commutator constants: K <= 2 Ktilde^2 and Q <= 4 Ktilde^3.
     Returns the three constants and whether both inequalities hold."""
-    from .lattice import compute_bound_constants
+    from .lattice import compute_bound_constants, noncommuting_adjacency
     from .operators import spectral_norm
 
-    if consts is None:
-        consts = compute_bound_constants(model)
+    consts = compute_bound_constants(model, noncommuting_adjacency(model))
     ktilde = max(
         model.coupling(t.family) * spectral_norm(t.payload) for t in model.terms
     )

@@ -15,6 +15,9 @@ twice).  ``collapsed`` additionally identifies sequences that differ only in
 the dummy predecessor of an even step taken through the two-back branch.
 collapsed <= counts <= 2^floor(n/2) * nu^n holds everywhere, and both vanish
 below the reachability cutoff R*n >= d.
+
+"Touches" is `lattice.regions_overlap`; the per-order envelope takes lambda
+from the bound constants.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import NoncommutingAdjacency, SupportRegion
+from .lattice import NoncommutingAdjacency, SupportRegion, regions_overlap
 
 BRUTE_FORCE_MAX_ORDER = 10
 
@@ -35,21 +38,12 @@ class ChainCountTable:
     counts: dict
     collapsed: dict
 
-    def coefficient(self, n: int) -> int:
-        if n > self.n_max:
-            raise ValueError(
-                f"chain table covers orders <= {self.n_max}, requested n = {n}"
-            )
-        return self.counts[n]
 
-
-def overlaps(a: SupportRegion, b) -> bool:
-    sb = b.sites if isinstance(b, SupportRegion) else tuple(b)
-    return bool(set(a.sites) & set(sb))
-
-
-def _terminal_even(adj, gid, target) -> bool:
-    return overlaps(adj.supports[gid], target)
+def _terms_touching(adj: NoncommutingAdjacency, target: SupportRegion) -> frozenset:
+    """Ids of the terms whose support overlaps the target region."""
+    return frozenset(
+        gid for gid, sup in adj.supports.items() if regions_overlap(sup, target)
+    )
 
 
 def count_chains_dp(
@@ -66,7 +60,8 @@ def count_chains_dp(
     counts = {n: 0 for n in range(n_max + 1)}
     collapsed = {n: 0 for n in range(n_max + 1)}
 
-    counts[0] = 1 if _terminal_even(adj, start, target) else 0
+    hits = _terms_touching(adj, target)
+    counts[0] = 1 if start in hits else 0
     collapsed[0] = counts[0]
 
     # counts: S holds even-length frontier {last: n_sequences}.
@@ -87,14 +82,10 @@ def count_chains_dp(
                 for y in adj.zmap[last]:
                     g_odd[(last, y)] = g_odd.get((last, y), 0) + cnt
             for (p, l), cnt in s_odd.items():
-                if overlaps(adj.supports[p], target) or overlaps(
-                    adj.supports[l], target
-                ):
+                if p in hits or l in hits:
                     counts[n] += cnt
             for (p, l), cnt in g_odd.items():
-                if overlaps(adj.supports[p], target) or overlaps(
-                    adj.supports[l], target
-                ):
+                if p in hits or l in hits:
                     collapsed[n] += cnt
             s_frontier = s_odd
         else:
@@ -111,10 +102,10 @@ def count_chains_dp(
                 for x in adj.zmap[p]:
                     f_next[x] = f_next.get(x, 0) + cnt
             for x, cnt in s_next.items():
-                if _terminal_even(adj, x, target):
+                if x in hits:
                     counts[n] += cnt
             for x, cnt in f_next.items():
-                if _terminal_even(adj, x, target):
+                if x in hits:
                     collapsed[n] += cnt
             s_even = s_next
             f_even = f_next
@@ -137,10 +128,8 @@ def count_chains_bruteforce(
     counts = {n: 0 for n in range(n_max + 1)}
     collapsed = {n: 0 for n in range(n_max + 1)}
 
-    def term_hits(gid) -> bool:
-        return overlaps(adj.supports[gid], target)
-
-    counts[0] = 1 if term_hits(start) else 0
+    hits = _terms_touching(adj, target)
+    counts[0] = 1 if start in hits else 0
     collapsed[0] = counts[0]
 
     def walk_sequences(seq):
@@ -155,10 +144,10 @@ def count_chains_bruteforce(
         for x in choices:
             nxt = seq + (x,)
             if k % 2 == 1:
-                if term_hits(nxt[-2]) or term_hits(nxt[-1]):
+                if nxt[-2] in hits or nxt[-1] in hits:
                     counts[k] += 1
             else:
-                if term_hits(nxt[-1]):
+                if nxt[-1] in hits:
                     counts[k] += 1
             walk_sequences(nxt)
 
@@ -168,16 +157,16 @@ def count_chains_bruteforce(
         # `last` is the recorded term at an even length.
         if length + 1 <= n_max:
             for y in adj.zmap[last]:
-                if term_hits(last) or term_hits(y):
+                if last in hits or y in hits:
                     collapsed[length + 1] += 1
         if length + 2 <= n_max:
             for y in adj.zmap[last]:
                 for x in adj.zmap[y]:
-                    if term_hits(x):
+                    if x in hits:
                         collapsed[length + 2] += 1
                     walk_classes(x, length + 2)
             for x in adj.zmap[last]:
-                if term_hits(x):
+                if x in hits:
                     collapsed[length + 2] += 1
                 walk_classes(x, length + 2)
 
@@ -188,9 +177,10 @@ def count_chains_bruteforce(
     )
 
 
-def closed_form_chain_bound(consts, n: int, d: int, lam: float | None = None) -> float:
+def closed_form_chain_bound(consts, n: int, d: int) -> float:
     """Per-order envelope (sqrt(2) nu)^n e^{lam (R n - d)}, zero below reach."""
-    lam = consts.lam if lam is None else lam
     if consts.R * n < d:
         return 0.0
-    return (math.sqrt(2.0) * consts.nu) ** n * math.exp(lam * (consts.R * n - d))
+    return (math.sqrt(2.0) * consts.nu) ** n * math.exp(
+        consts.lam * (consts.R * n - d)
+    )

@@ -4,36 +4,23 @@ Subcommands: check, constants, chains, bound, simulate, verify.  Each takes
 --config (JSON, validated against the shipped schema), an optional --lambda
 override for the decay rate, and --out for the artifact directory.  Exit
 codes: 0 success, 1 a checked invariant or bound failed, 2 usage or config
-errors.
+errors (a non-positive or infinite lambda included), 3 a numerical failure
+(an overflowing bound included).
 
-Heavy imports are deferred until after LRLAB_THREADS has been translated
-into the BLAS thread-count environment variables.
+LRLAB_THREADS is translated into the BLAS thread-count variables on
+`import lrlab`.  The model, lattice and bound modules are imported inside the
+commands that use them, so a command loads only what it needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, parse_config
+from .operators import NumericalError
 from .reporting import write_csv, write_json
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _configure_threads() -> None:
-    n = os.environ.get("LRLAB_THREADS")
-    if not n:
-        return
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, n)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,12 +77,8 @@ def _setup(cfg: RunConfig, args, constants: bool = True):
     if not constants:
         return model, None, None
     adj = noncommuting_adjacency(model, projected=cfg.projected)
-    consts = compute_bound_constants(
-        model,
-        lam=_effective_lambda(cfg, args),
-        projected=cfg.projected,
-        adjacency=adj,
-    )
+    lam = args.lam if args.lam is not None else cfg.lam
+    consts = compute_bound_constants(model, adj, lam=lam)
     return model, adj, consts
 
 
@@ -163,10 +146,6 @@ def _fallback_start(model, obs):
     )
 
 
-def _effective_lambda(cfg: RunConfig, args) -> float | None:
-    return args.lam if args.lam is not None else cfg.lam
-
-
 def _cmd_check(cfg: RunConfig, args) -> int:
     from .lattice import validate_two_family
 
@@ -195,7 +174,7 @@ def _cmd_constants(cfg: RunConfig, args) -> int:
 
 def _cmd_chains(cfg: RunConfig, args) -> int:
     from .chains import closed_form_chain_bound, count_chains_dp
-    from .lattice import region
+    from .lattice import region, region_distance
 
     model, adj, consts = _setup(cfg, args)
     op, oqs = _observables(cfg, model)
@@ -205,7 +184,7 @@ def _cmd_chains(cfg: RunConfig, args) -> int:
     target = region(model.graph, [s for oq in oqs for s in oq.support.sites])
     table = count_chains_dp(adj, start, target, cfg.chain_order)
     out = _ensure_out(args)
-    d0 = _min_dist(model, adj, start, target)
+    d0 = region_distance(model.graph, adj.supports[start], target)
     rows = [
         (n, table.counts[n], closed_form_chain_bound(consts, n, d0))
         for n in range(cfg.chain_order + 1)
@@ -227,12 +206,6 @@ def _cmd_chains(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _min_dist(model, adj, start, target) -> int:
-    from .lattice import region_distance
-
-    return region_distance(model.graph, adj.supports[start], target)
-
-
 def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs):
     """Per-method (t, oq_label) -> bound callables for the configured
     observables; each O_Q gets its own chain table and conditions."""
@@ -246,16 +219,13 @@ def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs):
     from .lattice import observable_conditions, region_distance
     from .operators import spectral_norm
 
-    lam = consts.lam
     fns = {}
     seps = {
         oq.label: region_distance(model.graph, op.support, oq.support) for oq in oqs
     }
 
     if "closed_form" in cfg.methods:
-        fns["closed_form"] = lambda t, label: closed_form_bound(
-            consts, t, seps[label], lam=lam
-        )
+        fns["closed_form"] = lambda t, label: closed_form_bound(consts, t, seps[label])
 
     if "series_exact_cn" in cfg.methods:
         start, alpha_p = _matching_term_scale(model, op)
@@ -292,12 +262,10 @@ def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs):
         for oq in oqs:
             if seps[oq.label] <= consts.R:
                 continue
-            conds[oq.label] = observable_conditions(
-                model, op, oq, consts=consts, adjacency=adj, projected=cfg.projected
-            )
+            conds[oq.label] = observable_conditions(model, op, oq, consts, adj)
         if "observable" in cfg.methods:
             fns["observable"] = lambda t, label: observable_bound(
-                consts, conds[label], t, lam=lam
+                consts, conds[label], t
             )
         if "bounded_reference" in cfg.methods:
             op_norm = spectral_norm(op.payload)
@@ -309,7 +277,6 @@ def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs):
                 conds[label].n_P,
                 t,
                 seps[label],
-                lam=lam,
             )
     return fns
 
@@ -463,15 +430,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _configure_threads()
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as e:
+    except (NumericalError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+        return 3
+    except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

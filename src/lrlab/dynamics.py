@@ -51,9 +51,9 @@ class SimulationSweep:
     points: tuple
     hilbert_dim: int
 
-    def curve(self, d: int):
-        """(times, values) at one separation, time-ordered."""
-        pts = sorted((p.t, p.value) for p in self.points if p.d == d)
+    def curve(self, oq: str):
+        """(times, values) of the observable labelled `oq`, time-ordered."""
+        pts = sorted((p.t, p.value) for p in self.points if p.oq == oq)
         return tuple(t for t, _ in pts), tuple(v for _, v in pts)
 
 
@@ -134,11 +134,12 @@ class VelocityEstimate:
 def extract_velocity(
     sweep: SimulationSweep, threshold: float = DEFAULT_CONE_THRESHOLD
 ) -> VelocityEstimate:
-    """Empirical cone velocity: fit d = v * t_star(d) + c over the first
-    threshold crossings of the measured commutator norms."""
+    """Empirical cone velocity: fit d = v * t_star + c over the first
+    threshold crossing of each observable's measured commutator norm, with d
+    its separation from O_P (crossings ordered by d, then label)."""
     crossings = []
-    for d in sorted(set(p.d for p in sweep.points)):
-        ts, vals = sweep.curve(d)
+    for d, oq in sorted(zip(sweep.separations, sweep.oq_labels)):
+        ts, vals = sweep.curve(oq)
         t_star = None
         for k, val in enumerate(vals):
             if val >= threshold:
@@ -253,7 +254,6 @@ def derivative_identity_check(
     index_b: int,
     t: float,
     step: float = 1e-4,
-    adjacency=None,
 ) -> float:
     """Relative defect of the evolution identity for K(t) = [Phi_a^i(t), Phi_b^j].
 
@@ -265,7 +265,7 @@ def derivative_identity_check(
     """
     from .lattice import noncommuting_adjacency
 
-    adj = adjacency if adjacency is not None else noncommuting_adjacency(model)
+    adj = noncommuting_adjacency(model)
     gid_a = _global_id(model, family_a, index_a)
     gid_b = _global_id(model, family_b, index_b)
     decomp = decompose(full_hamiltonian(model))

@@ -6,12 +6,20 @@ may fail to commute.  From the term data we extract everything the bounds
 need: the noncommuting adjacency, the pair/triple commutator constants K and
 Q, the branching number nu, the locality radius R, and the derived rates.
 
+Each value has one owner.  This module owns the overlap and distance rules
+for support regions (`regions_overlap`, `region_distance`), which `chains`
+and `dynamics` call rather than repeat.  The adjacency records whether it was
+built from interior-projected norms, and the constants and observable
+conditions take that flag from the adjacency they are handed.  The decay
+rate lambda lives in `BoundConstants.lam`, which must be positive and finite.
+
 All commutator norms are evaluated on the union of the supports involved,
 embedded locally; the full Hilbert space is never materialized here.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -94,11 +102,9 @@ def region(graph: InteractionGraph, sites) -> SupportRegion:
     return SupportRegion(sites=sites, diameter=diam)
 
 
-def region_distance(graph: InteractionGraph, a, b) -> int:
-    """Minimum graph distance between two site sets (0 when they overlap)."""
-    sa = a.sites if isinstance(a, SupportRegion) else tuple(a)
-    sb = b.sites if isinstance(b, SupportRegion) else tuple(b)
-    return int(min(graph.distances[i, j] for i in sa for j in sb))
+def region_distance(graph: InteractionGraph, a: SupportRegion, b: SupportRegion) -> int:
+    """Minimum graph distance between two regions (0 when they overlap)."""
+    return int(min(graph.distances[i, j] for i in a.sites for j in b.sites))
 
 
 def regions_overlap(a: SupportRegion, b: SupportRegion) -> bool:
@@ -250,8 +256,6 @@ def validate_two_family(
     for fam, terms in ((0, model.family0), (1, model.family1)):
         for i, a in enumerate(terms):
             for b in terms[i + 1 :]:
-                if not regions_overlap(a.support, b.support):
-                    continue
                 nrm = pair_commutator_norm(model, a, b)
                 if nrm > tol:
                     failures.append(
@@ -264,12 +268,17 @@ def validate_two_family(
 @dataclass(frozen=True)
 class NoncommutingAdjacency:
     """Z_i map: for each global term id, the opposite-family ids it fails to
-    commute with (commutator norm above NONCOMMUTING_TOL)."""
+    commute with (commutator norm above NONCOMMUTING_TOL).
+
+    `projected` says whether the pair norms are interior-projected; the
+    constants and observable conditions built on this adjacency use the same
+    setting for every norm they compute.
+    """
 
     zmap: dict
-    families: dict
     supports: dict
     pair_norms: dict  # (i, j) with i < j -> ||[Phi_i, Phi_j]||
+    projected: bool
 
     @property
     def nu(self) -> int:
@@ -283,25 +292,20 @@ def noncommuting_adjacency(
 ) -> NoncommutingAdjacency:
     terms = model.terms
     n0 = len(model.family0)
-    zmap = {gid: frozenset() for gid in range(len(terms))}
     staged = {gid: set() for gid in range(len(terms))}
     pair_norms = {}
     for i in range(n0):
         for j in range(n0, len(terms)):
-            a, b = terms[i], terms[j]
-            if not regions_overlap(a.support, b.support):
-                continue
-            nrm = pair_commutator_norm(model, a, b, projected=projected)
+            nrm = pair_commutator_norm(model, terms[i], terms[j], projected=projected)
             if nrm > NONCOMMUTING_TOL:
                 pair_norms[(i, j)] = nrm
                 staged[i].add(j)
                 staged[j].add(i)
-    zmap = {gid: frozenset(s) for gid, s in staged.items()}
     return NoncommutingAdjacency(
-        zmap=zmap,
-        families={gid: t.family for gid, t in enumerate(terms)},
+        zmap={gid: frozenset(s) for gid, s in staged.items()},
         supports={gid: t.support for gid, t in enumerate(terms)},
         pair_norms=pair_norms,
+        projected=projected,
     )
 
 
@@ -322,23 +326,16 @@ class BoundConstants:
     v_lr: float
     zero_velocity: bool
 
+    def __post_init__(self):
+        # The chained comparison is false for NaN as well.
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+
     def as_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "Q": self.Q,
-            "nu": self.nu,
-            "R": self.R,
-            "gamma": self.gamma,
-            "xi": self.xi,
-            "lambda": self.lam,
-            "M": self.M,
-            "Mtilde": self.Mtilde,
-            "Mtildetilde": self.Mtildetilde,
-            "h0": self.h0,
-            "h1": self.h1,
-            "v_lr": self.v_lr,
-            "zero_velocity": self.zero_velocity,
-        }
+        """The fields by name, with `lam` written out as `lambda`."""
+        out = dataclasses.asdict(self)
+        out["lambda"] = out.pop("lam")
+        return out
 
 
 def _coupling_ratio(model: TwoFamilyHamiltonian) -> float:
@@ -352,9 +349,8 @@ def _coupling_ratio(model: TwoFamilyHamiltonian) -> float:
 
 def compute_bound_constants(
     model: TwoFamilyHamiltonian,
+    adjacency: NoncommutingAdjacency,
     lam: float | None = None,
-    projected: bool = False,
-    adjacency: NoncommutingAdjacency | None = None,
 ) -> BoundConstants:
     """Extract (K, Q, nu, R, ...) and the derived rates from the term data.
 
@@ -364,36 +360,33 @@ def compute_bound_constants(
     members included).  M is the dominating prefactor
     max(K*r, Q*sqrt(r)/sqrt(2*h0*h1*K)) with r the coupling imbalance; a
     fully commuting model gets K = 0, M = 1 and the zero-velocity flag.
+    The triple norms are projected when the adjacency's pair norms are, and
+    lam defaults to xi = 1/R.
     """
-    adj = adjacency if adjacency is not None else noncommuting_adjacency(
-        model, projected=projected
-    )
     terms = model.terms
     hh = model.h0 * model.h1
 
     K = 0.0
-    for (i, j), nrm in adj.pair_norms.items():
+    for (i, j), nrm in adjacency.pair_norms.items():
         K = max(K, hh * nrm)
 
     Q = 0.0
-    for (i, j) in adj.pair_norms:
+    for (i, j) in adjacency.pair_norms:
         a, b = terms[i], terms[j]
         pair_sites = set(a.support.sites) | set(b.support.sites)
         for k, c in enumerate(terms):
             if not (pair_sites & set(c.support.sites)):
                 continue
-            nrm = triple_commutator_norm(model, a, b, c, projected=projected)
+            nrm = triple_commutator_norm(model, a, b, c, projected=adjacency.projected)
             if nrm <= NONCOMMUTING_TOL:
                 continue
             Q = max(Q, hh * model.coupling(c.family) * nrm)
 
-    nu = adj.nu
+    nu = adjacency.nu
     diam = max((t.support.diameter for t in terms), default=0)
     R = 1 + diam
     gamma = math.sqrt(2.0) * nu
     xi = 1.0 / R
-    if lam is None:
-        lam = xi
 
     zero_velocity = K == 0.0
     r = _coupling_ratio(model)
@@ -413,7 +406,7 @@ def compute_bound_constants(
         R=R,
         gamma=gamma,
         xi=xi,
-        lam=float(lam),
+        lam=xi if lam is None else float(lam),
         M=M,
         Mtilde=Mtilde,
         Mtildetilde=Mtilde * M,
@@ -438,21 +431,18 @@ def observable_conditions(
     model: TwoFamilyHamiltonian,
     op_p: Observable,
     op_q: Observable,
-    consts: BoundConstants | None = None,
-    adjacency: NoncommutingAdjacency | None = None,
-    projected: bool = False,
+    consts: BoundConstants,
+    adjacency: NoncommutingAdjacency,
 ) -> ObservableConditions:
     """Check conditions (i)-(iii) for an observable pair and extract constants.
 
-    Raises when the separation does not exceed R (condition (i)), when the
-    model is fully commuting (the constants are undefined), or when Q = 0 but
-    O_Q sees a nonzero pair commutator (condition (iii) unsatisfiable).
+    `consts` must come from `adjacency`, whose projection setting every norm
+    here follows.  Raises when the separation does not exceed R (condition
+    (i)), when the model is fully commuting (the constants are undefined), or
+    when Q = 0 but O_Q sees a nonzero pair commutator (condition (iii)
+    unsatisfiable).
     """
-    adj = adjacency if adjacency is not None else noncommuting_adjacency(
-        model, projected=projected
-    )
-    if consts is None:
-        consts = compute_bound_constants(model, projected=projected, adjacency=adj)
+    projected = adjacency.projected
     if consts.zero_velocity:
         raise ValueError("constants undefined for commuting system (K = 0)")
     d = region_distance(model.graph, op_p.support, op_q.support)
@@ -467,7 +457,7 @@ def observable_conditions(
     F_P = max(p_norms) / consts.K
     F_Q = max(q_norms) / consts.K
 
-    for (i, j) in adj.pair_norms:
+    for (i, j) in adjacency.pair_norms:
         a, b = terms[i], terms[j]
         pair_sites = set(a.support.sites) | set(b.support.sites)
         if not (pair_sites & set(op_q.support.sites)):

@@ -24,6 +24,11 @@ EIG_RECONSTRUCTION_TOL = 1e-9
 _SYMMETRY_DETECT_TOL = 1e-12
 
 
+class NumericalError(ValueError):
+    """A computation whose result cannot be trusted: a check on the
+    arithmetic failed, or a series tail does not certify."""
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenbasis of a Hermitian operator, H = V diag(w) V^dagger."""
@@ -123,18 +128,19 @@ def spectral_norm(a) -> float:
 def decompose(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix.
 
-    Rejects non-Hermitian input, and an eigenbasis that does not reconstruct
-    the input to EIG_RECONSTRUCTION_TOL relative to its largest eigenvalue.
+    Raises NumericalError on non-Hermitian input, and on an eigenbasis that
+    does not reconstruct the input to EIG_RECONSTRUCTION_TOL relative to its
+    largest eigenvalue.
     """
     m = np.asarray(h)
     dev = float(np.abs(m - m.conj().T).max())
     scale = max(float(np.abs(m).max()), 1.0)
     if dev > HERMITICITY_TOL * scale:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
+        raise NumericalError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     w, v = np.linalg.eigh(m)
     dev = float(np.abs((v * w) @ v.conj().T - m).max())
     if dev > EIG_RECONSTRUCTION_TOL * max(float(np.abs(w).max()), 1.0):
-        raise ValueError(f"eigendecomposition reconstruction off by {dev:.3e}")
+        raise NumericalError(f"eigendecomposition reconstruction off by {dev:.3e}")
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 

@@ -98,8 +98,8 @@ def test_criterion_02_tfim_margins(tfim10_sweep):
     # everything inside 5 minutes.
     model, sweep, sweep_elapsed = tfim10_sweep
     t0 = time.perf_counter()
-    consts = compute_bound_constants(model)
     adj = noncommuting_adjacency(model)
+    consts = compute_bound_constants(model, adj)
     start = len(model.family0)  # field on site 0
     t_max = max(sweep.times)
     n_max = series_terms_needed(consts, t_max, 1e-9)
@@ -128,7 +128,7 @@ def test_criterion_02_tfim_margins(tfim10_sweep):
 
 def test_criterion_03_velocity_below_lr(tfim10_sweep):
     model, sweep, _ = tfim10_sweep
-    consts = compute_bound_constants(model)
+    consts = compute_bound_constants(model, noncommuting_adjacency(model))
     est = extract_velocity(sweep, threshold=1e-3)
     v_bound = consts.v_lr
     _report(
@@ -156,11 +156,12 @@ def test_criterion_04_dicke_truncation_constants():
             full = pair_commutator_norm(model, by_n[n], by_n[n + 1])
             proj = pair_commutator_norm(model, by_n[n], by_n[n + 1], projected=True)
             ok = ok and abs(full - 2.0 * (m - 1)) <= tol and abs(proj - 2.0) <= tol
-        consts = compute_bound_constants(model, projected=True)
+        adj = noncommuting_adjacency(model, projected=True)
+        consts = compute_bound_constants(model, adj)
         _, q_op = mode_quadratures(m)
         obs_p = observable_from_sites(model, (0,), q_op, "Qt@mode0")
         obs_q = observable_from_sites(model, (6,), q_op, "Qt@mode3")
-        cond = observable_conditions(model, obs_p, obs_q, consts=consts, projected=True)
+        cond = observable_conditions(model, obs_p, obs_q, consts, adj)
         obs_bounds.append(observable_bound(consts, cond, 1.0))
         ref_prefactors.append(
             spectral_norm(obs_p.payload)
@@ -213,7 +214,7 @@ def test_criterion_06_chain_counts_dual_route():
     model = build_tfim(6)
     assert len(model.terms) <= 12
     adj = noncommuting_adjacency(model)
-    consts = compute_bound_constants(model)
+    consts = compute_bound_constants(model, adj)
     checked = 0
     ok = True
     for start in range(len(model.terms)):

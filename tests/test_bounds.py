@@ -29,6 +29,7 @@ from lrlab.lattice import (
     region,
 )
 from lrlab.models import PAULI_Z, build_commuting_ising, build_tfim
+from lrlab.operators import NumericalError
 
 
 def _consts(**overrides):
@@ -91,6 +92,14 @@ def test_series_needs_enough_orders():
         series_bound(consts, short, 3.0, tol=1e-9)
 
 
+def test_uncertifiable_series_is_a_numerical_error():
+    consts = _consts()
+    with pytest.raises(NumericalError, match="does not certify"):
+        series_terms_needed(consts, 1e6, 1e-9)
+    with pytest.raises(NumericalError, match="does not certify"):
+        series_bound(consts, _table({0: 1}), 1e6, tol=1e-9)
+
+
 def test_series_terms_needed_grows_with_time():
     consts = _consts()
     n1 = series_terms_needed(consts, 0.5, 1e-9)
@@ -101,8 +110,8 @@ def test_series_terms_needed_grows_with_time():
 
 def test_series_dominated_by_closed_form_tfim():
     model = build_tfim(8)
-    consts = compute_bound_constants(model)
     adj = noncommuting_adjacency(model)
+    consts = compute_bound_constants(model, adj)
     d = 4
     table = count_chains_dp(adj, len(model.family0), region(model.graph, (d,)), 60)
     for t in (0.1, 0.5, 1.0, 2.0):
@@ -112,15 +121,11 @@ def test_series_dominated_by_closed_form_tfim():
 
 
 def test_closed_form_commuting_model_is_time_independent():
-    consts = compute_bound_constants(build_commuting_ising(6))
+    model = build_commuting_ising(6)
+    consts = compute_bound_constants(model, noncommuting_adjacency(model))
     vals = {closed_form_bound(consts, t, 4) for t in (0.0, 1.0, 7.5)}
     assert len(vals) == 1
     assert vals.pop() == pytest.approx(math.exp(-consts.lam * 4), rel=1e-12)
-
-
-def test_closed_form_rejects_nonpositive_lambda():
-    with pytest.raises(ValueError, match="lambda"):
-        closed_form_bound(_consts(), 1.0, 3, lam=0.0)
 
 
 def test_optimize_lambda_recovers_xi():
@@ -137,10 +142,11 @@ def test_optimize_lambda_recovers_xi():
 
 def test_observable_bound_is_prefactor_times_closed_form():
     model = build_tfim(8)
-    consts = compute_bound_constants(model)
+    adj = noncommuting_adjacency(model)
+    consts = compute_bound_constants(model, adj)
     op = observable_from_sites(model, (0,), PAULI_Z)
     oq = observable_from_sites(model, (6,), PAULI_Z)
-    cond = observable_conditions(model, op, oq, consts=consts)
+    cond = observable_conditions(model, op, oq, consts, adj)
     for t in (0.0, 0.7):
         expected = (
             cond.F_P

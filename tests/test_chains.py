@@ -19,7 +19,6 @@ from lrlab.chains import (
     closed_form_chain_bound,
     count_chains_bruteforce,
     count_chains_dp,
-    overlaps,
 )
 from lrlab.lattice import (
     NoncommutingAdjacency,
@@ -74,7 +73,7 @@ def test_collapsed_never_exceeds_counts(tfim6):
 def test_reachability_cutoff(tfim6):
     # R = 2: an order-n chain reaches at most 2n sites of separation.
     model, adj = tfim6
-    consts = compute_bound_constants(model)
+    consts = compute_bound_constants(model, adj)
     d = 5
     table = count_chains_dp(adj, 5, region(model.graph, (d,)), 8)
     for n in range(9):
@@ -92,9 +91,10 @@ def test_envelope_dominates_counts(tfim6):
 
 
 def test_closed_form_sample_value():
-    consts = compute_bound_constants(build_tfim(8), lam=1.0)
+    model = build_tfim(8)
+    consts = compute_bound_constants(model, noncommuting_adjacency(model), lam=1.0)
     # nu=2, R=2: at n=3, d=5 the envelope is (2 sqrt 2)^3 e^{1*(6-5)}.
-    val = closed_form_chain_bound(consts, 3, 5, lam=1.0)
+    val = closed_form_chain_bound(consts, 3, 5)
     assert val == pytest.approx((2.0 * math.sqrt(2.0)) ** 3 * math.e, rel=1e-12)
     assert val == pytest.approx(61.49, rel=1e-2)
 
@@ -112,20 +112,11 @@ def test_unknown_start_rejected(tfim6):
         count_chains_dp(adj, 99, region(model.graph, (3,)), 4)
 
 
-def test_coefficient_accessor(tfim6):
-    model, adj = tfim6
-    table = count_chains_dp(adj, 5, region(model.graph, (3,)), 6)
-    assert table.coefficient(5) == 1
-    with pytest.raises(ValueError, match="orders"):
-        table.coefficient(7)
-
-
 def _random_adjacency(rng):
     """Random bipartite noncommuting structure over a handful of terms."""
     n0 = int(rng.integers(1, 4))
     n1 = int(rng.integers(1, 4))
     total = n0 + n1
-    families = {i: (0 if i < n0 else 1) for i in range(total)}
     supports = {}
     for i in range(total):
         sites = tuple(sorted(rng.choice(6, size=int(rng.integers(1, 3)), replace=False)))
@@ -140,9 +131,9 @@ def _random_adjacency(rng):
                 pair_norms[(i, j)] = 1.0
     return NoncommutingAdjacency(
         zmap={i: frozenset(z) for i, z in zsets.items()},
-        families=families,
         supports=supports,
         pair_norms=pair_norms,
+        projected=False,
     )
 
 
@@ -164,10 +155,3 @@ def test_dp_equals_bruteforce_random_structures(seed):
         assert dp.collapsed == bf.collapsed
         for n in range(6):
             assert dp.collapsed[n] <= dp.counts[n] <= 2 ** (n // 2) * nu**n
-
-
-def test_overlaps_helper():
-    a = SupportRegion(sites=(1, 2), diameter=1)
-    assert overlaps(a, SupportRegion(sites=(2, 5), diameter=1))
-    assert not overlaps(a, (4, 5))
-    assert overlaps(a, (2,))

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+import lrlab
 from lrlab import cli
 from lrlab.config import ConfigError, parse_config
 
@@ -82,12 +83,14 @@ def test_missing_file_and_bad_json(tmp_path):
 
 
 def test_thread_env_translation(monkeypatch):
-    for var in cli._THREAD_VARS:
+    for var in lrlab._THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
     monkeypatch.setenv("LRLAB_THREADS", "1")
-    cli._configure_threads()
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+    lrlab._apply_thread_env()
+    assert os.environ["OMP_NUM_THREADS"] == "2"  # an explicit setting wins
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    assert os.environ["MKL_NUM_THREADS"] == "1"
 
 
 def test_cli_verify_passes_and_is_deterministic(tmp_path):
@@ -151,6 +154,34 @@ def test_cli_lambda_override(tmp_path):
     )
     data = json.loads((out / "constants.json").read_text())
     assert data["lambda"] == 0.8
+
+
+@pytest.mark.parametrize("lam", ["-1", "0", "nan", "inf"])
+def test_cli_invalid_lambda_exits_2(tmp_path, capsys, lam):
+    cfg = _write(tmp_path, {"model": {"name": "tfim", "length": 4}})
+    out = tmp_path / "o"
+    argv = ["constants", "--config", str(cfg), f"--lambda={lam}", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "lambda must be positive" in capsys.readouterr().err
+    assert not (out / "constants.json").exists()
+
+
+def test_cli_uncertifiable_series_exits_3(tmp_path, capsys):
+    raw = dict(GOOD)
+    raw["time_grid"] = {"start": 0.0, "stop": 1e6, "points": 2}
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["bound", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "series tail does not certify" in capsys.readouterr().err
+
+
+def test_cli_overflowing_bound_exits_3(tmp_path, capsys):
+    # lambda = 1000 puts e^{lambda/xi} = e^2000 into the closed form.
+    raw = dict(GOOD)
+    raw["methods"] = ["closed_form"]
+    cfg = _write(tmp_path, raw)
+    argv = ["bound", "--config", str(cfg), "--lambda", "1000", "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert "math range error" in capsys.readouterr().err
 
 
 def test_cli_chains_csv_schema(tmp_path):
@@ -222,8 +253,8 @@ def test_cli_bound_scores_each_observable_at_equal_separation(tmp_path):
     assert {r["d"] for r in rows} == {"4"}
 
     model = build_tfim(10)
-    consts = compute_bound_constants(model)
     adj = noncommuting_adjacency(model)
+    consts = compute_bound_constants(model, adj)
     start = len(model.family0) + 5  # the field term Z@5
     n_max = max(12, series_terms_needed(consts, 1.0, 1e-9))
     got = {}

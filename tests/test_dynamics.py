@@ -84,10 +84,27 @@ def test_sweep_decays_with_distance_before_the_front(tfim5_sweep):
 
 def test_sweep_curve_accessor(tfim5_sweep):
     model, op, oqs, sweep = tfim5_sweep
-    ts, vals = sweep.curve(3)
+    ts, vals = sweep.curve("Z@3")
     assert ts == sweep.times
     assert len(vals) == len(ts)
     assert all(v >= 0.0 for v in vals)
+
+
+def test_curve_and_velocity_keep_observables_at_equal_separation_apart():
+    # Z@1 and Z@5 both sit 2 sites from Z@3 on a 7-site chain; each has its
+    # own curve and its own cone crossing.
+    model = build_tfim(7)
+    op = observable_from_sites(model, (3,), PAULI_Z, "Z@3")
+    oqs = [observable_from_sites(model, (s,), PAULI_Z, f"Z@{s}") for s in range(7)]
+    sweep = commutator_norm_sweep(model, op, oqs, [0.25 * k for k in range(13)])
+    for label in ("Z@1", "Z@5"):
+        ts, vals = sweep.curve(label)
+        assert ts == sweep.times
+        assert vals == tuple(p.value for p in sweep.points if p.oq == label)
+    est = extract_velocity(sweep, threshold=1e-3)
+    assert [d for d, _ in est.crossings] == sorted(sweep.separations)
+    # Z@1 and Z@5 cross together, by mirror symmetry.
+    assert est.crossings[3][1] == pytest.approx(est.crossings[4][1], rel=1e-9)
 
 
 def test_dicke_cross_layer_commutator_vanishes():
@@ -101,8 +118,8 @@ def test_dicke_cross_layer_commutator_vanishes():
     near = observable_from_sites(model, (3,), PAULI_X, "X@spin1")
     far = observable_from_sites(model, (5,), PAULI_X, "X@spin2")
     sweep = commutator_norm_sweep(model, op, [near, far], (0.7, 1.9))
-    near_vals = sweep.curve(2)[1]
-    far_vals = sweep.curve(4)[1]
+    near_vals = sweep.curve("X@spin1")[1]
+    far_vals = sweep.curve("X@spin2")[1]
     assert min(near_vals) > 0.5
     assert max(far_vals) <= 1e-12
 

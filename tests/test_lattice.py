@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from lrlab.lattice import (
+    BoundConstants,
     LocalTerm,
+    SupportRegion,
     TwoFamilyHamiltonian,
     build_graph,
     compute_bound_constants,
@@ -18,6 +20,7 @@ from lrlab.lattice import (
     pair_commutator_norm,
     region,
     region_distance,
+    regions_overlap,
     validate_two_family,
 )
 from lrlab.models import PAULI_X, PAULI_Z, build_commuting_ising, build_dicke_chain, build_tfim
@@ -57,6 +60,13 @@ def test_region_diameter_and_distance():
     assert r.diameter == 2
     assert region_distance(g, r, region(g, (4,))) == 1
     assert region_distance(g, r, region(g, (3, 4))) == 0
+
+
+def test_regions_overlap():
+    a = SupportRegion(sites=(1, 2), diameter=1)
+    assert regions_overlap(a, SupportRegion(sites=(2, 5), diameter=3))
+    assert not regions_overlap(a, SupportRegion(sites=(4, 5), diameter=1))
+    assert regions_overlap(a, SupportRegion(sites=(2,), diameter=0))
 
 
 def test_validate_tfim_passes():
@@ -111,10 +121,16 @@ def test_tfim_adjacency_structure():
     assert adj.zmap[n_bonds + 2] == frozenset({1, 2})
     for (i, j), nrm in adj.pair_norms.items():
         assert nrm == pytest.approx(2.0, abs=1e-12)
+    assert adj.projected is False
+    assert noncommuting_adjacency(model, projected=True).projected is True
+
+
+def _constants(model, lam=None):
+    return compute_bound_constants(model, noncommuting_adjacency(model), lam=lam)
 
 
 def test_tfim_constants_frozen_values():
-    consts = compute_bound_constants(build_tfim(8))
+    consts = _constants(build_tfim(8))
     assert consts.K == pytest.approx(2.0, abs=1e-12)
     assert consts.Q == pytest.approx(4.0, abs=1e-12)
     assert consts.nu == 2
@@ -130,15 +146,15 @@ def test_tfim_constants_frozen_values():
 
 
 def test_velocity_scales_linearly_in_each_coupling():
-    base = compute_bound_constants(build_tfim(6, j=1.0, g=1.0))
-    dbl_j = compute_bound_constants(build_tfim(6, j=2.0, g=1.0))
-    dbl_g = compute_bound_constants(build_tfim(6, j=1.0, g=2.0))
+    base = _constants(build_tfim(6, j=1.0, g=1.0))
+    dbl_j = _constants(build_tfim(6, j=2.0, g=1.0))
+    dbl_g = _constants(build_tfim(6, j=1.0, g=2.0))
     assert dbl_j.v_lr == pytest.approx(2.0 * base.v_lr, rel=1e-12)
     assert dbl_g.v_lr == pytest.approx(2.0 * base.v_lr, rel=1e-12)
 
 
 def test_commuting_ising_constants():
-    consts = compute_bound_constants(build_commuting_ising(6))
+    consts = _constants(build_commuting_ising(6))
     assert consts.K == 0.0
     assert consts.Q == 0.0
     assert consts.nu == 0
@@ -148,15 +164,28 @@ def test_commuting_ising_constants():
 
 
 def test_lambda_override_threads_through():
-    consts = compute_bound_constants(build_tfim(4), lam=1.25)
+    consts = _constants(build_tfim(4), lam=1.25)
     assert consts.lam == 1.25
     assert consts.xi == 0.5  # xi stays the structural value
+    assert consts.as_dict()["lambda"] == 1.25
+    assert "lam" not in consts.as_dict()
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+def test_bound_constants_reject_invalid_lambda(lam):
+    consts = _constants(build_tfim(4))
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        BoundConstants(**{**consts.__dict__, "lam": lam})
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        _constants(build_tfim(4), lam=lam)
 
 
 def test_dicke_interior_projection_changes_constants():
     model = build_dicke_chain(3, truncation=5)
-    full = compute_bound_constants(model)
-    proj = compute_bound_constants(model, projected=True)
+    full = _constants(model)
+    proj = compute_bound_constants(
+        model, noncommuting_adjacency(model, projected=True)
+    )
     assert full.K == pytest.approx(2.0 * (5 - 1), abs=1e-9)
     assert proj.K == pytest.approx(2.0, abs=1e-9)
     assert proj.Q == 0.0
@@ -169,11 +198,17 @@ def test_pair_commutator_norm_disjoint_is_zero():
     assert pair_commutator_norm(model, model.family0[0], model.family1[4]) == 0.0
 
 
+def _conditions(model, op, oq, projected=False):
+    adj = noncommuting_adjacency(model, projected=projected)
+    consts = compute_bound_constants(model, adj)
+    return observable_conditions(model, op, oq, consts, adj)
+
+
 def test_observable_conditions_tfim_frozen():
     model = build_tfim(8)
     op = observable_from_sites(model, (0,), PAULI_Z)
     oq = observable_from_sites(model, (5,), PAULI_Z)
-    cond = observable_conditions(model, op, oq)
+    cond = _conditions(model, op, oq)
     assert cond.F_P == pytest.approx(1.0, abs=1e-12)
     assert cond.F_Q == pytest.approx(1.0, abs=1e-12)
     assert cond.n_P == 1
@@ -185,7 +220,7 @@ def test_observable_conditions_rejects_close_pair():
     op = observable_from_sites(model, (0,), PAULI_Z)
     oq = observable_from_sites(model, (2,), PAULI_Z)
     with pytest.raises(ValueError, match=r"condition \(i\)"):
-        observable_conditions(model, op, oq)
+        _conditions(model, op, oq)
 
 
 def test_observable_conditions_rejects_commuting_model():
@@ -193,7 +228,7 @@ def test_observable_conditions_rejects_commuting_model():
     op = observable_from_sites(model, (0,), PAULI_Z)
     oq = observable_from_sites(model, (6,), PAULI_Z)
     with pytest.raises(ValueError, match="commuting system"):
-        observable_conditions(model, op, oq)
+        _conditions(model, op, oq)
 
 
 def test_observable_conditions_q_zero_unsatisfiable():
@@ -203,4 +238,4 @@ def test_observable_conditions_q_zero_unsatisfiable():
     op = observable_from_sites(model, (1,), PAULI_X)
     oq = observable_from_sites(model, (7,), PAULI_X)
     with pytest.raises(ValueError, match=r"condition \(iii\)"):
-        observable_conditions(model, op, oq, projected=True)
+        _conditions(model, op, oq, projected=True)
