@@ -136,7 +136,11 @@ def extract_velocity(
 ) -> VelocityEstimate:
     """Empirical cone velocity: fit d = v * t_star + c over the first
     threshold crossing of each observable's measured commutator norm, with d
-    its separation from O_P (crossings ordered by d, then label)."""
+    its separation from O_P (crossings ordered by d, then label).
+
+    Raises ValueError unless the crossings span at least three distinct
+    separations; several observables at one separation count once.
+    """
     crossings = []
     for d, oq in sorted(zip(sweep.separations, sweep.oq_labels)):
         ts, vals = sweep.curve(oq)
@@ -152,9 +156,10 @@ def extract_velocity(
                 break
         if t_star is not None:
             crossings.append((d, float(t_star)))
-    if len(crossings) < 3:
+    crossed = len({d for d, _ in crossings})
+    if crossed < 3:
         raise ValueError(
-            f"cone not resolved: only {len(crossings)} separations crossed "
+            f"cone not resolved: only {crossed} separations crossed "
             f"threshold {threshold}; extend the time grid or lower the threshold"
         )
     ds = np.array([c[0] for c in crossings], dtype=float)

@@ -14,7 +14,11 @@ conditions take that flag from the adjacency they are handed.  The decay
 rate lambda lives in `BoundConstants.lam`, which must be positive and finite.
 
 All commutator norms are evaluated on the union of the supports involved,
-embedded locally; the full Hilbert space is never materialized here.
+embedded locally; the full Hilbert space is never materialized here.  Small
+unions are embedded densely.  Large ones (a few spins with their boson modes
+reach thousands of dimensions) are embedded sparsely, and the commutator is
+split into the exact blocks of its sparsity pattern, whose largest norm is
+its norm.
 """
 
 from __future__ import annotations
@@ -24,11 +28,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .operators import commutator, embed_dense, spectral_norm
+from .operators import commutator, embed_dense, embed_sparse, spectral_norm
 
 INTRA_FAMILY_TOL = 1e-10
 NONCOMMUTING_TOL = 1e-12
+
+# Largest union dimension whose commutator norm is taken densely.  The sparse
+# route costs 2.5-12 ms per norm at any size, mostly scipy.sparse overhead.
+# Dense, one norm on a 2-core host with OpenBLAS (1 thread / 2 threads):
+# dim 36 0.2-0.6 ms either way; dim 64 0.8-1.1 ms / 40-57 ms; dim 128
+# 2.7-4.4 ms / 64 ms; dim 256 16-25 ms / 50-70 ms; dim 2048 5.7 s.  From
+# about 48 dims OpenBLAS splits a product over both threads, which on a
+# loaded host stalls for tens of ms.  Every TFIM union (4 to 8 dims) stays
+# dense.
+DENSE_UNION_MAX_DIM = 36
 
 
 @dataclass(frozen=True)
@@ -192,33 +207,92 @@ def occupation_projector_diagonal(
     return keep
 
 
-def operator_norm_on_union(model, ops, combine, projected: bool = False) -> float:
-    """Spectral norm of `combine(embedded ops)` on the union of supports.
+def operator_norm_on_union(model, ops, projected: bool = False) -> float:
+    """Spectral norm of the left-nested commutator [[ops[0], ops[1]], ...]
+    of the ops embedded on the union of their supports.
 
     With `projected=True` the result is the interior-projected norm
     ||P C P|| where P removes the top retained Fock level of every boson
     site in the union.
+
+    Unions of at most DENSE_UNION_MAX_DIM dimensions are embedded densely.
+    Larger ones are embedded sparsely, and the nested commutator C is split
+    into the connected components of its sparsity pattern: after that
+    permutation C is block diagonal, so ||C|| is exactly the largest block
+    norm, and each block is small.  Only exact zeros are dropped: nothing
+    is approximated away, which could under-estimate.  The threshold exists
+    because scipy.sparse costs a few ms per call, more than a dense product
+    on a small union.
     """
     union = sorted(set().union(*(op.support.sites for op in ops)))
+    if math.prod(model.site_dims[s] for s in union) > DENSE_UNION_MAX_DIM:
+        return _block_norm_on_union(model, ops, union, projected)
     mats = [_region_embed(model, op, union) for op in ops]
-    out = combine(*mats)
+    out = mats[0]
+    for mat in mats[1:]:
+        out = commutator(out, mat)
     if projected:
         keep = occupation_projector_diagonal(model, sites=union)
         out = out * np.outer(keep, keep)
     return spectral_norm(out)
 
 
+def _block_norm_on_union(model, ops, union, projected: bool) -> float:
+    """The sparse, block-wise route of `operator_norm_on_union`.
+
+    The bracket is written with `@` and `-` on sparse matrices; only dense
+    blocks reach `spectral_norm`.
+    """
+    # Deferred: the import costs ~0.1 s, which runs that never leave the
+    # dense route should not pay.
+    from scipy.sparse.csgraph import connected_components
+
+    dims = [model.site_dims[s] for s in union]
+    pos = {s: k for k, s in enumerate(union)}
+    mats = [
+        embed_sparse(op.payload, [pos[s] for s in op.support.sites], dims)
+        for op in ops
+    ]
+    out = mats[0]
+    for mat in mats[1:]:
+        out = out @ mat - mat @ out
+    if projected:
+        keep = sp.diags(occupation_projector_diagonal(model, sites=union))
+        out = keep @ out @ keep
+    out = sp.coo_matrix(out)
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    if out.nnz == 0:
+        return 0.0
+    pattern = sp.coo_matrix((np.ones(out.nnz), (out.row, out.col)), shape=out.shape)
+    n_blocks, labels = connected_components(pattern, directed=False)
+    # Lay the blocks out densely, one after another, in a flat buffer: block
+    # b is the sizes[b] x sizes[b] row-major slab starting at offsets[b].
+    sizes = np.bincount(labels, minlength=n_blocks)
+    first = np.cumsum(sizes) - sizes
+    offsets = np.cumsum(sizes * sizes) - sizes * sizes
+    rank = np.empty_like(labels)
+    rank[np.argsort(labels, kind="stable")] = np.arange(labels.size)
+    local = rank - first[labels]  # position of each index inside its block
+    block = labels[out.row]
+    flat = np.zeros(int((sizes * sizes).sum()), dtype=out.dtype)
+    flat[offsets[block] + local[out.row] * sizes[block] + local[out.col]] = out.data
+    # A 1x1 block is its own norm.
+    best = float(np.abs(flat[offsets[sizes == 1]]).max(initial=0.0))
+    for b in np.flatnonzero(sizes > 1):
+        k, off = int(sizes[b]), int(offsets[b])
+        best = max(best, spectral_norm(flat[off : off + k * k].reshape(k, k)))
+    return best
+
+
 def pair_commutator_norm(model, a, b, projected: bool = False) -> float:
     if not regions_overlap(a.support, b.support):
         return 0.0
-    return operator_norm_on_union(model, (a, b), commutator, projected=projected)
+    return operator_norm_on_union(model, (a, b), projected=projected)
 
 
 def triple_commutator_norm(model, a, b, c, projected: bool = False) -> float:
-    return operator_norm_on_union(
-        model, (a, b, c), lambda ma, mb, mc: commutator(commutator(ma, mb), mc),
-        projected=projected,
-    )
+    return operator_norm_on_union(model, (a, b, c), projected=projected)
 
 
 @dataclass(frozen=True)
@@ -462,12 +536,9 @@ def observable_conditions(
         pair_sites = set(a.support.sites) | set(b.support.sites)
         if not (pair_sites & set(op_q.support.sites)):
             continue
-        nrm = operator_norm_on_union(
-            model,
-            (op_q, a, b),
-            lambda mq, ma, mb: commutator(mq, commutator(ma, mb)),
-            projected=projected,
-        )
+        # ||[O_Q, [a, b]]||, taken as ||[[a, b], O_Q]||: one matrix is the
+        # exact negation of the other.
+        nrm = operator_norm_on_union(model, (a, b, op_q), projected=projected)
         if consts.Q == 0.0:
             if nrm > NONCOMMUTING_TOL:
                 raise ValueError(

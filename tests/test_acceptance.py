@@ -149,7 +149,7 @@ def test_criterion_04_dicke_truncation_constants():
     tol = 1e-9
     ok = True
     detail_parts = []
-    for m in (2, 3, 4, 5):
+    for m in range(2, 9):
         model = build_dicke_chain(4, truncation=m)
         by_n = {t.index: t for t in model.terms}
         for n in range(3):

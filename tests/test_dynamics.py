@@ -134,15 +134,16 @@ def test_projector_restricts_commutator():
 
 
 def _synthetic_sweep(v_true, ds, times):
+    labels = [f"B{d}.{k}" for k, d in enumerate(ds)]
     points = []
-    for d in ds:
+    for d, oq in zip(ds, labels):
         for t in times:
             val = max(0.0, 0.1 * (t - d / v_true))
-            points.append(SweepPoint(d=d, t=t, value=val, oq=f"B{d}"))
+            points.append(SweepPoint(d=d, t=t, value=val, oq=oq))
     return SimulationSweep(
         model_name="synthetic",
         op_label="A",
-        oq_labels=tuple(f"B{d}" for d in ds),
+        oq_labels=tuple(labels),
         separations=tuple(ds),
         times=tuple(times),
         points=tuple(points),
@@ -162,6 +163,14 @@ def test_extract_velocity_recovers_linear_front():
 def test_extract_velocity_needs_three_crossings():
     sweep = _synthetic_sweep(2.0, (3, 4, 5), [0.1, 0.2])  # nothing crosses yet
     with pytest.raises(ValueError, match="cone not resolved"):
+        extract_velocity(sweep, threshold=1e-3)
+
+
+def test_extract_velocity_counts_distinct_separations():
+    # Four observables cross, but at only two separations: no cone to fit.
+    times = [0.05 * k for k in range(200)]
+    sweep = _synthetic_sweep(2.0, (3, 3, 4, 4), times)
+    with pytest.raises(ValueError, match="only 2 separations crossed"):
         extract_velocity(sweep, threshold=1e-3)
 
 

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lrlab import lattice
 from lrlab.lattice import (
     BoundConstants,
     LocalTerm,
@@ -17,13 +20,23 @@ from lrlab.lattice import (
     noncommuting_adjacency,
     observable_conditions,
     observable_from_sites,
+    occupation_projector_diagonal,
+    operator_norm_on_union,
     pair_commutator_norm,
     region,
     region_distance,
     regions_overlap,
     validate_two_family,
 )
-from lrlab.models import PAULI_X, PAULI_Z, build_commuting_ising, build_dicke_chain, build_tfim
+from lrlab.models import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    build_commuting_ising,
+    build_dicke_chain,
+    build_tfim,
+)
+from lrlab.operators import commutator, embed_dense, spectral_norm
 
 
 def test_build_graph_path_distances():
@@ -191,6 +204,77 @@ def test_dicke_interior_projection_changes_constants():
     assert proj.Q == 0.0
     assert full.R == proj.R == 3
     assert proj.xi == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
+def _dense_union_norm(model, ops, projected):
+    """Oracle: the left-nested commutator embedded densely on the union."""
+    union = sorted(set().union(*(op.support.sites for op in ops)))
+    dims = [model.site_dims[s] for s in union]
+    mats = [
+        embed_dense(op.payload, [union.index(s) for s in op.support.sites], dims)
+        for op in ops
+    ]
+    out = mats[0]
+    for mat in mats[1:]:
+        out = commutator(out, mat)
+    if projected:
+        keep = occupation_projector_diagonal(model, sites=union)
+        out = out * np.outer(keep, keep)
+    return spectral_norm(out)
+
+
+def _random_union_model(rng):
+    # Four sites of mixed dimension 2-4, some of them boson sites.
+    dims = tuple(int(d) for d in rng.integers(2, 5, size=4))
+    bosons = frozenset(int(s) for s in np.flatnonzero(rng.random(4) < 0.5))
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    return TwoFamilyHamiltonian(
+        graph=g, site_dims=dims, family0=(), family1=(), h0=1.0, h1=1.0,
+        boson_sites=bosons,
+    )
+
+
+def _random_observable(rng, model, must_touch):
+    # One to three sites, not necessarily contiguous, meeting `must_touch`;
+    # a random zero pattern gives the commutator blocks of several sizes.
+    size = int(rng.integers(1, 4))
+    others = [s for s in range(4) if s != must_touch]
+    sites = sorted([must_touch, *rng.choice(others, size - 1, replace=False)])
+    d = math.prod(model.site_dims[s] for s in sites)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a *= rng.random((d, d)) < rng.choice([0.2, 0.5, 1.0])
+    return observable_from_sites(model, sites, a + a.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans())
+def test_block_norm_matches_dense_oracle(seed, n_ops, projected):
+    rng = np.random.default_rng(seed)
+    model = _random_union_model(rng)
+    ops = []
+    for _ in range(n_ops):
+        touched = sorted(set().union(*(op.support.sites for op in ops)))
+        anchor = int(rng.choice(touched)) if touched else int(rng.integers(4))
+        ops.append(_random_observable(rng, model, anchor))
+    oracle = _dense_union_norm(model, ops, projected)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "DENSE_UNION_MAX_DIM", 0)
+        blocks = operator_norm_on_union(model, ops, projected=projected)
+    # Rounding only, on the scale of the bracket: ||C|| <= 2^(n-1) prod ||op||.
+    scale = math.prod(spectral_norm(op.payload) for op in ops)
+    assert abs(blocks - oracle) <= 1e-12 * max(oracle, scale)
+
+
+def test_block_norm_of_empty_and_diagonal_brackets(monkeypatch):
+    monkeypatch.setattr(lattice, "DENSE_UNION_MAX_DIM", 0)
+    model = build_tfim(3)
+    x0 = observable_from_sites(model, (0,), PAULI_X)
+    y0 = observable_from_sites(model, (0,), PAULI_Y)
+    z0 = observable_from_sites(model, (0,), PAULI_Z)
+    zz = observable_from_sites(model, (0, 1), np.kron(PAULI_Z, PAULI_Z))
+    # Commuting: no entry survives.  [X, Y] = 2iZ: every block is 1x1.
+    assert operator_norm_on_union(model, (z0, zz)) == 0.0
+    assert operator_norm_on_union(model, (x0, y0)) == 2.0
 
 
 def test_pair_commutator_norm_disjoint_is_zero():

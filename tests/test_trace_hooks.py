@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from lrlab import lattice
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = REPO_ROOT / "perfbench" / "tracer.py"
 
@@ -91,6 +93,9 @@ def test_worker_traces_a_tiny_job(tmp_path, kind, layers):
     assert result["missing"] == []
     traced = {name.split(".")[0] for name, *_ in result["spans"]}
     assert layers <= traced
-    assert tracer.layer_metrics(result["spans"])["lattice.adjacency_calls"] == (
-        1 if kind == "verify" else 2
-    )
+    metrics = tracer.layer_metrics(result["spans"])
+    assert metrics["lattice.adjacency_calls"] == (1 if kind == "verify" else 2)
+    if kind == "dicke":
+        # The Dicke job must reach the sparse route of the union norms, so
+        # that a sparse matrix handed to a traced name fails here.
+        assert metrics["lattice.union_dim_max"] > lattice.DENSE_UNION_MAX_DIM
