@@ -240,8 +240,9 @@ def operator_norm_on_union(model, ops, projected: bool = False) -> float:
 def _block_norm_on_union(model, ops, union, projected: bool) -> float:
     """The sparse, block-wise route of `operator_norm_on_union`.
 
-    The bracket is written with `@` and `-` on sparse matrices; only dense
-    blocks reach `spectral_norm`.
+    `commutator` and `spectral_norm` are dense routines, so the bracket is
+    written with `@` and `-` on sparse matrices, and only the dense blocks
+    reach `spectral_norm`.
     """
     # Deferred: the import costs ~0.1 s, which runs that never leave the
     # dense route should not pay.
@@ -260,7 +261,7 @@ def _block_norm_on_union(model, ops, union, projected: bool) -> float:
         keep = sp.diags(occupation_projector_diagonal(model, sites=union))
         out = keep @ out @ keep
     out = sp.coo_matrix(out)
-    out.sum_duplicates()
+    out.sum_duplicates()  # the scatter into `flat` needs one entry per position
     out.eliminate_zeros()
     if out.nnz == 0:
         return 0.0
