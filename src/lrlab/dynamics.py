@@ -2,10 +2,10 @@
 
 The sweep diagonalizes H once (`operators.decompose`, which also checks the
 reconstruction) and walks the time grid with `operators.heisenberg_evolve`,
-two matrix products per step.  Commutators against a site-diagonal O_Q reduce
-to an elementwise product, which is what keeps the 10-qubit acceptance sweeps
-inside their single-CPU budgets; everything else goes through a sparse
-embedding of O_Q.  Every point carries the label of its O_Q, so two
+two matrix products per step.  Each O_Q is embedded sparsely.  Against a
+site-diagonal O_Q the commutator reduces to an elementwise product with the
+embedded diagonal, which is what keeps the 10-qubit acceptance sweeps inside
+their single-CPU budgets.  Every point carries the label of its O_Q, so two
 observables at the same separation are scored against their own bounds.
 """
 
@@ -67,15 +67,13 @@ def commutator_norm_sweep(
     oq_list,
     times,
     projector_diag=None,
-    h_matrix: np.ndarray | None = None,
 ) -> SimulationSweep:
     """||[O_P(t), O_Q]|| on the full space for each O_Q and each t.
 
     `projector_diag` (a 0/1 diagonal) restricts the commutator to a subspace,
     used for truncation-convergence checks on bosonic models.
     """
-    h = full_hamiltonian(model) if h_matrix is None else h_matrix
-    decomp = decompose(h)
+    decomp = decompose(full_hamiltonian(model))
     dims = list(model.site_dims)
     p_full = embed_dense(op_p.payload, op_p.support.sites, dims)
 
@@ -84,24 +82,18 @@ def commutator_norm_sweep(
     for oq in oq_list:
         d = region_distance(model.graph, op_p.support, oq.support)
         seps.append(d)
+        q_emb = embed_sparse(oq.payload, oq.support.sites, dims)
         if _is_diagonal(oq.payload):
-            # Embedded diagonal, site 0 varying slowest like embed_dense:
-            # reshape the payload diagonal onto its site axes and broadcast.
-            support = set(oq.support.sites)
-            shape = [dims[s] if s in support else 1 for s in range(len(dims))]
-            pd = np.diagonal(oq.payload).reshape(shape)
-            qdiag = np.broadcast_to(pd, dims).reshape(-1).astype(np.complex128)
-            qs.append(("diag", qdiag))
+            qs.append(("diag", q_emb.diagonal().astype(np.complex128)))
         else:
-            qs.append(("sparse", embed_sparse(oq.payload, oq.support.sites, dims)))
+            qs.append(("sparse", q_emb))
 
     points = []
     ts = tuple(float(t) for t in times)
     for t, a_t in zip(ts, heisenberg_evolve(p_full, decomp, ts)):
         for (kind, q_emb), oq, d in zip(qs, oq_list, seps):
             if kind == "diag":
-                qdiag = q_emb
-                c = a_t * (qdiag[None, :] - qdiag[:, None])
+                c = a_t * (q_emb[None, :] - q_emb[:, None])
             else:
                 b = (q_emb.T @ a_t.T).T
                 c = b - b.conj().T

@@ -178,14 +178,6 @@ def observable_from_sites(
     )
 
 
-def _region_embed(model: TwoFamilyHamiltonian, op, sites_union):
-    """Embed a term/observable into the product space over `sites_union`."""
-    dims = [model.site_dims[s] for s in sites_union]
-    pos = {s: k for k, s in enumerate(sites_union)}
-    op_sites = [pos[s] for s in op.support.sites]
-    return embed_dense(op.payload, op_sites, dims)
-
-
 def occupation_projector_diagonal(
     model: TwoFamilyHamiltonian, max_level: int | None = None, sites=None
 ) -> np.ndarray:
@@ -225,40 +217,40 @@ def operator_norm_on_union(model, ops, projected: bool = False) -> float:
     on a small union.
     """
     union = sorted(set().union(*(op.support.sites for op in ops)))
-    if math.prod(model.site_dims[s] for s in union) > DENSE_UNION_MAX_DIM:
-        return _block_norm_on_union(model, ops, union, projected)
-    mats = [_region_embed(model, op, union) for op in ops]
+    dims = [model.site_dims[s] for s in union]
+    pos = {s: k for k, s in enumerate(union)}
+    dense = math.prod(dims) <= DENSE_UNION_MAX_DIM
+    embed = embed_dense if dense else embed_sparse
+    mats = [embed(op.payload, [pos[s] for s in op.support.sites], dims) for op in ops]
+    keep = occupation_projector_diagonal(model, sites=union) if projected else None
+    if not dense:
+        return _block_norm(mats, keep)
     out = mats[0]
     for mat in mats[1:]:
         out = commutator(out, mat)
-    if projected:
-        keep = occupation_projector_diagonal(model, sites=union)
+    if keep is not None:
         out = out * np.outer(keep, keep)
     return spectral_norm(out)
 
 
-def _block_norm_on_union(model, ops, union, projected: bool) -> float:
-    """The sparse, block-wise route of `operator_norm_on_union`.
+def _block_norm(mats, keep) -> float:
+    """The sparse, block-wise route of `operator_norm_on_union`, on the
+    sparse embeddings `mats` and the projector diagonal `keep` (or None).
 
-    `commutator` and `spectral_norm` are dense routines, so the bracket is
-    written with `@` and `-` on sparse matrices, and only the dense blocks
-    reach `spectral_norm`.
+    The bracket is written with `@` and `-` rather than `commutator`, and
+    only dense blocks reach `spectral_norm`: the benchmark's tracer hooks
+    this module's `commutator` and `spectral_norm` and sizes each call with
+    `len()` of its first argument, which a sparse matrix does not support.
     """
     # Deferred: the import costs ~0.1 s, which runs that never leave the
     # dense route should not pay.
     from scipy.sparse.csgraph import connected_components
 
-    dims = [model.site_dims[s] for s in union]
-    pos = {s: k for k, s in enumerate(union)}
-    mats = [
-        embed_sparse(op.payload, [pos[s] for s in op.support.sites], dims)
-        for op in ops
-    ]
     out = mats[0]
     for mat in mats[1:]:
         out = out @ mat - mat @ out
-    if projected:
-        keep = sp.diags(occupation_projector_diagonal(model, sites=union))
+    if keep is not None:
+        keep = sp.diags(keep)
         out = keep @ out @ keep
     out = sp.coo_matrix(out)
     out.sum_duplicates()  # the scatter into `flat` needs one entry per position

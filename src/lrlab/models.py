@@ -174,13 +174,13 @@ def build_model(name: str, length: int, **kwargs) -> TwoFamilyHamiltonian:
     return builders[name](length, **kwargs)
 
 
-def full_hamiltonian(
-    model: TwoFamilyHamiltonian, dim_cap: int = FULL_HAMILTONIAN_DIM_CAP
-) -> np.ndarray:
-    """Dense H on the full Hilbert space (guarded by an explicit size cap)."""
+def full_hamiltonian(model: TwoFamilyHamiltonian) -> np.ndarray:
+    """Dense H on the full Hilbert space, refused above FULL_HAMILTONIAN_DIM_CAP."""
     dim = model.hilbert_dim
-    if dim > dim_cap:
-        raise ValueError(f"Hilbert dimension {dim} exceeds cap {dim_cap}")
+    if dim > FULL_HAMILTONIAN_DIM_CAP:
+        raise ValueError(
+            f"Hilbert dimension {dim} exceeds cap {FULL_HAMILTONIAN_DIM_CAP}"
+        )
     real = all(np.isrealobj(t.payload) for t in model.terms)
     h = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
     dims = list(model.site_dims)

@@ -1,11 +1,13 @@
-"""Dense operator algebra on finite tensor-product Hilbert spaces.
+"""Operator algebra on finite tensor-product Hilbert spaces.
 
-Everything here is plain ndarray manipulation: embedding local operators into
-a labeled product space, commutators, spectral norms, a checked Hermitian
-eigendecomposition, and the one Heisenberg-evolution routine, which rotates
-an operator into that eigenbasis once and then costs two matrix products per
-time point.  Site 0 is the first (leftmost) Kronecker factor, so a basis
-index decomposes as b = sum_k s_k * prod_{j>k} d_j.
+Embedding local operators into a labeled product space (dense, or sparse as
+CSR), commutators, spectral norms, a checked Hermitian eigendecomposition,
+and the one Heisenberg-evolution routine, which rotates an operator into that
+eigenbasis once and then costs two matrix products per time point.
+
+The basis order is owned by one index grid (`_index_grid`), and every
+embedding is a scatter through it.  Site 0 is the first (leftmost) Kronecker
+factor, so a basis index decomposes as b = sum_k s_k * prod_{j>k} d_j.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def _embedding_layout(op_sites, site_dims):
+def _index_grid(payload_shape, op_sites, site_dims) -> np.ndarray:
+    """The one owner of the basis order.
+
+    grid[r, i] is the basis index of the state in which the payload's sites
+    are in joint state i and the other sites in joint state r, both counted
+    in increasing site order.  Raises on a malformed support or a payload
+    whose shape does not match it.
+    """
     op_sites = [int(s) for s in op_sites]
     n = len(site_dims)
     if not op_sites:
@@ -46,11 +55,16 @@ def _embedding_layout(op_sites, site_dims):
         raise ValueError(f"operator sites must be sorted and unique, got {op_sites}")
     if op_sites[0] < 0 or op_sites[-1] >= n:
         raise ValueError(f"operator sites {op_sites} outside lattice of {n} sites")
-    rest = [k for k in range(n) if k not in set(op_sites)]
     # math.prod on Python ints: a numpy product wraps past 2^63.
     d_op = math.prod(int(site_dims[k]) for k in op_sites)
-    d_rest = math.prod(int(site_dims[k]) for k in rest)
-    return op_sites, rest, d_op, d_rest
+    if payload_shape != (d_op, d_op):
+        raise ValueError(
+            f"payload shape {payload_shape} does not match support dimension {d_op}"
+        )
+    rest = [k for k in range(n) if k not in set(op_sites)]
+    total = math.prod(int(d) for d in site_dims)
+    index = np.arange(total).reshape(site_dims).transpose(rest + op_sites)
+    return index.reshape(total // d_op, d_op)
 
 
 def embed_dense(payload, op_sites, site_dims) -> np.ndarray:
@@ -61,43 +75,20 @@ def embed_dense(payload, op_sites, site_dims) -> np.ndarray:
     slowest.
     """
     payload = np.asarray(payload)
-    op_sites, rest, d_op, d_rest = _embedding_layout(op_sites, site_dims)
-    if payload.shape != (d_op, d_op):
-        raise ValueError(
-            f"payload shape {payload.shape} does not match support dimension {d_op}"
-        )
-    n = len(site_dims)
-    full = np.kron(payload, np.eye(d_rest, dtype=payload.dtype))
-    if not rest:
-        return full
-    # Axes currently follow (op_sites..., rest...); permute back to site order.
-    mixed = list(op_sites) + rest
-    perm = list(np.argsort(mixed))
-    shape = [site_dims[k] for k in mixed]
-    total = d_op * d_rest
-    t = full.reshape(shape + shape)
-    t = t.transpose(perm + [n + p for p in perm])
-    return np.ascontiguousarray(t.reshape(total, total))
+    grid = _index_grid(payload.shape, op_sites, site_dims)
+    out = np.zeros((grid.size, grid.size), dtype=payload.dtype)
+    out[grid[:, :, None], grid[:, None, :]] = payload
+    return out
 
 
 def embed_sparse(payload, op_sites, site_dims) -> sp.csr_matrix:
     """Sparse version of `embed_dense`, for operators used only in products."""
     payload = np.asarray(payload)
-    op_sites, rest, d_op, d_rest = _embedding_layout(op_sites, site_dims)
-    if payload.shape != (d_op, d_op):
-        raise ValueError(
-            f"payload shape {payload.shape} does not match support dimension {d_op}"
-        )
-    mixed_full = sp.kron(sp.csr_matrix(payload), sp.identity(d_rest, format="csr"))
-    if not rest:
-        return sp.csr_matrix(mixed_full)
-    # Permute basis states from (op_sites..., rest...) layout to site order.
-    mixed = list(op_sites) + rest
-    perm = list(np.argsort(mixed))
-    shape = [site_dims[k] for k in mixed]
-    order = np.arange(d_op * d_rest).reshape(shape).transpose(perm).reshape(-1)
-    out = sp.csr_matrix(mixed_full)[order][:, order]
-    return sp.csr_matrix(out)
+    grid = _index_grid(payload.shape, op_sites, site_dims)
+    i, j = np.nonzero(payload)
+    data = np.tile(payload[i, j], grid.shape[0])
+    rows, cols = grid[:, i].reshape(-1), grid[:, j].reshape(-1)
+    return sp.csr_matrix((data, (rows, cols)), shape=(grid.size, grid.size))
 
 
 def commutator(a, b) -> np.ndarray:

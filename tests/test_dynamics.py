@@ -18,8 +18,10 @@ from lrlab.models import (
     PAULI_X,
     PAULI_Z,
     build_commuting_ising,
+    build_dicke_chain,
     build_tfim,
     full_hamiltonian,
+    mode_quadratures,
 )
 from lrlab.operators import (
     commutator,
@@ -55,16 +57,35 @@ def test_sweep_matches_direct_computation(tfim5_sweep):
         assert got == pytest.approx(expected, abs=1e-11)
 
 
-def test_sweep_nondiagonal_oq_agrees_with_direct():
-    model = build_tfim(4)
-    op = observable_from_sites(model, (0,), PAULI_Z, "Z@0")
-    oq = observable_from_sites(model, (3,), PAULI_X, "X@3")
+_DICKE = build_dicke_chain(2, truncation=3)  # site dims (3, 2, 3, 2)
+
+
+# The number operator on mode 1 is diagonal and takes the sweep's elementwise
+# path; the Pauli X and the quadrature take the sparse one.
+@pytest.mark.parametrize(
+    "model,op_sites,op_payload,oq_sites,oq_payload",
+    [
+        pytest.param(build_tfim(4), (0,), PAULI_Z, (3,), PAULI_X, id="tfim-X@3"),
+        pytest.param(
+            _DICKE, (1,), PAULI_X, (2,), np.diag([0.0, 1.0, 2.0]),
+            id="dicke-number@mode1",
+        ),
+        pytest.param(
+            _DICKE, (1,), PAULI_X, (2,), mode_quadratures(3)[1],
+            id="dicke-quadrature@mode1",
+        ),
+    ],
+)
+def test_sweep_oq_agrees_with_direct(model, op_sites, op_payload, oq_sites, oq_payload):
+    op = observable_from_sites(model, op_sites, op_payload, "P")
+    oq = observable_from_sites(model, oq_sites, oq_payload, "Q")
     sweep = commutator_norm_sweep(model, op, [oq], [0.8])
     dims = list(model.site_dims)
     dec = decompose(full_hamiltonian(model))
-    (a_t,) = heisenberg_evolve(embed_dense(op.payload, (0,), dims), dec, (0.8,))
-    q_full = embed_dense(oq.payload, (3,), dims)
+    (a_t,) = heisenberg_evolve(embed_dense(op_payload, op_sites, dims), dec, (0.8,))
+    q_full = embed_dense(oq_payload, oq_sites, dims)
     expected = spectral_norm(commutator(a_t, q_full))
+    assert expected > 1e-2  # the comparison is not between two zeros
     assert sweep.points[0].value == pytest.approx(expected, abs=1e-11)
 
 

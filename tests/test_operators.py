@@ -6,6 +6,8 @@ systems; properties are checked with hypothesis on small random matrices.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,18 +82,32 @@ def test_embed_is_an_algebra_morphism(seed):
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
-@settings(max_examples=25, deadline=None)
+def _embedding_oracle(payload, sites, dims):
+    """E[b, b'] = payload[op(b), op(b')] * [rest(b) == rest(b')], read off the
+    site digits of each basis index (site 0 slowest)."""
+    total = math.prod(dims)
+    digits = np.array(np.unravel_index(np.arange(total), dims))
+    op = np.ravel_multi_index(digits[list(sites)], [dims[s] for s in sites])
+    rest = digits[[k for k in range(len(dims)) if k not in sites]]
+    same_rest = (rest[:, :, None] == rest[:, None, :]).all(axis=0)
+    return np.where(same_rest, payload[op[:, None], op[None, :]], 0)
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_embed_sparse_matches_dense(seed):
+    # Both embeddings against the per-basis-state definition: site dims 2-4,
+    # possibly non-contiguous 1-3-site supports, complex payloads with zeros.
     rng = np.random.default_rng(seed)
-    dims = tuple(rng.choice([2, 3], size=4))
-    k = int(rng.integers(1, 3))
-    sites = tuple(sorted(rng.choice(4, size=k, replace=False)))
-    d = int(np.prod([dims[s] for s in sites]))
-    a = _random_hermitian(rng, d)
-    dense = embed_dense(a, sites, dims)
-    sparse = embed_sparse(a, sites, dims).toarray()
-    np.testing.assert_allclose(sparse, dense, atol=0)
+    dims = tuple(int(d) for d in rng.integers(2, 5, size=4))
+    k = int(rng.integers(1, 4))
+    sites = tuple(sorted(int(s) for s in rng.choice(4, size=k, replace=False)))
+    d = math.prod(dims[s] for s in sites)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a *= rng.random((d, d)) < rng.choice([0.2, 0.5, 1.0])
+    expected = _embedding_oracle(a, sites, dims)
+    np.testing.assert_array_equal(embed_dense(a, sites, dims), expected)
+    np.testing.assert_array_equal(embed_sparse(a, sites, dims).toarray(), expected)
 
 
 def test_commutator_xz_is_minus_2i_y():
