@@ -71,8 +71,8 @@ def main() -> int:
         cond = observable_conditions(model, obs_p, obs_q, consts, adj)
         bound = observable_bound(consts, cond, args.time)
         prefactor = (
-            spectral_norm(obs_p.payload)
-            * spectral_norm(obs_q.payload)
+            spectral_norm(obs_p.payload, structure="hermitian")
+            * spectral_norm(obs_q.payload, structure="hermitian")
             * cond.n_P
             * consts.Mtildetilde
         )

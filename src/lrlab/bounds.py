@@ -152,7 +152,8 @@ def bounded_term_check(model) -> dict:
 
     consts = compute_bound_constants(model, noncommuting_adjacency(model))
     ktilde = max(
-        model.coupling(t.family) * spectral_norm(t.payload) for t in model.terms
+        model.coupling(t.family) * spectral_norm(t.payload, structure="hermitian")
+        for t in model.terms
     )
     slack = 1e-9 * max(1.0, ktilde) ** 3
     ok = (consts.K <= 2.0 * ktilde**2 + slack) and (

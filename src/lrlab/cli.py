@@ -268,8 +268,11 @@ def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs):
                 consts, conds[label], t
             )
         if "bounded_reference" in cfg.methods:
-            op_norm = spectral_norm(op.payload)
-            oq_norms = {oq.label: spectral_norm(oq.payload) for oq in oqs}
+            op_norm = spectral_norm(op.payload, structure="hermitian")
+            oq_norms = {
+                oq.label: spectral_norm(oq.payload, structure="hermitian")
+                for oq in oqs
+            }
             fns["bounded_reference"] = lambda t, label: bounded_reference_bound(
                 consts,
                 op_norm,

@@ -1,12 +1,23 @@
 """Exact Heisenberg dynamics on small systems, and checking bounds against it.
 
-The sweep diagonalizes H once (`operators.decompose`, which also checks the
-reconstruction) and walks the time grid with `operators.heisenberg_evolve`,
-two matrix products per step.  Each O_Q is embedded sparsely.  Against a
-site-diagonal O_Q the commutator reduces to an elementwise product with the
-embedded diagonal, which is what keeps the 10-qubit acceptance sweeps inside
-their single-CPU budgets.  Every point carries the label of its O_Q, so two
-observables at the same separation are scored against their own bounds.
+The sweep diagonalizes H once, sector by sector (`operators.decompose`, which
+also checks each sector's reconstruction), and walks the time grid with
+`operators.heisenberg_evolve`, which rotates only the blocks of O_P that are
+nonzero between two sectors.  Each O_Q is embedded sparsely, and its
+commutator norm takes the cheapest exact route its structure allows:
+
+* a diagonal O_Q with two distinct values q1, q2 (every Pauli Z) gives
+  ||[A, Q]|| = |q1 - q2| ||P1 A P2|| for Hermitian A, an SVD of one
+  off-diagonal block;
+* any other diagonal O_Q gives an elementwise product with the embedded
+  diagonal;
+* a non-diagonal O_Q gives a sparse product.
+
+The diagonal routes work per sector when O_P stays inside the sectors, since
+A(t) and [A(t), Q] then do too; this is what keeps the 10-qubit acceptance
+sweeps inside their budgets with room to spare.  Every point carries the
+label of its O_Q, so two observables at the same separation are scored
+against their own bounds.
 """
 
 from __future__ import annotations
@@ -61,6 +72,45 @@ def _is_diagonal(m: np.ndarray) -> bool:
     return np.count_nonzero(m - np.diag(np.diagonal(m))) == 0
 
 
+def _commutator_norm_fn(q_emb, diagonal: bool, groups, kept):
+    """a -> ||[a, Q]|| for Hermitian `a` and Q (the sparse embedding
+    `q_emb`), restricted to the basis indices `kept` (None: all of them).
+
+    For a diagonal Q, `groups` are index sets, each a subset of `kept`, that
+    `a` has no entry between; the norm is then the largest over the groups.
+    """
+    if not diagonal:
+
+        def sparse_norm(a):
+            b = (q_emb.T @ a.T).T  # a @ Q, with the sparse factor on the left
+            c = b - b.conj().T
+            if kept is not None:
+                c = c[np.ix_(kept, kept)]
+            return spectral_norm(c, structure="antihermitian")
+
+        return sparse_norm
+    q = q_emb.diagonal()
+    values = np.unique(q)
+    if len(values) == 2:
+        # Q = q1 P1 + q2 P2, so [A, Q] has only the off-diagonal blocks
+        # (q2 - q1) P1 A P2 and its adjoint: ||[A, Q]|| = |q1 - q2| ||P1 A P2||.
+        gap = float(abs(values[1] - values[0]))
+        blocks = [np.ix_(g[q[g] == values[0]], g[q[g] == values[1]]) for g in groups]
+        return lambda a: gap * max(
+            (spectral_norm(a[ix]) for ix in blocks), default=0.0
+        )
+    parts = [(np.ix_(g, g), q[g]) for g in groups]
+
+    def elementwise_norm(a):
+        best = 0.0
+        for ix, qg in parts:
+            c = a[ix] * (qg[None, :] - qg[:, None])  # [A, Q]_ij = A_ij (q_j - q_i)
+            best = max(best, spectral_norm(c, structure="antihermitian"))
+        return best
+
+    return elementwise_norm
+
+
 def commutator_norm_sweep(
     model: TwoFamilyHamiltonian,
     op_p: Observable,
@@ -71,37 +121,45 @@ def commutator_norm_sweep(
     """||[O_P(t), O_Q]|| on the full space for each O_Q and each t.
 
     `projector_diag` (a 0/1 diagonal) restricts the commutator to a subspace,
-    used for truncation-convergence checks on bosonic models.
+    used for truncation-convergence checks on bosonic models.  P and a
+    diagonal Q commute, so P[A, Q]P = [PAP, Q]: the restriction keeps every
+    route exact.
     """
     decomp = decompose(full_hamiltonian(model))
     dims = list(model.site_dims)
     p_full = embed_dense(op_p.payload, op_p.support.sites, dims)
 
-    qs = []
+    kept = None
+    if projector_diag is not None:
+        projector_diag = np.asarray(projector_diag)
+        if projector_diag.shape != (len(p_full),) or not np.isin(
+            projector_diag, (0, 1)
+        ).all():
+            raise ValueError(
+                f"projector_diag must be a 0/1 vector of length {len(p_full)}"
+            )
+        kept = np.flatnonzero(projector_diag)
+    # A(t) has a nonzero block between two sectors only where O_P has one.
+    pairs = decomp.sector_pairs(p_full)
+    if all(i == j for i, j in pairs):
+        groups = [decomp.sectors[i] for i, _ in pairs]
+    else:
+        groups = [np.arange(len(p_full))]
+    if kept is not None:
+        groups = [np.intersect1d(g, kept) for g in groups]
+
+    norms = []
     seps = []
     for oq in oq_list:
-        d = region_distance(model.graph, op_p.support, oq.support)
-        seps.append(d)
+        seps.append(region_distance(model.graph, op_p.support, oq.support))
         q_emb = embed_sparse(oq.payload, oq.support.sites, dims)
-        if _is_diagonal(oq.payload):
-            qs.append(("diag", q_emb.diagonal().astype(np.complex128)))
-        else:
-            qs.append(("sparse", q_emb))
+        norms.append(_commutator_norm_fn(q_emb, _is_diagonal(oq.payload), groups, kept))
 
     points = []
     ts = tuple(float(t) for t in times)
     for t, a_t in zip(ts, heisenberg_evolve(p_full, decomp, ts)):
-        for (kind, q_emb), oq, d in zip(qs, oq_list, seps):
-            if kind == "diag":
-                c = a_t * (q_emb[None, :] - q_emb[:, None])
-            else:
-                b = (q_emb.T @ a_t.T).T
-                c = b - b.conj().T
-            if projector_diag is not None:
-                c = c * np.outer(projector_diag, projector_diag)
-            points.append(
-                SweepPoint(d=d, t=t, value=spectral_norm(c), oq=oq.label)
-            )
+        for norm, oq, d in zip(norms, oq_list, seps):
+            points.append(SweepPoint(d=d, t=t, value=norm(a_t), oq=oq.label))
 
     return SimulationSweep(
         model_name=model.name,

@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .operators import commutator, embed_dense, embed_sparse, spectral_norm
+from .operators import (
+    HERMITICITY_TOL,
+    commutator,
+    embed_dense,
+    embed_sparse,
+    spectral_norm,
+)
 
 INTRA_FAMILY_TOL = 1e-10
 NONCOMMUTING_TOL = 1e-12
@@ -173,9 +179,23 @@ class TwoFamilyHamiltonian:
 def observable_from_sites(
     model: TwoFamilyHamiltonian, sites, payload, label: str = ""
 ) -> Observable:
-    return Observable(
-        support=region(model.graph, sites), payload=np.asarray(payload), label=label
-    )
+    """An observable with `payload` on `sites`.
+
+    Raises ValueError unless the payload is a Hermitian matrix of the
+    support's dimension: the commutator norms taken with an observable
+    (`operator_norm_on_union`, `dynamics.commutator_norm_sweep`) rely on it.
+    """
+    support = region(model.graph, sites)
+    payload = np.asarray(payload)
+    d = math.prod(model.site_dims[s] for s in support.sites)
+    if payload.shape != (d, d):
+        raise ValueError(
+            f"observable payload shape {payload.shape} != support dim {d}"
+        )
+    dev = float(np.abs(payload - payload.conj().T).max())
+    if dev > HERMITICITY_TOL * max(1.0, float(np.abs(payload).max())):
+        raise ValueError(f"observable payload is not Hermitian (dev {dev:.3e})")
+    return Observable(support=support, payload=payload, label=label)
 
 
 def occupation_projector_diagonal(
@@ -207,6 +227,10 @@ def operator_norm_on_union(model, ops, projected: bool = False) -> float:
     ||P C P|| where P removes the top retained Fock level of every boson
     site in the union.
 
+    Every op is Hermitian (a term or an observable), so the bracket is
+    anti-Hermitian for an even number of ops and Hermitian for an odd one,
+    and `spectral_norm` is told so.
+
     Unions of at most DENSE_UNION_MAX_DIM dimensions are embedded densely.
     Larger ones are embedded sparsely, and the nested commutator C is split
     into the connected components of its sparsity pattern: after that
@@ -223,19 +247,21 @@ def operator_norm_on_union(model, ops, projected: bool = False) -> float:
     embed = embed_dense if dense else embed_sparse
     mats = [embed(op.payload, [pos[s] for s in op.support.sites], dims) for op in ops]
     keep = occupation_projector_diagonal(model, sites=union) if projected else None
+    structure = "hermitian" if len(ops) % 2 else "antihermitian"
     if not dense:
-        return _block_norm(mats, keep)
+        return _block_norm(mats, keep, structure)
     out = mats[0]
     for mat in mats[1:]:
         out = commutator(out, mat)
     if keep is not None:
         out = out * np.outer(keep, keep)
-    return spectral_norm(out)
+    return spectral_norm(out, structure=structure)
 
 
-def _block_norm(mats, keep) -> float:
+def _block_norm(mats, keep, structure) -> float:
     """The sparse, block-wise route of `operator_norm_on_union`, on the
-    sparse embeddings `mats` and the projector diagonal `keep` (or None).
+    sparse embeddings `mats` and the projector diagonal `keep` (or None);
+    each block keeps the bracket's `structure`.
 
     The bracket is written with `@` and `-` rather than `commutator`, and
     only dense blocks reach `spectral_norm`: the benchmark's tracer hooks
@@ -274,7 +300,8 @@ def _block_norm(mats, keep) -> float:
     best = float(np.abs(flat[offsets[sizes == 1]]).max(initial=0.0))
     for b in np.flatnonzero(sizes > 1):
         k, off = int(sizes[b]), int(offsets[b])
-        best = max(best, spectral_norm(flat[off : off + k * k].reshape(k, k)))
+        block = flat[off : off + k * k].reshape(k, k)
+        best = max(best, spectral_norm(block, structure=structure))
     return best
 
 

@@ -2,12 +2,22 @@
 
 Embedding local operators into a labeled product space (dense, or sparse as
 CSR), commutators, spectral norms, a checked Hermitian eigendecomposition,
-and the one Heisenberg-evolution routine, which rotates an operator into that
-eigenbasis once and then costs two matrix products per time point.
+and the one Heisenberg-evolution routine.
 
 The basis order is owned by one index grid (`_index_grid`), and every
 embedding is a scatter through it.  Site 0 is the first (leftmost) Kronecker
 factor, so a basis index decomposes as b = sum_k s_k * prod_{j>k} d_j.
+
+`decompose` splits H into its sectors, the connected components of H's exact
+nonzero pattern (the prod-Z parity sectors of the TFIM, one sector per joint
+spin sigma^z label on the Dicke chain), and diagonalizes each on its own.
+`heisenberg_evolve` then rotates only the blocks of an operator that are
+nonzero between two sectors, so an operator that stays inside the sectors
+costs a fraction of a full-space rotation.  Nothing is cut by a tolerance:
+an entry of H that is not exactly zero joins its two basis states.
+
+`spectral_norm` takes the structure of its input from the caller, who knows
+it by construction, rather than guessing it from the entries.
 """
 
 from __future__ import annotations
@@ -21,10 +31,6 @@ import scipy.sparse as sp
 HERMITICITY_TOL = 1e-10
 EIG_RECONSTRUCTION_TOL = 1e-9
 
-# Detection threshold for (anti-)Hermitian structure, relative to the largest
-# entry.  Commutators of Hermitian matrices land well inside this.
-_SYMMETRY_DETECT_TOL = 1e-12
-
 
 class NumericalError(ValueError):
     """A computation whose result cannot be trusted: a check on the
@@ -33,10 +39,26 @@ class NumericalError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenbasis of a Hermitian operator, H = V diag(w) V^dagger."""
+    """Eigenbasis of a Hermitian operator, sector by sector.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    `sectors[k]` holds the sorted basis indices of sector k; H has no entry
+    between two sectors, and on sector k it is V_k diag(w_k) V_k^dagger with
+    w_k = eigenvalues[k], V_k = eigenvectors[k].
+    """
+
+    sectors: tuple
+    eigenvalues: tuple
+    eigenvectors: tuple
+
+    def sector_pairs(self, a) -> list:
+        """The pairs (i, j) of sectors between which `a` has a nonzero entry,
+        in increasing order."""
+        n = len(self.sectors)
+        label = np.empty(sum(len(idx) for idx in self.sectors), dtype=np.intp)
+        for k, idx in enumerate(self.sectors):
+            label[idx] = k
+        rows, cols = np.nonzero(a)
+        return [divmod(int(p), n) for p in np.unique(label[rows] * n + label[cols])]
 
 
 def _index_grid(payload_shape, op_sites, site_dims) -> np.ndarray:
@@ -95,55 +117,92 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value.
+def spectral_norm(a, structure: str = "general") -> float:
+    """Largest singular value of a dense matrix.
 
-    Hermitian and anti-Hermitian inputs (commutators of Hermitians are the
-    latter) take the eigvalsh path, which is about twice as fast as SVD.
+    `structure` is what the caller knows about `a` by construction:
+    "hermitian" or "antihermitian" (a commutator of Hermitian matrices) take
+    eigvalsh, about twice as fast as the SVD that "general" takes.  The hint
+    is trusted, not checked: eigvalsh reads one triangle of its input.
     """
+    if structure not in ("general", "hermitian", "antihermitian"):
+        raise ValueError(f"unknown structure {structure!r}")
     m = np.asarray(a)
-    if m.size == 0:
+    if m.size == 0 or not m.any():
         return 0.0
-    scale = float(np.abs(m).max())
-    if scale == 0.0:
-        return 0.0
-    tol = _SYMMETRY_DETECT_TOL * max(scale, 1.0)
-    adj = m.conj().T
-    if np.abs(m - adj).max() <= tol:
+    if structure == "hermitian":
         return float(np.abs(np.linalg.eigvalsh(m)).max())
-    if np.abs(m + adj).max() <= tol:
+    if structure == "antihermitian":
         return float(np.abs(np.linalg.eigvalsh(1j * m)).max())
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def decompose(h) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix.
+    """Eigendecompose a Hermitian matrix, one sector at a time.
 
-    Raises NumericalError on non-Hermitian input, and on an eigenbasis that
-    does not reconstruct the input to EIG_RECONSTRUCTION_TOL relative to its
-    largest eigenvalue.
+    The sectors are the connected components of the exact nonzero pattern of
+    `h`.  Raises NumericalError on non-Hermitian input, and on a sector whose
+    eigenbasis does not reconstruct its block of `h` to
+    EIG_RECONSTRUCTION_TOL relative to the block's largest eigenvalue.
     """
+    # Deferred, as in lattice: only runs that diagonalize pay for the import.
+    from scipy.sparse.csgraph import connected_components
+
     m = np.asarray(h)
     dev = float(np.abs(m - m.conj().T).max())
     scale = max(float(np.abs(m).max()), 1.0)
     if dev > HERMITICITY_TOL * scale:
         raise NumericalError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-    w, v = np.linalg.eigh(m)
-    dev = float(np.abs((v * w) @ v.conj().T - m).max())
-    if dev > EIG_RECONSTRUCTION_TOL * max(float(np.abs(w).max()), 1.0):
-        raise NumericalError(f"eigendecomposition reconstruction off by {dev:.3e}")
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+    n_sectors, labels = connected_components(sp.csr_matrix(m != 0), directed=False)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=n_sectors)
+    sectors = tuple(np.split(order, np.cumsum(sizes)[:-1]))
+    ws, vs = [], []
+    for idx in sectors:
+        block = m[np.ix_(idx, idx)]
+        w, v = np.linalg.eigh(block)
+        dev = float(np.abs((v * w) @ v.conj().T - block).max())
+        if dev > EIG_RECONSTRUCTION_TOL * max(float(np.abs(w).max()), 1.0):
+            raise NumericalError(f"eigendecomposition reconstruction off by {dev:.3e}")
+        ws.append(w)
+        vs.append(v)
+    return SpectralDecomposition(
+        sectors=sectors, eigenvalues=tuple(ws), eigenvectors=tuple(vs)
+    )
+
+
+def _sandwich(v, m, w) -> np.ndarray:
+    """v @ m @ w^dagger; in real arithmetic when v and w are real (H real
+    symmetric), which halves the work of complex products."""
+    if np.isrealobj(v) and np.isrealobj(w):
+        re = v @ np.ascontiguousarray(m.real) @ w.T
+        im = v @ np.ascontiguousarray(m.imag) @ w.T
+        return re + 1j * im
+    return v @ m @ w.conj().T
 
 
 def heisenberg_evolve(a, decomp: SpectralDecomposition, times):
-    """Yield A(t) = e^{iHt} A e^{-iHt} for each t in `times`.
+    """Yield A(t) = e^{iHt} A e^{-iHt}, dense on the full space, for each t
+    in `times`.
 
-    A is rotated into the eigenbasis of H once; each time point is then
-    u A_eig u^dagger with u = V diag(e^{iwt}).  No n x n temporary outlives
-    its step, so the caller's work between steps sees no extra array.
+    H has no entry between sectors, so the block of A(t) between sectors i
+    and j is V_i (A_eig[i, j] * e^{i (w_i - w_j) t}) V_j^dagger, with
+    A_eig[i, j] = V_i^dagger A[i, j] V_j and the phase taken elementwise, and
+    a block of A that is zero stays zero.  Only A's nonzero blocks are
+    rotated, into the eigenbasis once and back at each step.
     """
-    w, v = decomp.eigenvalues, decomp.eigenvectors
-    a_eig = v.conj().T @ a @ v
+    a = np.asarray(a)
+    sec, ws, vs = decomp.sectors, decomp.eigenvalues, decomp.eigenvectors
+    pairs = decomp.sector_pairs(a)
+    a_eig = [vs[i].conj().T @ a[np.ix_(sec[i], sec[j])] @ vs[j] for i, j in pairs]
+
+    def at(t):
+        # A function, so that no temporary outlives the step it serves.
+        out = np.zeros(a.shape, dtype=np.complex128)
+        for (i, j), block in zip(pairs, a_eig):
+            phase = np.outer(np.exp(1j * ws[i] * t), np.exp(-1j * ws[j] * t))
+            out[np.ix_(sec[i], sec[j])] = _sandwich(vs[i], block * phase, vs[j])
+        return out
+
     for t in times:
-        phase = np.exp(1j * w * t)
-        yield (v * phase) @ a_eig @ (v * phase).conj().T
+        yield at(t)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrlab.dynamics import (
     SimulationSweep,
@@ -13,9 +17,16 @@ from lrlab.dynamics import (
     extract_velocity,
     verify_bound,
 )
-from lrlab.lattice import observable_from_sites
+from lrlab.lattice import (
+    LocalTerm,
+    TwoFamilyHamiltonian,
+    build_graph,
+    observable_from_sites,
+    region,
+)
 from lrlab.models import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     build_commuting_ising,
     build_dicke_chain,
@@ -87,6 +98,128 @@ def test_sweep_oq_agrees_with_direct(model, op_sites, op_payload, oq_sites, oq_p
     expected = spectral_norm(commutator(a_t, q_full))
     assert expected > 1e-2  # the comparison is not between two zeros
     assert sweep.points[0].value == pytest.approx(expected, abs=1e-11)
+
+
+def _dense_sweep_oracle(model, op, oqs, times, projector_diag=None):
+    """The full-space route: one eigh of all of H, the full rotation, and the
+    SVD of the full commutator.  Shares nothing with `decompose` or the
+    sweep's structured routes."""
+    dims = list(model.site_dims)
+    w, v = np.linalg.eigh(full_hamiltonian(model))
+    a = embed_dense(op.payload, op.support.sites, dims)
+    qs = [embed_dense(oq.payload, oq.support.sites, dims) for oq in oqs]
+    out = []
+    for t in times:
+        u = (v * np.exp(1j * w * t)) @ v.conj().T  # e^{iHt}
+        a_t = u @ a @ u.conj().T
+        for q in qs:
+            c = a_t @ q - q @ a_t
+            if projector_diag is not None:
+                c = c * np.outer(projector_diag, projector_diag)
+            out.append(np.linalg.svd(c, compute_uv=False)[0])
+    return out
+
+
+def _random_hermitian(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return g + g.conj().T
+
+
+def _random_dense_model(rng):
+    # Dense random payloads on the bonds of a 4-qubit chain: nothing is
+    # conserved, so H is a single sector.
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    terms = [
+        LocalTerm(i % 2, i // 2, region(graph, (i, i + 1)), _random_hermitian(rng, 4))
+        for i in range(3)
+    ]
+    return TwoFamilyHamiltonian(
+        graph=graph,
+        site_dims=(2,) * 4,
+        family0=tuple(t for t in terms if t.family == 0),
+        family1=tuple(t for t in terms if t.family == 1),
+        h0=1.0,
+        h1=1.0,
+    )
+
+
+def _oracle_case(kind, rng):
+    """(model, O_P, O_Qs, number of sectors of H) for one oracle case."""
+    if kind in ("tfim", "commuting_ising"):
+        length = int(rng.integers(3, 7))
+        j, g = rng.uniform(0.3, 2.0, size=2)
+        if kind == "tfim":
+            model = build_tfim(length, j=j, g=g)
+        else:
+            model = build_commuting_ising(length, j=j)
+        # Z stays inside the parity sectors, X and Y cross them.
+        op_payload = [PAULI_Z, PAULI_X, PAULI_Y][int(rng.integers(3))]
+        op = observable_from_sites(model, (int(rng.integers(length)),), op_payload)
+        sites = rng.choice(length, size=3, replace=False)
+        three = np.diag(rng.permutation([0.5, -1.0, 2.0, 0.5]))
+        oqs = [
+            observable_from_sites(model, (int(sites[0]),), PAULI_Z, "Z"),
+            observable_from_sites(model, (int(sites[1]),), PAULI_X, "X"),
+            observable_from_sites(
+                model, tuple(sorted((int(sites[1]), int(sites[2])))), three, "diag3"
+            ),
+        ]
+        return model, op, oqs, 2
+    if kind == "dicke":
+        m = int(rng.integers(2, 4))
+        model = build_dicke_chain(2, truncation=m)  # site dims (m, 2, m, 2)
+        spin = int(rng.choice([1, 3]))
+        mode = int(rng.choice([0, 2]))
+        number = np.diag(np.arange(m, dtype=float))
+        oqs = [
+            observable_from_sites(model, (mode,), number, "number"),
+            observable_from_sites(model, (mode,), mode_quadratures(m)[0], "quad"),
+            observable_from_sites(model, (4 - spin,), PAULI_Z, "Z@spin"),
+        ]
+        # X on a spin flips its sigma^z label: O_P crosses the sectors.
+        op = observable_from_sites(model, (spin,), PAULI_X, "X@spin")
+        return model, op, oqs, 4
+    model = _random_dense_model(rng)
+    op = observable_from_sites(model, (0,), _random_hermitian(rng, 2))
+    oqs = [
+        observable_from_sites(model, (3,), PAULI_Z, "Z"),
+        observable_from_sites(model, (2, 3), _random_hermitian(rng, 4), "dense"),
+        observable_from_sites(model, (3,), np.diag([0.0, 1.0]), "proj"),
+    ]
+    return model, op, oqs, 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["tfim", "commuting_ising", "dicke", "dense"]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_structured_sweep_matches_dense_oracle(kind, seed, projected):
+    rng = np.random.default_rng(seed)
+    model, op, oqs, n_sectors = _oracle_case(kind, rng)
+    assert len(decompose(full_hamiltonian(model)).sectors) == n_sectors
+    keep = None
+    if projected:
+        keep = (rng.random(model.hilbert_dim) < 0.7).astype(float)
+    times = (0.0, 0.37, 1.3)
+    sweep = commutator_norm_sweep(model, op, oqs, times, projector_diag=keep)
+    oracle = _dense_sweep_oracle(model, op, oqs, times, keep)
+    for point, expected in zip(sweep.points, oracle):
+        oq = next(o for o in oqs if o.label == point.oq)
+        scale = spectral_norm(op.payload) * spectral_norm(oq.payload)
+        # Never below the oracle: an under-estimated norm hides violations.
+        assert point.value >= expected - 1e-12
+        assert abs(point.value - expected) <= 1e-11 * scale
+
+
+def test_sweep_rejects_a_projector_that_is_not_zero_one():
+    model = build_tfim(3)
+    op = observable_from_sites(model, (0,), PAULI_Z, "Z@0")
+    oq = observable_from_sites(model, (2,), PAULI_Z, "Z@2")
+    for bad in (np.full(8, 0.5), np.ones(7)):
+        with pytest.raises(ValueError, match="projector_diag"):
+            commutator_norm_sweep(model, op, [oq], [0.9], projector_diag=bad)
 
 
 def test_sweep_at_zero_time_is_static_commutator(tfim5_sweep):

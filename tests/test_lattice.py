@@ -82,6 +82,26 @@ def test_regions_overlap():
     assert regions_overlap(a, SupportRegion(sites=(2,), diameter=0))
 
 
+def test_observable_from_sites_rejects_non_hermitian_payload():
+    # The sweep's b - b^dagger and its half-block norm, and the structure
+    # hints of the union norms, all assume a Hermitian observable.
+    model = build_tfim(3)
+    ladder = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        observable_from_sites(model, (1,), ladder)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        observable_from_sites(model, (1,), PAULI_Z + 1e-8j * PAULI_X)
+    # Rounding below HERMITICITY_TOL is accepted, and so is a complex one.
+    observable_from_sites(model, (1,), PAULI_Z + 1e-14 * ladder)
+    observable_from_sites(model, (1,), PAULI_Y)
+
+
+def test_observable_from_sites_rejects_a_payload_of_the_wrong_size():
+    model = build_tfim(3)
+    with pytest.raises(ValueError, match="support dim 4"):
+        observable_from_sites(model, (0, 1), PAULI_Z)
+
+
 def test_validate_tfim_passes():
     report = validate_two_family(build_tfim(5))
     assert report.passed

@@ -137,17 +137,50 @@ def test_spectral_norm_zero_matrix():
 @given(st.integers(0, 2**32 - 1))
 def test_spectral_norm_matches_svd(seed):
     rng = np.random.default_rng(seed)
-    # One Hermitian, one anti-Hermitian, one generic: all three code paths.
+    # Each structure hint on an input that has it, and the default on all.
     h = _random_hermitian(rng, 6)
     g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    for m in (h, 1j * h, g):
+    for m, structure in ((h, "hermitian"), (1j * h, "antihermitian"), (g, "general")):
         ref = np.linalg.svd(m, compute_uv=False)[0]
+        assert spectral_norm(m, structure=structure) == pytest.approx(ref, rel=1e-12)
         assert spectral_norm(m) == pytest.approx(ref, rel=1e-12)
+
+
+def test_spectral_norm_hint_reads_tiny_antihermitian_inputs():
+    # Entries far below any absolute floor: the hint, not a guess from the
+    # entries, picks the route, so the norm is read to rounding.
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        m = 1j * (g + g.conj().T) * 1e-13
+        ref = np.linalg.svd(m, compute_uv=False)[0]
+        assert spectral_norm(m, structure="antihermitian") == pytest.approx(
+            ref, rel=1e-12
+        )
+        assert spectral_norm(m) == pytest.approx(ref, rel=1e-12)
+
+
+def test_spectral_norm_rejects_unknown_structure():
+    with pytest.raises(ValueError, match="structure"):
+        spectral_norm(np.eye(2), structure="unitary")
+
+
+def test_spectral_norm_of_rectangular_block():
+    m = np.array([[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
+    assert spectral_norm(m) == pytest.approx(4.0, rel=1e-15)
 
 
 def test_decompose_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _reconstruct(dec):
+    n = sum(len(idx) for idx in dec.sectors)
+    out = np.zeros((n, n), dtype=complex)
+    for idx, w, v in zip(dec.sectors, dec.eigenvalues, dec.eigenvectors):
+        out[np.ix_(idx, idx)] = (v * w) @ v.conj().T
+    return out
 
 
 @settings(max_examples=15, deadline=None)
@@ -156,8 +189,48 @@ def test_decompose_reconstructs(seed):
     rng = np.random.default_rng(seed)
     h = _random_hermitian(rng, 8)
     dec = decompose(h)
-    recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
-    np.testing.assert_allclose(recon, h, atol=1e-10 * spectral_norm(h))
+    assert len(dec.sectors) == 1  # a dense H is one sector
+    np.testing.assert_array_equal(dec.sectors[0], np.arange(8))
+    np.testing.assert_allclose(_reconstruct(dec), h, atol=1e-10 * spectral_norm(h))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_decompose_splits_a_hidden_block_structure(seed):
+    # Three Hermitian blocks (one 1x1) scattered over a random permutation of
+    # the basis: the sectors are exactly the blocks, and they reconstruct H.
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(9)
+    blocks = [perm[:4], perm[4:8], perm[8:]]
+    h = np.zeros((9, 9), dtype=complex)
+    for idx in blocks:
+        h[np.ix_(idx, idx)] = _random_hermitian(rng, len(idx))
+    dec = decompose(h)
+    assert sorted(tuple(idx) for idx in dec.sectors) == sorted(
+        tuple(sorted(idx)) for idx in blocks
+    )
+    np.testing.assert_allclose(_reconstruct(dec), h, atol=1e-10 * spectral_norm(h))
+
+
+def test_decompose_finds_tfim_parity_sectors():
+    # XX bonds and Z fields conserve prod Z: two sectors of 2^(L-1) states,
+    # each of one parity.
+    from lrlab.models import build_tfim, full_hamiltonian
+
+    dec = decompose(full_hamiltonian(build_tfim(5)))
+    parity = np.array([bin(b).count("1") % 2 for b in range(32)])
+    assert [len(idx) for idx in dec.sectors] == [16, 16]
+    for idx in dec.sectors:
+        assert len(set(parity[idx])) == 1
+
+
+def test_sector_pairs_follow_the_operator_pattern():
+    from lrlab.models import build_tfim, full_hamiltonian
+
+    dec = decompose(full_hamiltonian(build_tfim(3)))
+    assert dec.sector_pairs(embed_dense(Z, (1,), (2, 2, 2))) == [(0, 0), (1, 1)]
+    assert dec.sector_pairs(embed_dense(X, (1,), (2, 2, 2))) == [(0, 1), (1, 0)]
+    assert dec.sector_pairs(np.zeros((8, 8))) == []
 
 
 def test_heisenberg_evolution_single_qubit_oracle():
@@ -166,6 +239,26 @@ def test_heisenberg_evolution_single_qubit_oracle():
     for t, a_t in zip(times, heisenberg_evolve(X, decompose(Z), times)):
         got = spectral_norm(commutator(a_t, X))
         assert got == pytest.approx(2.0 * abs(np.sin(2.0 * t)), abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_heisenberg_evolution_matches_full_space_rotation(seed):
+    # H with a hidden block structure and an A that links some sector pairs
+    # and not others, against e^{iHt} A e^{-iHt} from one eigh of all of H.
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(10)
+    h = np.zeros((10, 10), dtype=complex)
+    for idx in (perm[:3], perm[3:7], perm[7:]):
+        h[np.ix_(idx, idx)] = _random_hermitian(rng, len(idx))
+    a = _random_hermitian(rng, 10)
+    a *= rng.random((10, 10)) < 0.3
+    a = a + a.conj().T
+    w, v = np.linalg.eigh(h)
+    times = (0.0, 0.4, 1.7)
+    for t, a_t in zip(times, heisenberg_evolve(a, decompose(h), times)):
+        u = (v * np.exp(1j * w * t)) @ v.conj().T
+        np.testing.assert_allclose(a_t, u @ a @ u.conj().T, atol=1e-11)
 
 
 def test_heisenberg_evolution_preserves_spectrum():
