@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import minimize_scalar
-
 from .chains import ChainCountTable
 from .lattice import BoundConstants, ObservableConditions
 from .operators import NumericalError
@@ -96,6 +94,10 @@ def optimize_lambda(consts: BoundConstants) -> tuple:
     BoundConstants.v_lr, so this doubles as a consistency check on the rate
     algebra.
     """
+    # Deferred: scipy.optimize adds about 0.25 s to a fresh process's start
+    # on a 2-core host, and only this check uses it.
+    from scipy.optimize import minimize_scalar
+
     xi = consts.xi
 
     def slope(lam: float) -> float:

@@ -3,8 +3,9 @@
 The sweep diagonalizes H once, sector by sector (`operators.decompose`, which
 also checks each sector's reconstruction), and walks the time grid with
 `operators.heisenberg_evolve`, which rotates only the blocks of O_P that are
-nonzero between two sectors.  Each O_Q is embedded sparsely, and its
-commutator norm takes the cheapest exact route its structure allows:
+nonzero between two sectors.  A diagonal O_Q is embedded as its diagonal
+alone, any other O_Q sparsely, and its commutator norm takes the cheapest
+exact route its structure allows:
 
 * a diagonal O_Q with two distinct values q1, q2 (every Pauli Z) gives
   ||[A, Q]|| = |q1 - q2| ||P1 A P2|| for Hermitian A, an SVD of one
@@ -36,6 +37,7 @@ from .operators import (
     commutator,
     decompose,
     embed_dense,
+    embed_diagonal,
     embed_sparse,
     heisenberg_evolve,
     spectral_norm,
@@ -72,24 +74,24 @@ def _is_diagonal(m: np.ndarray) -> bool:
     return np.count_nonzero(m - np.diag(np.diagonal(m))) == 0
 
 
-def _commutator_norm_fn(q_emb, diagonal: bool, groups, kept):
-    """a -> ||[a, Q]|| for Hermitian `a` and Q (the sparse embedding
-    `q_emb`), restricted to the basis indices `kept` (None: all of them).
+def _commutator_norm_fn(q, groups, kept):
+    """a -> ||[a, Q]|| for Hermitian `a` and Q, restricted to the basis
+    indices `kept` (None: all of them).  `q` is the diagonal of a diagonal Q
+    (1-D), or the sparse embedding of any other Q.
 
     For a diagonal Q, `groups` are index sets, each a subset of `kept`, that
     `a` has no entry between; the norm is then the largest over the groups.
     """
-    if not diagonal:
+    if q.ndim != 1:
 
         def sparse_norm(a):
-            b = (q_emb.T @ a.T).T  # a @ Q, with the sparse factor on the left
+            b = (q.T @ a.T).T  # a @ Q, with the sparse factor on the left
             c = b - b.conj().T
             if kept is not None:
                 c = c[np.ix_(kept, kept)]
             return spectral_norm(c, structure="antihermitian")
 
         return sparse_norm
-    q = q_emb.diagonal()
     values = np.unique(q)
     if len(values) == 2:
         # Q = q1 P1 + q2 P2, so [A, Q] has only the off-diagonal blocks
@@ -152,8 +154,11 @@ def commutator_norm_sweep(
     seps = []
     for oq in oq_list:
         seps.append(region_distance(model.graph, op_p.support, oq.support))
-        q_emb = embed_sparse(oq.payload, oq.support.sites, dims)
-        norms.append(_commutator_norm_fn(q_emb, _is_diagonal(oq.payload), groups, kept))
+        if _is_diagonal(oq.payload):
+            q = embed_diagonal(np.diagonal(oq.payload), oq.support.sites, dims)
+        else:
+            q = embed_sparse(oq.payload, oq.support.sites, dims)
+        norms.append(_commutator_norm_fn(q, groups, kept))
 
     points = []
     ts = tuple(float(t) for t in times)

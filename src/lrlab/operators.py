@@ -1,8 +1,9 @@
 """Operator algebra on finite tensor-product Hilbert spaces.
 
-Embedding local operators into a labeled product space (dense, or sparse as
-CSR), commutators, spectral norms, a checked Hermitian eigendecomposition,
-and the one Heisenberg-evolution routine.
+Embedding local operators into a labeled product space (dense, sparse as
+CSR, or only the diagonal), commutators, spectral norms, connected-component
+labelling, a checked Hermitian eigendecomposition, and the one
+Heisenberg-evolution routine.
 
 The basis order is owned by one index grid (`_index_grid`), and every
 embedding is a scatter through it.  Site 0 is the first (leftmost) Kronecker
@@ -18,6 +19,10 @@ an entry of H that is not exactly zero joins its two basis states.
 
 `spectral_norm` takes the structure of its input from the caller, who knows
 it by construction, rather than guessing it from the entries.
+
+Only numpy is imported at module level.  scipy.sparse is imported inside
+`embed_sparse`, the one function here that needs it, so a run whose operators
+all stay dense never loads scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 HERMITICITY_TOL = 1e-10
 EIG_RECONSTRUCTION_TOL = 1e-9
@@ -103,14 +107,27 @@ def embed_dense(payload, op_sites, site_dims) -> np.ndarray:
     return out
 
 
-def embed_sparse(payload, op_sites, site_dims) -> sp.csr_matrix:
-    """Sparse version of `embed_dense`, for operators used only in products."""
+def embed_sparse(payload, op_sites, site_dims):
+    """Sparse version of `embed_dense` (a scipy CSR matrix), for operators
+    used only in products."""
+    import scipy.sparse as sp
+
     payload = np.asarray(payload)
     grid = _index_grid(payload.shape, op_sites, site_dims)
     i, j = np.nonzero(payload)
     data = np.tile(payload[i, j], grid.shape[0])
     rows, cols = grid[:, i].reshape(-1), grid[:, j].reshape(-1)
     return sp.csr_matrix((data, (rows, cols)), shape=(grid.size, grid.size))
+
+
+def embed_diagonal(diag, op_sites, site_dims) -> np.ndarray:
+    """The diagonal of `embed_dense(np.diag(diag), op_sites, site_dims)`,
+    without the matrix."""
+    diag = np.asarray(diag)
+    grid = _index_grid((diag.size, diag.size), op_sites, site_dims)
+    out = np.empty(grid.size, dtype=diag.dtype)
+    out[grid] = diag
+    return out
 
 
 def commutator(a, b) -> np.ndarray:
@@ -137,6 +154,36 @@ def spectral_norm(a, structure: str = "general") -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def connected_components(rows, cols, n: int):
+    """(count, labels) of the undirected graph on nodes 0..n-1 with edges
+    rows[k] -- cols[k]; self-loops and repeated edges are allowed.
+
+    Components are numbered in the order of their smallest member, as
+    scipy.sparse.csgraph.connected_components numbers them.  Every node
+    points at a node of its own component, never a larger one; each round
+    hooks both ends of every edge, and their pointers' targets, onto the
+    smaller of the two pointers, then replaces every pointer by its target's
+    pointer.  Once a round changes nothing, both ends of every edge share a
+    pointer, so each component points at one node: its smallest, which never
+    points away.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    label = np.arange(n)
+    while True:
+        lr, lc = label[rows], label[cols]
+        low = np.minimum(lr, lc)
+        new = label.copy()
+        for ends in (rows, cols, lr, lc):
+            np.minimum.at(new, ends, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    roots, labels = np.unique(label, return_inverse=True)
+    return len(roots), labels
+
+
 def decompose(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, one sector at a time.
 
@@ -145,15 +192,12 @@ def decompose(h) -> SpectralDecomposition:
     eigenbasis does not reconstruct its block of `h` to
     EIG_RECONSTRUCTION_TOL relative to the block's largest eigenvalue.
     """
-    # Deferred, as in lattice: only runs that diagonalize pay for the import.
-    from scipy.sparse.csgraph import connected_components
-
     m = np.asarray(h)
     dev = float(np.abs(m - m.conj().T).max())
     scale = max(float(np.abs(m).max()), 1.0)
     if dev > HERMITICITY_TOL * scale:
         raise NumericalError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-    n_sectors, labels = connected_components(sp.csr_matrix(m != 0), directed=False)
+    n_sectors, labels = connected_components(*np.nonzero(m), len(m))
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=n_sectors)
     sectors = tuple(np.split(order, np.cumsum(sizes)[:-1]))

@@ -142,6 +142,31 @@ def test_validate_reports_non_hermitian_payload():
     assert any("not Hermitian" in f for f in report.failures)
 
 
+def test_validate_does_not_trust_a_non_hermitian_term_to_commute():
+    # sigma^+ on site 1 and Z1 Z2 do not commute: their bracket is
+    # -2 sigma^+_1 Z_2, which has entries above the diagonal only, so a norm
+    # that trusted the anti-Hermitian hint would read it from the empty lower
+    # triangle as 0 and call the pair commuting.
+    g = build_graph(3, [(0, 1), (1, 2)])
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]])
+    bad = TwoFamilyHamiltonian(
+        graph=g,
+        site_dims=(2, 2, 2),
+        family0=(
+            LocalTerm(0, 0, region(g, (0, 1)), np.kron(np.eye(2), raising)),
+            LocalTerm(0, 1, region(g, (1, 2)), np.kron(PAULI_Z, PAULI_Z)),
+        ),
+        family1=(),
+        h0=1.0,
+        h1=0.0,
+    )
+    report = validate_two_family(bad)
+    assert report.failures == (
+        "term 0:0 payload not Hermitian (dev 1.000e+00)",
+        "family 0 terms 0,1: commutation not checked: term not Hermitian",
+    )
+
+
 def test_tfim_adjacency_structure():
     model = build_tfim(6)
     adj = noncommuting_adjacency(model)

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from lrlab.operators import (
     commutator,
+    connected_components,
     decompose,
     embed_dense,
+    embed_diagonal,
     embed_sparse,
     heisenberg_evolve,
     spectral_norm,
@@ -108,6 +110,47 @@ def test_embed_sparse_matches_dense(seed):
     expected = _embedding_oracle(a, sites, dims)
     np.testing.assert_array_equal(embed_dense(a, sites, dims), expected)
     np.testing.assert_array_equal(embed_sparse(a, sites, dims).toarray(), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_embed_diagonal_matches_dense(seed):
+    # Site dims 2-4, possibly non-contiguous 1-3-site supports, a complex
+    # diagonal with some exact zeros.
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(2, 5, size=4))
+    k = int(rng.integers(1, 4))
+    sites = tuple(sorted(int(s) for s in rng.choice(4, size=k, replace=False)))
+    d = math.prod(dims[s] for s in sites)
+    diag = (rng.normal(size=d) + 1j * rng.normal(size=d)) * (rng.random(d) < 0.7)
+    expected = np.diagonal(embed_dense(np.diag(diag), sites, dims))
+    np.testing.assert_array_equal(embed_diagonal(diag, sites, dims), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_connected_components_match_csgraph(seed):
+    # Random undirected edge sets on up to 300 nodes, from a few scattered
+    # edges (many isolated nodes) to one giant component, with self-loops,
+    # repeated edges and both orientations of some edges.
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components as csgraph_components
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 301))
+    m = int(rng.choice([0.1, 0.5, 1.0, 2.0]) * n)
+    rows, cols = rng.integers(0, n, size=(2, m))
+    loops = rng.integers(0, n, size=int(rng.integers(0, 5)))
+    again = rng.integers(0, m, size=m // 4) if m else np.zeros(0, dtype=int)
+    rows, cols = (
+        np.concatenate([rows, loops, rows[again], cols[again]]),
+        np.concatenate([cols, loops, cols[again], rows[again]]),
+    )
+    count, labels = connected_components(rows, cols, n)
+    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    want_count, want_labels = csgraph_components(graph, directed=False)
+    assert count == want_count
+    np.testing.assert_array_equal(labels, want_labels)
 
 
 def test_commutator_xz_is_minus_2i_y():
