@@ -8,8 +8,10 @@ alone, any other O_Q sparsely, and its commutator norm takes the cheapest
 exact route its structure allows:
 
 * a diagonal O_Q with two distinct values q1, q2 (every Pauli Z) gives
-  ||[A, Q]|| = |q1 - q2| ||P1 A P2|| for Hermitian A, an SVD of one
-  off-diagonal block;
+  ||[A, Q]|| = |q1 - q2| ||P1 A P2|| for Hermitian A, the norm of one
+  off-diagonal block read from the largest eigenvalue of its Gram matrix
+  (per sector, with the sectors' blocks stacked by shape into one
+  `spectral_norm` call per shape);
 * any other diagonal O_Q gives an elementwise product with the embedded
   diagonal;
 * a non-diagonal O_Q gives a sparse product.
@@ -96,10 +98,23 @@ def _commutator_norm_fn(q, groups, kept):
     if len(values) == 2:
         # Q = q1 P1 + q2 P2, so [A, Q] has only the off-diagonal blocks
         # (q2 - q1) P1 A P2 and its adjoint: ||[A, Q]|| = |q1 - q2| ||P1 A P2||.
+        # The nonempty half blocks, one per group, are stacked by shape, so
+        # each shape costs one gather and one norm.
         gap = float(abs(values[1] - values[0]))
-        blocks = [np.ix_(g[q[g] == values[0]], g[q[g] == values[1]]) for g in groups]
+        by_shape = {}
+        for g in groups:
+            rows, cols = g[q[g] == values[0]], g[q[g] == values[1]]
+            if rows.size and cols.size:
+                by_shape.setdefault((rows.size, cols.size), []).append((rows, cols))
+        stacks = [
+            (
+                np.stack([rows for rows, _ in pairs])[:, :, None],
+                np.stack([cols for _, cols in pairs])[:, None, :],
+            )
+            for pairs in by_shape.values()
+        ]
         return lambda a: gap * max(
-            (spectral_norm(a[ix]) for ix in blocks), default=0.0
+            (spectral_norm(a[rows, cols]) for rows, cols in stacks), default=0.0
         )
     parts = [(np.ix_(g, g), q[g]) for g in groups]
 

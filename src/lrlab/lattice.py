@@ -331,38 +331,40 @@ def validate_two_family(
 ) -> ValidationReport:
     """Check the structural contract; collects failures instead of aborting.
 
-    The intra-family commutator norms are taken with the anti-Hermitian
-    hint, which holds only for Hermitian terms, so an overlapping pair that
-    includes a non-Hermitian term is reported as not checked rather than
-    measured.
+    The intra-family commutator norms embed each payload on its support and
+    take the anti-Hermitian hint, which holds only for Hermitian terms, so an
+    overlapping pair that includes a term whose payload shape does not match
+    its support, or a non-Hermitian term, is reported as not checked rather
+    than measured.
     """
     failures = []
-    not_hermitian = set()
+    unchecked = {}  # id(term) -> why its pairs are not measured
     for fam, terms in ((0, model.family0), (1, model.family1)):
         for term in terms:
             if term.family != fam:
                 failures.append(f"term {fam}:{term.index} carries family {term.family}")
-            d = int(np.prod([model.site_dims[s] for s in term.support.sites]))
+            d = math.prod(int(model.site_dims[s]) for s in term.support.sites)
             if term.payload.shape != (d, d):
                 failures.append(
                     f"term {fam}:{term.index} payload shape {term.payload.shape} "
                     f"!= support dim {d}"
                 )
+                unchecked[id(term)] = "payload shape"
                 continue
             dev = float(np.abs(term.payload - term.payload.conj().T).max())
             if dev > tol * max(1.0, float(np.abs(term.payload).max())):
                 failures.append(
                     f"term {fam}:{term.index} payload not Hermitian (dev {dev:.3e})"
                 )
-                not_hermitian.add(id(term))
+                unchecked[id(term)] = "term not Hermitian"
     for fam, terms in ((0, model.family0), (1, model.family1)):
         for i, a in enumerate(terms):
             for b in terms[i + 1 :]:
-                unchecked = id(a) in not_hermitian or id(b) in not_hermitian
-                if unchecked and regions_overlap(a.support, b.support):
+                why = unchecked.get(id(a)) or unchecked.get(id(b))
+                if why and regions_overlap(a.support, b.support):
                     failures.append(
                         f"family {fam} terms {a.index},{b.index}: commutation "
-                        "not checked: term not Hermitian"
+                        f"not checked: {why}"
                     )
                     continue
                 nrm = pair_commutator_norm(model, a, b)

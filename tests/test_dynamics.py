@@ -38,6 +38,7 @@ from lrlab.operators import (
     commutator,
     decompose,
     embed_dense,
+    embed_diagonal,
     heisenberg_evolve,
     spectral_norm,
 )
@@ -209,6 +210,45 @@ def test_structured_sweep_matches_dense_oracle(kind, seed, projected):
         oq = next(o for o in oqs if o.label == point.oq)
         scale = spectral_norm(op.payload) * spectral_norm(oq.payload)
         # Never below the oracle: an under-estimated norm hides violations.
+        assert point.value >= expected - 1e-12
+        assert abs(point.value - expected) <= 1e-11 * scale
+
+
+def test_two_valued_route_groups_half_blocks_by_shape_against_dense_oracle():
+    # A quadrature on mode 1 (site 2) of the Dicke chain stays inside H's
+    # four spin sectors, and the 0/1 projector on that mode is a two-valued
+    # O_Q, so the norm is read from the half blocks P1 A P2 of each sector.
+    # The projector_diag removes the states with one boson on that mode from
+    # sector 0 and every state with q = 0 from sector 2.  The sectors are
+    # alike, so the cut block of sector 0 reads lower than the full ones, and
+    # the largest norm sits in the second stack.
+    model = build_dicke_chain(2, truncation=3)  # site dims (3, 2, 3, 2)
+    dims = list(model.site_dims)
+    op = observable_from_sites(model, (2,), mode_quadratures(3)[0], "x@mode1")
+    oq = observable_from_sites(model, (2,), np.diag([0.0, 1.0, 1.0]), "occupied")
+    dec = decompose(full_hamiltonian(model))
+    p_full = embed_dense(op.payload, op.support.sites, dims)
+    assert all(i == j for i, j in dec.sector_pairs(p_full))
+    q = embed_diagonal(np.diagonal(oq.payload), oq.support.sites, dims)
+    keep = np.ones(model.hilbert_dim)
+    sec = dec.sectors
+    level = embed_diagonal([0.0, 1.0, 2.0], oq.support.sites, dims)
+    keep[sec[0][level[sec[0]] == 1.0]] = 0.0
+    keep[sec[2][q[sec[2]] == 0.0]] = 0.0
+    shapes = [
+        (int(((q[g] == 0.0) & (keep[g] == 1.0)).sum()),
+         int(((q[g] == 1.0) & (keep[g] == 1.0)).sum()))
+        for g in sec
+    ]
+    # Two stacks of different shapes, and one empty block that is skipped.
+    assert shapes == [(3, 3), (3, 6), (0, 6), (3, 6)]
+
+    times = (0.0, 0.37, 1.3)
+    sweep = commutator_norm_sweep(model, op, [oq], times, projector_diag=keep)
+    oracle = _dense_sweep_oracle(model, op, [oq], times, keep)
+    assert min(oracle) > 0.1  # the comparison is not between zeros
+    scale = spectral_norm(op.payload) * spectral_norm(oq.payload)
+    for point, expected in zip(sweep.points, oracle, strict=True):
         assert point.value >= expected - 1e-12
         assert abs(point.value - expected) <= 1e-11 * scale
 

@@ -167,6 +167,28 @@ def test_validate_does_not_trust_a_non_hermitian_term_to_commute():
     )
 
 
+def test_validate_reports_a_misshapen_term_instead_of_raising():
+    # A 3x3 payload on one qubit cannot be embedded, so its pair with the
+    # overlapping Z Z of its own family is reported, not measured.
+    g = build_graph(2, [(0, 1)])
+    bad = TwoFamilyHamiltonian(
+        graph=g,
+        site_dims=(2, 2),
+        family0=(
+            LocalTerm(0, 0, region(g, (0,)), np.eye(3)),
+            LocalTerm(0, 1, region(g, (0, 1)), np.kron(PAULI_Z, PAULI_Z)),
+        ),
+        family1=(),
+        h0=1.0,
+        h1=0.0,
+    )
+    report = validate_two_family(bad)
+    assert report.failures == (
+        "term 0:0 payload shape (3, 3) != support dim 2",
+        "family 0 terms 0,1: commutation not checked: payload shape",
+    )
+
+
 def test_tfim_adjacency_structure():
     model = build_tfim(6)
     adj = noncommuting_adjacency(model)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrlab.operators import (
@@ -201,6 +201,75 @@ def test_spectral_norm_hint_reads_tiny_antihermitian_inputs():
             ref, rel=1e-12
         )
         assert spectral_norm(m) == pytest.approx(ref, rel=1e-12)
+
+
+def _scaled_stack(rng, k, rows, cols, exponent, zero):
+    """k complex rows x cols blocks with entries of size about 10**exponent;
+    `zero` is "none", "member" (one block all zero) or "all"."""
+    g = rng.normal(size=(k, rows, cols)) + 1j * rng.normal(size=(k, rows, cols))
+    g *= 10.0**exponent
+    if zero == "member":
+        g[rng.integers(k)] = 0.0
+    elif zero == "all":
+        g[:] = 0.0
+    return g
+
+
+def _svd_norm(m):
+    return float(np.linalg.svd(m, compute_uv=False).max(initial=0.0))
+
+
+_STACK_CASES = dict(
+    k=st.integers(1, 4),
+    exponent=st.integers(-170, 170),
+    zero=st.sampled_from(["none", "member", "all"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from(["square", "tall", "wide"]),
+    side=st.integers(1, 6),
+    **_STACK_CASES,
+)
+@example(shape="tall", side=3, k=2, exponent=-170, zero="member", seed=0)
+@example(shape="wide", side=3, k=3, exponent=170, zero="none", seed=1)
+def test_spectral_norm_of_scaled_stacks_matches_svd(
+    shape, side, k, exponent, zero, seed
+):
+    # Square, tall and wide blocks, alone or stacked; the Gram route must not
+    # lose entries whose squares fall below the smallest double or above the
+    # largest.
+    rng = np.random.default_rng(seed)
+    rows, cols = {
+        "square": (side, side),
+        "tall": (side + 2, side),
+        "wide": (side, side + 3),
+    }[shape]
+    g = _scaled_stack(rng, k, rows, cols, exponent, zero)
+    ref = _svd_norm(g)
+    assert spectral_norm(g) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    if k == 1:
+        assert spectral_norm(g[0]) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(side=st.integers(1, 6), **_STACK_CASES)
+@example(side=4, k=2, exponent=-170, zero="member", seed=2)
+@example(side=4, k=2, exponent=170, zero="none", seed=3)
+def test_spectral_norm_hints_on_scaled_stacks_match_svd(
+    side, k, exponent, zero, seed
+):
+    rng = np.random.default_rng(seed)
+    g = _scaled_stack(rng, k, side, side, exponent, zero)
+    h = g + g.conj().swapaxes(-1, -2)
+    for m, structure in ((h, "hermitian"), (1j * h, "antihermitian")):
+        ref = _svd_norm(m)
+        assert spectral_norm(m, structure=structure) == pytest.approx(
+            ref, rel=1e-12, abs=0.0
+        )
+        assert spectral_norm(m) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_spectral_norm_rejects_unknown_structure():

@@ -95,6 +95,9 @@ def test_worker_traces_a_tiny_job(tmp_path, kind, layers):
     assert layers <= traced
     metrics = tracer.layer_metrics(result["spans"])
     assert metrics["lattice.adjacency_calls"] == (1 if kind == "verify" else 2)
+    if kind == "verify":
+        # The sweep's norms go through the hooked `dynamics.spectral_norm`.
+        assert metrics["dynamics.norm_s"] > 0
     if kind == "dicke":
         # The Dicke job must reach the sparse route of the union norms, so
         # that a sparse matrix handed to a traced name fails here.
