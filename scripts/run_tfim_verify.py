@@ -6,9 +6,12 @@ check, empirical velocity extraction.  Artifacts land in --out.
 
 Usage:
   python scripts/run_tfim_verify.py
-  LRLAB_THREADS=8 python scripts/run_tfim_verify.py --length 12 --out out/tfim12
+  python scripts/run_tfim_verify.py --length 128 --t-max 6 --out out/tfim128
 
-Length 12 is a 4096-dimensional run; expect it to take a while on one core.
+The observables are single-site Z, so the sweep is the free-fermion one and
+needs no full Hamiltonian.  At 128 sites (124 observables, 61 times) the
+run takes about 6 s on 2 cores, most of it the series bound's chain tables;
+the sweep takes a tenth of a second.
 """
 
 from __future__ import annotations

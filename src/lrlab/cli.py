@@ -308,9 +308,13 @@ def _cmd_bound(cfg: RunConfig, args) -> int:
 
 
 def _run_sweep(cfg: RunConfig, model, op, oqs):
-    from .dynamics import commutator_norm_sweep
+    from .dynamics import commutator_norm_sweep, free_fermion_sweep
     from .lattice import occupation_projector_diagonal
 
+    o = cfg.observables
+    if model.name == "tfim" and o.op_pauli == o.oq_pauli == "Z":
+        # Exact and O(L^3); the TFIM has no boson sites to project.
+        return free_fermion_sweep(model, op, oqs, cfg.time_grid.times())
     projector = None
     if cfg.occupation_cap is not None:
         projector = occupation_projector_diagonal(model, cfg.occupation_cap)

@@ -1,11 +1,19 @@
-"""Exact Heisenberg dynamics on small systems, and checking bounds against it.
+"""Exact Heisenberg dynamics, and checking bounds against it.
 
-The sweep diagonalizes H once, sector by sector (`operators.decompose`, which
-also checks each sector's reconstruction), and walks the time grid with
-`operators.heisenberg_evolve`, which rotates only the blocks of O_P that are
-nonzero between two sectors.  A diagonal O_Q is embedded as its diagonal
-alone, any other O_Q sparsely, and its commutator norm takes the cheapest
-exact route its structure allows:
+Two sweeps give the same `SimulationSweep`.  `free_fermion_sweep` takes
+single-site Z observables on the TFIM through its free-fermion form: under
+Jordan-Wigner, Z_j and X_j X_{j+1} are Majorana bilinears, so each norm is a
+4x4 eigenproblem after one eigh of a 2L x 2L single-particle matrix, and the
+chain can have hundreds of sites.  `commutator_norm_sweep` takes any model
+and observables on the full Hilbert space, and is the free-fermion sweep's
+test oracle.
+
+The full-space sweep diagonalizes H once, sector by sector
+(`operators.decompose`, which also checks each sector's reconstruction),
+and walks the time grid with `operators.heisenberg_evolve`, which rotates
+only the blocks of O_P that are nonzero between two sectors.  A diagonal O_Q
+is embedded as its diagonal alone, any other O_Q sparsely, and its
+commutator norm takes the cheapest exact route its structure allows:
 
 * a diagonal O_Q with two distinct values q1, q2 (every Pauli Z) gives
   ||[A, Q]|| = |q1 - q2| ||P1 A P2|| for Hermitian A, the norm of one
@@ -34,7 +42,7 @@ from .lattice import (
     TwoFamilyHamiltonian,
     region_distance,
 )
-from .models import full_hamiltonian
+from .models import PAULI_Z, full_hamiltonian
 from .operators import (
     commutator,
     decompose,
@@ -166,30 +174,99 @@ def commutator_norm_sweep(
         groups = [np.intersect1d(g, kept) for g in groups]
 
     norms = []
-    seps = []
     for oq in oq_list:
-        seps.append(region_distance(model.graph, op_p.support, oq.support))
         if _is_diagonal(oq.payload):
             q = embed_diagonal(np.diagonal(oq.payload), oq.support.sites, dims)
         else:
             q = embed_sparse(oq.payload, oq.support.sites, dims)
         norms.append(_commutator_norm_fn(q, groups, kept))
 
-    points = []
     ts = tuple(float(t) for t in times)
-    for t, a_t in zip(ts, heisenberg_evolve(p_full, decomp, ts)):
-        for norm, oq, d in zip(norms, oq_list, seps):
-            points.append(SweepPoint(d=d, t=t, value=norm(a_t), oq=oq.label))
+    values = (
+        [norm(a_t) for norm in norms]
+        for a_t in heisenberg_evolve(p_full, decomp, ts)
+    )
+    return _sweep(model, op_p, oq_list, ts, values)
 
+
+def _sweep(model, op_p, oq_list, ts, values) -> SimulationSweep:
+    """The sweep with values[k][i] = ||[O_P(ts[k]), oq_list[i]]||."""
+    seps = tuple(
+        region_distance(model.graph, op_p.support, oq.support) for oq in oq_list
+    )
+    points = tuple(
+        SweepPoint(d=d, t=t, value=float(v), oq=oq.label)
+        for t, row in zip(ts, values)
+        for v, oq, d in zip(row, oq_list, seps)
+    )
     return SimulationSweep(
         model_name=model.name,
         op_label=op_p.label,
         oq_labels=tuple(oq.label for oq in oq_list),
-        separations=tuple(seps),
+        separations=seps,
         times=ts,
-        points=tuple(points),
+        points=points,
         hilbert_dim=model.hilbert_dim,
     )
+
+
+def _majorana_pair(x, y):
+    """-2 (x y^T - y x^T) for stacks of vectors x, y: the W of the bilinear
+    -i (x.c)(y.c) = (i/4) c^T W c, for x orthogonal to y."""
+    outer = x[..., :, None] * y[..., None, :]
+    return -2.0 * (outer - np.swapaxes(outer, -1, -2))
+
+
+def free_fermion_sweep(
+    model: TwoFamilyHamiltonian, op_p: Observable, oq_list, times
+) -> SimulationSweep:
+    """The sweep of `commutator_norm_sweep` for Z observables on the TFIM,
+    from its free-fermion form.
+
+    With the Majorana operators c_{2j} = (prod_{k<j} Z_k) X_j and
+    c_{2j+1} = (prod_{k<j} Z_k) Y_j, Z_j = -i c_{2j} c_{2j+1} and
+    X_j X_{j+1} = -i c_{2j+1} c_{2j+2}: every operator here is a bilinear
+    (i/4) c^T W c with W real antisymmetric.  H has h_{2j,2j+1} = -2g and
+    h_{2j+1,2j+2} = -2J, so c(t) = R(t) c with R(t) = e^{ht}, and Z_p(t) has
+    W_P(t) = R^T W_P R.  [Z_p(t), Z_q] is the bilinear of i[W_P(t), W_Q], and
+    its norm is a quarter of the sum of the absolute eigenvalues of
+    i[W_P(t), W_Q].  That matrix lives in the span of rows 2p and 2p+1 of R
+    and of e_{2q}, e_{2q+1}, so each point is a 4x4 eigenproblem in the
+    coordinates of these four vectors in an orthonormal basis of their span,
+    the triangular factor of their QR.  The cost is one eigh of the 2L x 2L
+    matrix ih, O(L^2) per time and O(L) per point, with no full Hamiltonian,
+    so chains of hundreds of sites are cheap.
+
+    Raises ValueError unless the model is the TFIM and O_P and every O_Q are
+    single-site Pauli Z.
+    """
+    if model.name != "tfim":
+        raise ValueError(f"free-fermion sweep needs the tfim, got {model.name!r}")
+    for obs in (op_p, *oq_list):
+        if len(obs.support.sites) != 1 or not np.array_equal(obs.payload, PAULI_Z):
+            raise ValueError(
+                f"free-fermion sweep needs single-site Pauli Z, got {obs.label!r}"
+            )
+    modes = 2 * model.graph.site_count
+    # h_{2j,2j+1} = -2g (fields), h_{2j+1,2j+2} = -2J (bonds).
+    h = np.diag(-2.0 * np.where(np.arange(modes - 1) % 2, model.h0, model.h1), 1)
+    lam, u = np.linalg.eigh(1j * (h - h.T))
+    ts = tuple(float(t) for t in times)
+    p = op_p.support.sites[0]
+    # Rows 2p, 2p+1 of R(t) = Re(U e^{-i lam t} U^dag), for every t: (T, 2, 2L).
+    phases = np.exp(-1j * np.multiply.outer(ts, lam))[:, None, :]
+    rows = ((u[2 * p : 2 * p + 2] * phases) @ u.conj().T).real
+    q_sites = np.array([oq.support.sites[0] for oq in oq_list], dtype=int)
+    e_q = np.eye(modes)[2 * q_sites[:, None] + [0, 1]]  # (n_Q, 2, 2L)
+    # (T, n_Q, 2L, 4): columns R[2p], R[2p+1], e_{2q}, e_{2q+1}.
+    basis = np.concatenate(
+        np.broadcast_arrays(rows[:, None], e_q[None]), axis=2
+    ).swapaxes(-1, -2)
+    r = np.linalg.qr(basis, mode="r")
+    w_p = _majorana_pair(r[..., :, 0], r[..., :, 1])
+    w_q = _majorana_pair(r[..., :, 2], r[..., :, 3])
+    values = 0.25 * np.abs(np.linalg.eigvalsh(1j * (w_p @ w_q - w_q @ w_p))).sum(-1)
+    return _sweep(model, op_p, oq_list, ts, values)
 
 
 @dataclass(frozen=True)

@@ -268,3 +268,50 @@ def test_cli_bound_scores_each_observable_at_equal_separation(tmp_path):
             assert float(r["value"]) == pytest.approx(expected, rel=1e-12)
         got[site] = float(mine[-1]["value"])
     assert got[1] > got[9]
+
+
+@pytest.mark.parametrize(
+    "pauli,extra,route",
+    [
+        ("Z", {}, "free_fermion_sweep"),
+        # The TFIM has no boson sites, so the cap changes nothing.
+        ("Z", {"occupation_cap": 1}, "free_fermion_sweep"),
+        ("X", {}, "commutator_norm_sweep"),
+    ],
+)
+def test_cli_takes_the_free_fermion_sweep_for_tfim_z_runs_only(
+    tmp_path, monkeypatch, pauli, extra, route
+):
+    from lrlab import dynamics
+
+    calls = []
+    for name in ("free_fermion_sweep", "commutator_norm_sweep"):
+        fn = getattr(dynamics, name)
+
+        def recorded(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, recorded)
+    raw = dict(GOOD, methods=["closed_form"], **extra)
+    raw["observables"] = dict(GOOD["observables"], op_pauli=pauli, oq_pauli=pauli)
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert calls == [route]
+
+
+def test_cli_verify_tfim_past_the_full_hamiltonian_cap(tmp_path, capsys):
+    # 128 sites is 2^128 dimensions; the free-fermion sweep needs 256 modes.
+    raw = {
+        "model": {"name": "tfim", "length": 128, "j": 1.0, "g": 1.0},
+        "observables": {"op_site": 0, "oq_sites": list(range(3, 40, 3))},
+        "time_grid": {"start": 0.0, "stop": 6.0, "points": 61},
+        "methods": ["closed_form", "series_exact_cn"],
+    }
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+    summary = json.loads((out / "verification.json").read_text())
+    assert summary["passed"]
+    assert summary["row_count"] == 2 * 13 * 61

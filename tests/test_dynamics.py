@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrlab.dynamics import (
@@ -15,12 +15,15 @@ from lrlab.dynamics import (
     commutator_norm_sweep,
     derivative_identity_check,
     extract_velocity,
+    free_fermion_sweep,
     verify_bound,
 )
 from lrlab.lattice import (
     LocalTerm,
     TwoFamilyHamiltonian,
     build_graph,
+    compute_bound_constants,
+    noncommuting_adjacency,
     observable_from_sites,
     region,
 )
@@ -251,6 +254,71 @@ def test_two_valued_route_groups_half_blocks_by_shape_against_dense_oracle():
     for point, expected in zip(sweep.points, oracle, strict=True):
         assert point.value >= expected - 1e-12
         assert abs(point.value - expected) <= 1e-11 * scale
+
+
+def _z(model, site):
+    return observable_from_sites(model, (site,), PAULI_Z, f"Z@{site}")
+
+
+# O_P sits at site p % length and O_Q on the sites set in q_mask (bit k for
+# site k) and on O_P's own, so the sets reach both sides of O_P.
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(2, 10),
+    j=st.floats(-4.0, 4.0),
+    g=st.floats(-4.0, 4.0),
+    p=st.integers(0, 9),
+    q_mask=st.integers(0, 2**10 - 1),
+    times=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=4),
+)
+@example(length=7, j=0.0, g=1.7, p=3, q_mask=0b1010101, times=[1.0, 4.0])
+@example(length=7, j=-2.3, g=0.0, p=3, q_mask=0b1010101, times=[1.0, 4.0])
+@example(length=10, j=0.8, g=-3.1, p=4, q_mask=2**10 - 1, times=[0.5, 4.0])
+def test_free_fermion_sweep_matches_structured_sweep(length, j, g, p, q_mask, times):
+    model = build_tfim(length, j=j, g=g)
+    p %= length
+    op = _z(model, p)
+    oqs = [_z(model, s) for s in range(length) if s == p or q_mask >> s & 1]
+    times = [0.0] + times
+    fast = free_fermion_sweep(model, op, oqs, times)
+    oracle = commutator_norm_sweep(model, op, oqs, times)
+    assert fast.model_name == oracle.model_name
+    assert fast.op_label == oracle.op_label
+    assert fast.oq_labels == oracle.oq_labels
+    assert fast.separations == oracle.separations
+    assert fast.times == oracle.times
+    assert fast.hilbert_dim == oracle.hilbert_dim
+    assert len(fast.points) == len(oracle.points)
+    for got, want in zip(fast.points, oracle.points):
+        assert (got.d, got.t, got.oq) == (want.d, want.t, want.oq)
+        assert abs(got.value - want.value) <= 1e-12
+
+
+def test_free_fermion_sweep_rejects_other_models_and_observables():
+    ising = build_commuting_ising(4)
+    with pytest.raises(ValueError, match="tfim"):
+        free_fermion_sweep(ising, _z(ising, 0), [_z(ising, 3)], (0.0, 1.0))
+    model = build_tfim(4)
+    x = observable_from_sites(model, (3,), PAULI_X, "X@3")
+    zz = observable_from_sites(model, (2, 3), np.kron(PAULI_Z, PAULI_Z), "ZZ")
+    two_z = observable_from_sites(model, (3,), 2.0 * PAULI_Z, "2Z@3")
+    for op, oq in ((x, _z(model, 0)), (_z(model, 0), x), (_z(model, 0), zz),
+                   (_z(model, 0), two_z)):
+        with pytest.raises(ValueError, match="Pauli Z"):
+            free_fermion_sweep(model, op, [_z(model, 1), oq], (0.0, 1.0))
+
+
+@pytest.mark.parametrize("j,g", [(1.0, 1.0), (1.0, 0.6)])
+def test_free_fermion_velocity_at_128_sites(j, g):
+    # The fastest quasiparticle of the TFIM moves at 2 min(J, g).
+    model = build_tfim(128, j=j, g=g)
+    oqs = [_z(model, d) for d in range(8, 65, 8)]
+    sweep = free_fermion_sweep(model, _z(model, 0), oqs, np.linspace(0.0, 40.0, 161))
+    v_emp = extract_velocity(sweep).v_emp
+    v_max = 2.0 * min(j, g)
+    assert 0.9 * v_max <= v_emp <= 1.2 * v_max
+    consts = compute_bound_constants(model, noncommuting_adjacency(model))
+    assert v_emp < consts.v_lr
 
 
 def test_sweep_rejects_a_projector_that_is_not_zero_one():

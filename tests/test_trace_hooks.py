@@ -3,8 +3,8 @@
 `perfbench/tracer.py` wraps lrlab functions by module and attribute name.  A
 name it cannot find only zeroes that layer's metrics, so a refactor that
 drops or moves a hooked name would otherwise go unnoticed.  The name checks
-only look the names up; they install nothing.  The worker checks run two tiny
-traced jobs through `perfbench/worker.py` in a subprocess, so a span's
+only look the names up; they install nothing.  The worker checks run three
+tiny traced jobs through `perfbench/worker.py` in a subprocess, so a span's
 attribute extractor that no longer fits its function's arguments fails here
 rather than in a benchmark sample.
 """
@@ -52,19 +52,38 @@ def test_hooked_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
 
 
-TFIM_CONFIG = {
-    "model": {"name": "tfim", "length": 6},
-    "observables": {"op_site": 0, "oq_sites": [3, 4]},
-    "time_grid": {"start": 0.0, "stop": 1.0, "points": 3},
-    "methods": ["closed_form", "series_exact_cn"],
+# `verify` (Z observables) takes the free-fermion sweep, `verify_x` (X
+# observables) the structured one.
+TFIM_CONFIGS = {
+    "verify": {
+        "model": {"name": "tfim", "length": 6},
+        "observables": {"op_site": 0, "oq_sites": [3, 4]},
+        "time_grid": {"start": 0.0, "stop": 1.0, "points": 3},
+        "methods": ["closed_form", "series_exact_cn"],
+    },
+    "verify_x": {
+        "model": {"name": "tfim", "length": 6},
+        "observables": {
+            "op_site": 0, "op_pauli": "X", "oq_sites": [3, 4], "oq_pauli": "X",
+        },
+        "time_grid": {"start": 0.0, "stop": 1.0, "points": 3},
+        "methods": ["closed_form"],
+    },
+}
+
+# The spans of the full-space route: the full H, its sectors, the sweep.
+FULL_SPACE_SPANS = {
+    name
+    for name, _, attr, _, _ in tracer.TARGETS
+    if attr in ("full_hamiltonian", "decompose", "commutator_norm_sweep")
 }
 
 
 def _job(kind: str, tmp_path: Path) -> dict:
     out = str(tmp_path / "out")
-    if kind == "verify":
+    if kind in TFIM_CONFIGS:
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(TFIM_CONFIG))
+        cfg.write_text(json.dumps(TFIM_CONFIGS[kind]))
         return {"kind": "cli", "argv": ["verify", "--config", str(cfg), "--out", out]}
     return {
         "kind": "script",
@@ -75,7 +94,11 @@ def _job(kind: str, tmp_path: Path) -> dict:
 
 @pytest.mark.parametrize(
     "kind,layers",
-    [("verify", {"lattice", "dynamics", "bounds"}), ("dicke", {"lattice", "bounds"})],
+    [
+        ("verify", {"lattice", "dynamics", "bounds"}),
+        ("dicke", {"lattice", "bounds"}),
+        ("verify_x", {"lattice", "dynamics", "bounds"}),
+    ],
 )
 def test_worker_traces_a_tiny_job(tmp_path, kind, layers):
     job = _job(kind, tmp_path)
@@ -94,8 +117,12 @@ def test_worker_traces_a_tiny_job(tmp_path, kind, layers):
     traced = {name.split(".")[0] for name, *_ in result["spans"]}
     assert layers <= traced
     metrics = tracer.layer_metrics(result["spans"])
-    assert metrics["lattice.adjacency_calls"] == (1 if kind == "verify" else 2)
+    assert metrics["lattice.adjacency_calls"] == (2 if kind == "dicke" else 1)
     if kind == "verify":
+        # A TFIM Z run builds no full H and never reaches the dense sweep.
+        assert len(FULL_SPACE_SPANS) == 3
+        assert not FULL_SPACE_SPANS & {name for name, *_ in result["spans"]}
+    if kind == "verify_x":
         # The sweep's norms go through the hooked `dynamics.spectral_norm`.
         assert metrics["dynamics.norm_s"] > 0
     if kind == "dicke":
