@@ -87,35 +87,6 @@ def closed_form_bound(consts: BoundConstants, t: float, d: int) -> float:
     return consts.Mtildetilde * math.exp(exponent)
 
 
-def optimize_lambda(consts: BoundConstants) -> tuple:
-    """Minimize the slope e^{lam/xi}/lam of the closed form over lam > 0.
-
-    Returns (lam_star, v_min); analytically lam_star = xi and v_min equals
-    BoundConstants.v_lr, so this doubles as a consistency check on the rate
-    algebra.
-    """
-    # Deferred: scipy.optimize adds about 0.25 s to a fresh process's start
-    # on a 2-core host, and only this check uses it.
-    from scipy.optimize import minimize_scalar
-
-    xi = consts.xi
-
-    def slope(lam: float) -> float:
-        return math.exp(lam / xi) / lam
-
-    res = minimize_scalar(
-        slope,
-        bounds=(xi * 1e-3, xi * 1e3),
-        method="bounded",
-        options={"xatol": xi * 1e-9},
-    )
-    lam_star = float(res.x)
-    v_min = 2.0 * consts.gamma * math.sqrt(
-        consts.h0 * consts.h1 * consts.K
-    ) * slope(lam_star)
-    return lam_star, v_min
-
-
 def observable_bound(
     consts: BoundConstants,
     conditions: ObservableConditions,

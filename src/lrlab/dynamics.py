@@ -22,7 +22,8 @@ commutator norm takes the cheapest exact route its structure allows:
   `spectral_norm` call per shape);
 * any other diagonal O_Q gives an elementwise product with the embedded
   diagonal;
-* a non-diagonal O_Q gives a sparse product.
+* a non-diagonal O_Q gives a sparse product, read as one column gather of
+  A per slot of O_Q's row-padded embedding (`operators.embed_sparse`).
 
 The diagonal routes work per sector when O_P stays inside the sectors, since
 A(t) and [A(t), Q] then do too; this is what keeps the 10-qubit acceptance
@@ -87,15 +88,21 @@ def _is_diagonal(m: np.ndarray) -> bool:
 def _commutator_norm_fn(q, groups, kept):
     """a -> ||[a, Q]|| for Hermitian `a` and Q, restricted to the basis
     indices `kept` (None: all of them).  `q` is the diagonal of a diagonal Q
-    (1-D), or the sparse embedding of any other Q.
+    (1-D), or the row-padded embedding (cols, vals) of any other Q.
 
     For a diagonal Q, `groups` are index sets, each a subset of `kept`, that
     `a` has no entry between; the norm is then the largest over the groups.
     """
-    if q.ndim != 1:
+    if isinstance(q, tuple):
+        cols, vals = q
+        vals = vals.conj()
 
         def sparse_norm(a):
-            b = (q.T @ a.T).T  # a @ Q, with the sparse factor on the left
+            # Q is Hermitian, so (a Q)[i, j] = sum_k a[i, k] conj(Q[j, k]):
+            # one column gather of `a` per slot of Q's row-padded form.
+            b = a[:, cols[:, 0]] * vals[:, 0]
+            for k in range(1, cols.shape[1]):
+                b += a[:, cols[:, k]] * vals[:, k]
             c = b - b.conj().T
             if kept is not None:
                 c = c[np.ix_(kept, kept)]

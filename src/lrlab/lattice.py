@@ -16,9 +16,9 @@ rate lambda lives in `BoundConstants.lam`, which must be positive and finite.
 All commutator norms are evaluated on the union of the supports involved,
 embedded locally; the full Hilbert space is never materialized here.  Small
 unions are embedded densely.  Large ones (a few spins with their boson modes
-reach thousands of dimensions) are embedded sparsely, and the commutator is
-split into the exact blocks of its sparsity pattern, whose largest norm is
-its norm.
+reach thousands of dimensions) take numpy's row-padded sparse form, one
+bracket level at a time, and the commutator is split into the exact blocks
+of its sparsity pattern, whose largest norm is its norm.
 """
 
 from __future__ import annotations
@@ -34,21 +34,27 @@ from .operators import (
     commutator,
     connected_components,
     embed_dense,
+    embed_rows,
     embed_sparse,
+    row_padded,
+    sparse_commutator,
     spectral_norm,
 )
 
 INTRA_FAMILY_TOL = 1e-10
 NONCOMMUTING_TOL = 1e-12
 
-# Largest union dimension whose commutator norm is taken densely.  The sparse
-# route costs 2.5-12 ms per norm at any size, mostly scipy.sparse overhead.
-# Dense, one norm on a 2-core host with OpenBLAS (1 thread / 2 threads):
-# dim 36 0.2-0.6 ms either way; dim 64 0.8-1.1 ms / 40-57 ms; dim 128
-# 2.7-4.4 ms / 64 ms; dim 256 16-25 ms / 50-70 ms; dim 2048 5.7 s.  From
-# about 48 dims OpenBLAS splits a product over both threads, which on a
-# loaded host stalls for tens of ms.  Every TFIM union (4 to 8 dims) stays
-# dense.
+# Largest union dimension whose commutator norm is taken densely.  One norm
+# on a 2-core host with OpenBLAS, medians of 21, on Dicke-chain brackets of
+# a term with a spin X or with the next term, with 1 and with 2 BLAS
+# threads: dims 4-50 take 0.05-0.42 ms dense and 0.47-0.77 ms sparse;
+# dims 72-128 0.8-2.9 ms dense and 1.1-1.8 ms sparse; a pair at dim 108
+# 2.5 ms dense on 1 thread but 48 ms on 2, and 0.76 ms sparse; dim 256
+# 17-20 ms dense and 0.9 ms sparse; dim 2048 3.6-5.6 s dense and 6 ms
+# sparse.  The routes break even near 80 dims, but from about 48 dims
+# OpenBLAS may split a complex product over both threads, which stalls for
+# tens of ms, so the threshold stays below that.  Every TFIM union (4 to 8
+# dims) stays dense.
 DENSE_UNION_MAX_DIM = 36
 
 
@@ -221,7 +227,7 @@ def occupation_projector_diagonal(
 
 def operator_norm_on_union(model, ops, projected: bool = False) -> float:
     """Spectral norm of the left-nested commutator [[ops[0], ops[1]], ...]
-    of the ops embedded on the union of their supports.
+    of two or more ops, embedded on the union of their supports.
 
     With `projected=True` the result is the interior-projected norm
     ||P C P|| where P removes the top retained Fock level of every boson
@@ -231,25 +237,20 @@ def operator_norm_on_union(model, ops, projected: bool = False) -> float:
     anti-Hermitian for an even number of ops and Hermitian for an odd one,
     and `spectral_norm` is told so.
 
-    Unions of at most DENSE_UNION_MAX_DIM dimensions are embedded densely.
-    Larger ones are embedded sparsely, and the nested commutator C is split
-    into the connected components of its sparsity pattern: after that
-    permutation C is block diagonal, so ||C|| is exactly the largest block
-    norm, and each block is small.  Only exact zeros are dropped: nothing
-    is approximated away, which could under-estimate.  The threshold exists
-    because scipy.sparse costs a few ms per call, more than a dense product
-    on a small union.
+    Unions of at most DENSE_UNION_MAX_DIM dimensions are embedded densely;
+    larger ones take `_block_norm`.
     """
     union = sorted(set().union(*(op.support.sites for op in ops)))
-    dims = [model.site_dims[s] for s in union]
-    pos = {s: k for k, s in enumerate(union)}
-    dense = math.prod(dims) <= DENSE_UNION_MAX_DIM
-    embed = embed_dense if dense else embed_sparse
-    mats = [embed(op.payload, [pos[s] for s in op.support.sites], dims) for op in ops]
     keep = occupation_projector_diagonal(model, sites=union) if projected else None
     structure = "hermitian" if len(ops) % 2 else "antihermitian"
-    if not dense:
-        return _block_norm(mats, keep, structure)
+    dims = [model.site_dims[s] for s in union]
+    if math.prod(dims) > DENSE_UNION_MAX_DIM:
+        return _block_norm(model, ops, keep, structure)
+    pos = {s: k for k, s in enumerate(union)}
+    mats = [
+        embed_dense(op.payload, [pos[s] for s in op.support.sites], dims)
+        for op in ops
+    ]
     out = mats[0]
     for mat in mats[1:]:
         out = commutator(out, mat)
@@ -258,33 +259,49 @@ def operator_norm_on_union(model, ops, projected: bool = False) -> float:
     return spectral_norm(out, structure=structure)
 
 
-def _block_norm(mats, keep, structure) -> float:
-    """The sparse, block-wise route of `operator_norm_on_union`, on the
-    sparse embeddings `mats` and the projector diagonal `keep` (or None);
-    each block keeps the bracket's `structure`.
+def _block_norm(model, ops, keep, structure) -> float:
+    """The sparse, block-wise route of `operator_norm_on_union`, with the
+    projector diagonal `keep` on the union (or None); each block keeps the
+    bracket's `structure`.
 
-    The bracket is written with `@` and `-` rather than `commutator`, and
-    only dense blocks reach `spectral_norm`: the benchmark's tracer hooks
+    The bracket is taken one level at a time, in the row-padded form of
+    `operators.embed_sparse`, on the union of that level's own supports:
+    for [[a, b], c], [a, b] on S_a | S_b, which is then scattered into
+    S_a | S_b | S_c through the index grid and bracketed with c there.  Only
+    exact zeros are dropped: nothing is approximated away, which could
+    under-estimate.  The result C is split into the connected components of
+    its sparsity pattern: after that permutation C is block diagonal, so
+    ||C|| is exactly the largest block norm, and each block is small.
+
+    Only dense blocks reach `spectral_norm`: the benchmark's tracer hooks
     this module's `commutator` and `spectral_norm` and sizes each call with
-    `len()` of its first argument, which a sparse matrix does not support.
+    `len()` of its first argument.
     """
-    # Deferred: a fresh process on a 2-core host takes about 0.25 s to import
-    # scipy.sparse on top of numpy's 0.17 s (medians of 9), which runs that
-    # never leave the dense route (every TFIM run) should not pay.
-    import scipy.sparse as sp
-
-    out = mats[0]
-    for mat in mats[1:]:
-        out = out @ mat - mat @ out
+    sites = list(ops[0].support.sites)
+    dims = [model.site_dims[s] for s in sites]
+    out = embed_sparse(ops[0].payload, range(len(sites)), dims)
+    for depth, op in enumerate(ops[1:], start=2):
+        last = depth == len(ops)
+        level = sorted(set(sites) | set(op.support.sites))
+        dims = [model.site_dims[s] for s in level]
+        pos = {s: k for k, s in enumerate(level)}
+        if level != sites:
+            out = embed_rows(*out, [pos[s] for s in sites], dims)
+        mat = embed_sparse(op.payload, [pos[s] for s in op.support.sites], dims)
+        # P C P keeps only the kept rows of the last level's C ...
+        kept = np.flatnonzero(keep) if last and keep is not None else None
+        rows, cols, vals = sparse_commutator(out, mat, kept)
+        if vals.size == 0:
+            return 0.0  # and [0, c] = 0 at every later level
+        if not last:
+            out, sites = row_padded(rows, cols, vals, math.prod(dims)), level
     if keep is not None:
-        keep = sp.diags(keep)
-        out = keep @ out @ keep
-    out = sp.coo_matrix(out)
-    out.sum_duplicates()  # the scatter into `flat` needs one entry per position
-    out.eliminate_zeros()
-    if out.nnz == 0:
-        return 0.0
-    n_blocks, labels = connected_components(out.row, out.col, out.shape[0])
+        # ... and only its kept columns.
+        inside = keep[cols] != 0
+        rows, cols, vals = rows[inside], cols[inside], vals[inside]
+        if vals.size == 0:
+            return 0.0
+    n_blocks, labels = connected_components(rows, cols, math.prod(dims))
     # Lay the blocks out densely, one after another, in a flat buffer: block
     # b is the sizes[b] x sizes[b] row-major slab starting at offsets[b].
     sizes = np.bincount(labels, minlength=n_blocks)
@@ -293,9 +310,9 @@ def _block_norm(mats, keep, structure) -> float:
     rank = np.empty_like(labels)
     rank[np.argsort(labels, kind="stable")] = np.arange(labels.size)
     local = rank - first[labels]  # position of each index inside its block
-    block = labels[out.row]
-    flat = np.zeros(int((sizes * sizes).sum()), dtype=out.dtype)
-    flat[offsets[block] + local[out.row] * sizes[block] + local[out.col]] = out.data
+    block = labels[rows]
+    flat = np.zeros(int((sizes * sizes).sum()), dtype=vals.dtype)
+    flat[offsets[block] + local[rows] * sizes[block] + local[cols]] = vals
     # A 1x1 block is its own norm.
     best = float(np.abs(flat[offsets[sizes == 1]]).max(initial=0.0))
     for b in np.flatnonzero(sizes > 1):

@@ -1,9 +1,9 @@
 """Operator algebra on finite tensor-product Hilbert spaces.
 
-Embedding local operators into a labeled product space (dense, sparse as
-CSR, or only the diagonal), commutators, spectral norms, connected-component
-labelling, a checked Hermitian eigendecomposition, and the one
-Heisenberg-evolution routine.
+Embedding local operators into a labeled product space (dense, row-padded
+sparse, or only the diagonal), commutators (dense, and sparse on the
+row-padded form), spectral norms, connected-component labelling, a checked
+Hermitian eigendecomposition, and the one Heisenberg-evolution routine.
 
 The basis order is owned by one index grid (`_index_grid`), and every
 embedding is a scatter through it.  Site 0 is the first (leftmost) Kronecker
@@ -22,9 +22,11 @@ it by construction, rather than guessing it from the entries, and reads every
 norm from one Hermitian eigvalsh; no SVD is taken here (the tests keep it as
 the oracle).
 
-Only numpy is imported at module level.  scipy.sparse is imported inside
-`embed_sparse`, the one function here that needs it, so a run whose operators
-all stay dense never loads scipy.
+The sparse form is numpy's own, row-padded: an n x n matrix is a pair
+(cols, vals) of (n, w) arrays, row r holding the entries vals[r, s] at
+columns cols[r, s], padded with exact zeros to the width w of the fullest
+row.  A product gathers whole rows (`sparse_commutator`), so nothing here
+needs scipy: numpy is the only import.
 """
 
 from __future__ import annotations
@@ -110,16 +112,122 @@ def embed_dense(payload, op_sites, site_dims) -> np.ndarray:
 
 
 def embed_sparse(payload, op_sites, site_dims):
-    """Sparse version of `embed_dense` (a scipy CSR matrix), for operators
-    used only in products."""
-    import scipy.sparse as sp
+    """Row-padded version of `embed_dense`, for operators used only in
+    products: (cols, vals), each of shape (n, w), with entry
+    [r, cols[r, k]] = vals[r, k] and w the largest nonzero count of a
+    payload row.
 
+    Each row lists its nonzeros in increasing column order, then exact zeros
+    in columns distinct from them and from each other, so the form scatters
+    into a dense matrix by assignment.
+    """
     payload = np.asarray(payload)
-    grid = _index_grid(payload.shape, op_sites, site_dims)
-    i, j = np.nonzero(payload)
-    data = np.tile(payload[i, j], grid.shape[0])
-    rows, cols = grid[:, i].reshape(-1), grid[:, j].reshape(-1)
-    return sp.csr_matrix((data, (rows, cols)), shape=(grid.size, grid.size))
+    # Nonzeros first, in column order (a stable sort), then the zero columns.
+    order = np.argsort(payload == 0, axis=1, kind="stable")
+    width = int(np.count_nonzero(payload, axis=1).max(initial=0))
+    order = order[:, :width]
+    vals = np.take_along_axis(payload, order, axis=1)
+    return embed_rows(order, vals, op_sites, site_dims)
+
+
+def embed_rows(cols, vals, op_sites, site_dims):
+    """Embed the row-padded payload (cols, vals), acting on the sorted sites
+    `op_sites`, into the full space, row-padded; see `embed_sparse`."""
+    cols, vals = np.asarray(cols), np.asarray(vals)
+    grid = _index_grid((len(cols), len(cols)), op_sites, site_dims)
+    out_cols = np.empty((grid.size, cols.shape[1]), dtype=np.intp)
+    out_vals = np.empty((grid.size, cols.shape[1]), dtype=vals.dtype)
+    out_cols[grid] = grid[:, cols]
+    out_vals[grid] = vals
+    return out_cols, out_vals
+
+
+def sparse_commutator(a, b, rows=None):
+    """COO (rows, cols, vals) of [A, B] for two row-padded matrices: sorted
+    by row, then column, one entry per position, no exact zeros.  `rows`
+    (sorted basis indices, default all) restricts it to those rows.
+
+    Row r of AB is the sum over r's slots s of a_vals[r, s] times row
+    a_cols[r, s] of B: one gather of B's rows, and likewise for BA.  As in
+    `a @ b - b @ a`, each entry sums its AB terms and its BA terms apart,
+    left to right, and then subtracts.
+    """
+    (ac, av), (bc, bv) = a, b
+    if rows is None:
+        rows = np.arange(len(ac))
+        (rac, rav), (rbc, rbv) = a, b
+    else:  # the left factor's rows; the right factor's are gathered whole
+        rac, rav = np.take(ac, rows, axis=0), np.take(av, rows, axis=0)
+        rbc, rbv = np.take(bc, rows, axis=0), np.take(bv, rows, axis=0)
+    n, k = len(rows), ac.shape[1] * bc.shape[1]
+    if k == 0:
+        return rows[:0], rows[:0], np.zeros(0, np.result_type(av, bv))
+    # A row's 2k terms: AB's k (in slot order) first, then BA's.  Each
+    # term's column is packed above its index, so one sort per row orders
+    # the terms by column, and by index among equal columns.
+    bits = (2 * k - 1).bit_length()
+    terms = np.concatenate(
+        [
+            np.take(bc, rac, axis=0).reshape(n, k),
+            np.take(ac, rbc, axis=0).reshape(n, k),
+        ],
+        axis=1,
+    )
+    terms <<= bits
+    terms |= np.arange(2 * k)
+    terms.sort(axis=1)
+    cols = (terms >> bits).reshape(-1)
+    index = terms & ((1 << bits) - 1)
+    vals = np.concatenate(
+        [
+            (rav[:, :, None] * np.take(bv, rac, axis=0)).reshape(n, k),
+            (-rbv[:, :, None] * np.take(av, rbc, axis=0)).reshape(n, k),
+        ],
+        axis=1,
+    )
+    side = (index >= k).reshape(-1)
+    index += np.arange(0, 2 * k * n, 2 * k)[:, None]  # flat positions
+    vals = vals.reshape(-1)[index.reshape(-1)]
+    # An entry is a run of equal columns in a row; its AB part and its BA
+    # part are summed apart, then added.
+    entry = np.empty(cols.size, dtype=bool)
+    np.not_equal(cols[1:], cols[:-1], out=entry[1:])
+    entry[:: 2 * k] = True
+    part = entry.copy()
+    part[1:] |= side[1:] != side[:-1]
+    first = np.flatnonzero(part)
+    starts = np.flatnonzero(entry[first])
+    sums = _run_sums(_run_sums(vals, first), starts)
+    nonzero = sums != 0
+    first = first[starts[nonzero]]
+    return rows[first // (2 * k)], cols[first], sums[nonzero]
+
+
+def _run_sums(vals, first):
+    """The sum of each run vals[first[i]:first[i + 1]], left to right;
+    first[0] is 0.  Most runs are short, so the loop runs over positions
+    within a run, each step over the runs still that long."""
+    length = np.diff(first, append=vals.size)
+    sums = vals[first]
+    longer = np.flatnonzero(length > 1)
+    j = 1
+    while longer.size:
+        sums[longer] += vals[first[longer] + j]
+        j += 1
+        longer = longer[length[longer] > j]
+    return sums
+
+
+def row_padded(rows, cols, vals, n):
+    """The row-padded form of an n x n matrix from COO data sorted by row
+    with one entry per position; padding slots hold 0 in column 0."""
+    counts = np.bincount(rows, minlength=n)
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    out_cols = np.zeros((n, int(counts.max(initial=0))), dtype=np.intp)
+    out_vals = np.zeros(out_cols.shape, dtype=vals.dtype)
+    out_cols[rows, slot] = cols
+    out_vals[rows, slot] = vals
+    return out_cols, out_vals
 
 
 def embed_diagonal(diag, op_sites, site_dims) -> np.ndarray:

@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lambda_optimum import optimize_lambda
 from lrlab import cli
 from lrlab.bounds import (
     bounded_term_check,
     closed_form_bound,
     observable_bound,
-    optimize_lambda,
     series_bound,
     series_terms_needed,
 )

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_optimum import optimize_lambda
 from lrlab.bounds import (
     _tail_remainder,
     bounded_reference_bound,
     bounded_term_check,
     closed_form_bound,
     observable_bound,
-    optimize_lambda,
     series_bound,
     series_terms_needed,
 )

@@ -104,6 +104,38 @@ def test_sweep_oq_agrees_with_direct(model, op_sites, op_payload, oq_sites, oq_p
     assert sweep.points[0].value == pytest.approx(expected, abs=1e-11)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["tfim", "dicke"]), st.integers(0, 2**32 - 1))
+def test_sweep_dense_two_site_oq_matches_dense_oracle(kind, seed):
+    # A random dense Hermitian O_Q on two random sites, so every row of its
+    # row-padded embedding has several nonzeros, against spectral_norm of the
+    # commutator with embed_dense(O_Q).
+    rng = np.random.default_rng(seed)
+    model = build_tfim(4) if kind == "tfim" else _DICKE
+    dims = list(model.site_dims)
+    sites = tuple(sorted(int(s) for s in rng.choice(len(dims), 2, replace=False)))
+    oq = observable_from_sites(
+        model, sites, _random_hermitian(rng, dims[sites[0]] * dims[sites[1]]), "Q"
+    )
+    # O_P on one of O_Q's sites: the norms are not all zero.
+    op = observable_from_sites(
+        model, sites[:1], _random_hermitian(rng, dims[sites[0]]), "P"
+    )
+    times = (0.0, 0.45, 1.1)
+    sweep = commutator_norm_sweep(model, op, [oq], times)
+    dec = decompose(full_hamiltonian(model))
+    p_full = embed_dense(op.payload, op.support.sites, dims)
+    q_full = embed_dense(oq.payload, oq.support.sites, dims)
+    expected = [
+        spectral_norm(commutator(a_t, q_full))
+        for a_t in heisenberg_evolve(p_full, dec, times)
+    ]
+    scale = spectral_norm(op.payload) * spectral_norm(oq.payload)
+    assert max(expected) > 1e-3 * scale  # the comparison is not between zeros
+    for point, value in zip(sweep.points, expected, strict=True):
+        assert abs(point.value - value) <= 1e-11 * scale
+
+
 def _dense_sweep_oracle(model, op, oqs, times, projector_diag=None):
     """The full-space route: one eigh of all of H, the full rotation, and the
     SVD of the full commutator.  Shares nothing with `decompose` or the

@@ -1,11 +1,14 @@
-"""Each run imports only the scipy modules its code path calls.
+"""No run imports scipy.
 
 scipy.sparse, scipy.sparse.csgraph and scipy.optimize each add a quarter of a
 second or so to a fresh process's start, more than the arithmetic of a small
-run.  Each case runs in a fresh subprocess and reads `sys.modules` at its
-end: a TFIM `verify` stays on dense numpy and loads no scipy at all, and the
-truncation study, which takes its large commutator norms sparsely, loads
-scipy.sparse but neither the graph routines nor the optimizer.
+run, and the package needs none of them: the large spin-boson commutator
+norms and a non-diagonal `O_Q` in the sweep take numpy's row-padded sparse
+form.  Each case runs in a fresh subprocess and reads `sys.modules` at its
+end: a TFIM `verify` with `Z` observables (the free-fermion sweep), one with
+`X` observables (the structured sweep, whose `O_Q` is not diagonal), the
+truncation study (sparse union norms), and the truncation study with
+`--occupation-cap` (spin `X` observables in the sweep).
 """
 
 from __future__ import annotations
@@ -37,28 +40,40 @@ with open(out, "w") as f:
     json.dump({"rc": rc, "modules": sorted(sys.modules)}, f)
 """
 
+TFIM_X_CONFIG = {
+    "model": {"name": "tfim", "length": 5},
+    "observables": {
+        "op_site": 0, "op_pauli": "X", "oq_sites": [3, 4], "oq_pauli": "X",
+    },
+    "time_grid": {"start": 0.0, "stop": 1.0, "points": 3},
+    "methods": ["closed_form"],
+}
+
+TRUNCATION = str(REPO_ROOT / "scripts" / "run_dicke_truncation.py")
+
+# "{config}" stands for TFIM_X_CONFIG written to a file.
 CASES = {
     "tfim_verify": (
         "cli",
         ["verify", "--config", str(REPO_ROOT / "configs" / "tfim_small.json")],
-        {"scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse", "scipy"},
-        set(),
     ),
+    "tfim_verify_x": ("cli", ["verify", "--config", "{config}"]),
     "dicke_truncation": (
+        "script", [TRUNCATION, "--length", "3", "--truncations", "2", "3"],
+    ),
+    "dicke_occupation_cap": (
         "script",
-        [
-            str(REPO_ROOT / "scripts" / "run_dicke_truncation.py"),
-            "--length", "3", "--truncations", "2", "3",
-        ],
-        {"scipy.optimize", "scipy.sparse.csgraph"},
-        {"scipy.sparse"},
+        [TRUNCATION, "--length", "3", "--truncations", "2", "--occupation-cap", "1"],
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_imports_only_the_scipy_it_uses(tmp_path, case):
-    kind, argv, absent, present = CASES[case]
+    kind, argv = CASES[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TFIM_X_CONFIG))
+    argv = [str(config) if arg == "{config}" else arg for arg in argv]
     result = tmp_path / "modules.json"
     env = dict(
         os.environ,
@@ -76,7 +91,6 @@ def test_run_imports_only_the_scipy_it_uses(tmp_path, case):
     run = json.loads(result.read_text())
     assert run["rc"] == 0
     modules = set(run["modules"])
-    assert "lrlab.lattice" in modules
-    assert not absent & modules
     # The check sees modules imported inside functions too.
-    assert present <= modules
+    assert "lrlab.lattice" in modules
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}

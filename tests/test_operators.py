@@ -21,6 +21,8 @@ from lrlab.operators import (
     embed_diagonal,
     embed_sparse,
     heisenberg_evolve,
+    row_padded,
+    sparse_commutator,
     spectral_norm,
 )
 
@@ -109,7 +111,54 @@ def test_embed_sparse_matches_dense(seed):
     a *= rng.random((d, d)) < rng.choice([0.2, 0.5, 1.0])
     expected = _embedding_oracle(a, sites, dims)
     np.testing.assert_array_equal(embed_dense(a, sites, dims), expected)
-    np.testing.assert_array_equal(embed_sparse(a, sites, dims).toarray(), expected)
+    cols, vals = embed_sparse(a, sites, dims)
+    assert cols.shape[1] == np.count_nonzero(expected, axis=1).max(initial=0)
+    # Distinct columns per row, so scattering by assignment loses no entry.
+    ordered = np.sort(cols, axis=1)
+    assert (ordered[:, 1:] != ordered[:, :-1]).all()
+    scattered = np.zeros_like(expected)
+    scattered[np.arange(len(cols))[:, None], cols] = vals
+    np.testing.assert_array_equal(scattered, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sparse_commutator_matches_dense(seed):
+    # Random sparse complex matrices up to 40 x 40 with some empty rows,
+    # sometimes restricted to a random subset of the rows; sometimes the
+    # commuting pair b = 2a, whose AB and BA terms agree one by one, so that
+    # every entry cancels exactly.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 41))
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a *= rng.random((n, n)) < rng.choice([0.05, 0.2, 0.6])
+    commuting = rng.random() < 0.3
+    if commuting:
+        b = 2.0 * a
+    else:
+        b = rng.normal(size=(n, n)) * (rng.random((n, n)) < rng.choice([0.05, 0.3]))
+    rows = np.flatnonzero(rng.random(n) < 0.6) if rng.random() < 0.5 else None
+    r, c, v = sparse_commutator(
+        embed_sparse(a, (0,), (n,)), embed_sparse(b, (0,), (n,)), rows
+    )
+    if commuting:
+        assert v.size == 0
+    # Sorted by row, then column, one entry per position, no exact zeros.
+    assert (np.diff(r * n + c) > 0).all()
+    assert (v != 0).all()
+    expected = commutator(a, b)
+    if rows is not None:
+        expected[np.setdiff1d(np.arange(n), rows)] = 0
+    got = np.zeros_like(expected)
+    got[r, c] = v
+    scale = max(1.0, float(np.abs(a).max() * np.abs(b).max()) * n)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * scale)
+    # The row-padded form holds the same matrix, as wide as its fullest row.
+    cols, vals = row_padded(r, c, v, n)
+    assert cols.shape[1] == np.bincount(r, minlength=n).max(initial=0)
+    again = np.zeros_like(expected)
+    np.add.at(again, (np.arange(n)[:, None], cols), vals)
+    np.testing.assert_array_equal(again, got)
 
 
 @settings(max_examples=40, deadline=None)
