@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import MODEL_PARAMS, ConfigError, RunConfig, parse_config
 from .operators import NumericalError
 from .reporting import write_csv, write_json
 
@@ -53,14 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The ModelConfig fields each model's builder takes.
-_MODEL_PARAMS = {
-    "tfim": ("j", "g"),
-    "commuting_ising": ("j",),
-    "dicke_chain": ("h", "truncation"),
-}
-
-
 def _setup(cfg: RunConfig, args, constants: bool = True):
     """(model, adjacency, constants) for one command.
 
@@ -72,7 +64,7 @@ def _setup(cfg: RunConfig, args, constants: bool = True):
     from .models import build_model
 
     m = cfg.model
-    params = {key: getattr(m, key) for key in _MODEL_PARAMS[m.name]}
+    params = {key: getattr(m, key) for key in MODEL_PARAMS[m.name]}
     model = build_model(m.name, m.length, **params)
     if not constants:
         return model, None, None

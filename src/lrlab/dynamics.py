@@ -11,25 +11,23 @@ test oracle.
 The full-space sweep diagonalizes H once, sector by sector
 (`operators.decompose`, which also checks each sector's reconstruction),
 and walks the time grid with `operators.heisenberg_evolve`, which rotates
-only the blocks of O_P that are nonzero between two sectors.  A diagonal O_Q
-is embedded as its diagonal alone, any other O_Q sparsely, and its
-commutator norm takes the cheapest exact route its structure allows:
+only the blocks of O_P that are nonzero between two sectors.  The commutator
+norm with O_Q takes one of two exact routes:
 
-* a diagonal O_Q with two distinct values q1, q2 (every Pauli Z) gives
-  ||[A, Q]|| = |q1 - q2| ||P1 A P2|| for Hermitian A, the norm of one
-  off-diagonal block read from the largest eigenvalue of its Gram matrix
-  (per sector, with the sectors' blocks stacked by shape into one
-  `spectral_norm` call per shape);
-* any other diagonal O_Q gives an elementwise product with the embedded
-  diagonal;
-* a non-diagonal O_Q gives a sparse product, read as one column gather of
-  A per slot of O_Q's row-padded embedding (`operators.embed_sparse`).
+* a diagonal O_Q with two distinct values q1, q2 (every Pauli Z) is embedded
+  as its diagonal alone and gives ||[A, Q]|| = |q1 - q2| ||P1 A P2|| for
+  Hermitian A, the norm of one off-diagonal block read from the largest
+  eigenvalue of its Gram matrix.  It works per sector when O_P stays inside
+  the sectors, since A(t) and [A(t), Q] then do too, with the sectors'
+  blocks stacked by shape into one `spectral_norm` call per shape; this is
+  what keeps the 10-qubit acceptance sweeps inside their budgets with room
+  to spare;
+* any other O_Q is embedded sparsely and gives a sparse product, read as one
+  column gather of A per slot of O_Q's row-padded embedding
+  (`operators.embed_sparse`).
 
-The diagonal routes work per sector when O_P stays inside the sectors, since
-A(t) and [A(t), Q] then do too; this is what keeps the 10-qubit acceptance
-sweeps inside their budgets with room to spare.  Every point carries the
-label of its O_Q, so two observables at the same separation are scored
-against their own bounds.
+Every point carries the label of its O_Q, so two observables at the same
+separation are scored against their own bounds.
 """
 
 from __future__ import annotations
@@ -81,14 +79,16 @@ class SimulationSweep:
         return tuple(t for t, _ in pts), tuple(v for _, v in pts)
 
 
-def _is_diagonal(m: np.ndarray) -> bool:
-    return np.count_nonzero(m - np.diag(np.diagonal(m))) == 0
+def _two_valued_diagonal(m: np.ndarray) -> bool:
+    d = np.diagonal(m)
+    return np.count_nonzero(m - np.diag(d)) == 0 and len(np.unique(d)) == 2
 
 
 def _commutator_norm_fn(q, groups, kept):
     """a -> ||[a, Q]|| for Hermitian `a` and Q, restricted to the basis
     indices `kept` (None: all of them).  `q` is the diagonal of a diagonal Q
-    (1-D), or the row-padded embedding (cols, vals) of any other Q.
+    with two distinct values (1-D), or the row-padded embedding (cols, vals)
+    of any other Q.
 
     For a diagonal Q, `groups` are index sets, each a subset of `kept`, that
     `a` has no entry between; the norm is then the largest over the groups.
@@ -96,6 +96,8 @@ def _commutator_norm_fn(q, groups, kept):
     if isinstance(q, tuple):
         cols, vals = q
         vals = vals.conj()
+        if not cols.shape[1]:  # Q = 0
+            return lambda a: 0.0
 
         def sparse_norm(a):
             # Q is Hermitian, so (a Q)[i, j] = sum_k a[i, k] conj(Q[j, k]):
@@ -109,38 +111,27 @@ def _commutator_norm_fn(q, groups, kept):
             return spectral_norm(c, structure="antihermitian")
 
         return sparse_norm
+    # Q = q1 P1 + q2 P2, so [A, Q] has only the off-diagonal blocks
+    # (q2 - q1) P1 A P2 and its adjoint: ||[A, Q]|| = |q1 - q2| ||P1 A P2||.
+    # The nonempty half blocks, one per group, are stacked by shape, so
+    # each shape costs one gather and one norm.
     values = np.unique(q)
-    if len(values) == 2:
-        # Q = q1 P1 + q2 P2, so [A, Q] has only the off-diagonal blocks
-        # (q2 - q1) P1 A P2 and its adjoint: ||[A, Q]|| = |q1 - q2| ||P1 A P2||.
-        # The nonempty half blocks, one per group, are stacked by shape, so
-        # each shape costs one gather and one norm.
-        gap = float(abs(values[1] - values[0]))
-        by_shape = {}
-        for g in groups:
-            rows, cols = g[q[g] == values[0]], g[q[g] == values[1]]
-            if rows.size and cols.size:
-                by_shape.setdefault((rows.size, cols.size), []).append((rows, cols))
-        stacks = [
-            (
-                np.stack([rows for rows, _ in pairs])[:, :, None],
-                np.stack([cols for _, cols in pairs])[:, None, :],
-            )
-            for pairs in by_shape.values()
-        ]
-        return lambda a: gap * max(
-            (spectral_norm(a[rows, cols]) for rows, cols in stacks), default=0.0
+    gap = float(abs(values[1] - values[0]))
+    by_shape = {}
+    for g in groups:
+        rows, cols = g[q[g] == values[0]], g[q[g] == values[1]]
+        if rows.size and cols.size:
+            by_shape.setdefault((rows.size, cols.size), []).append((rows, cols))
+    stacks = [
+        (
+            np.stack([rows for rows, _ in pairs])[:, :, None],
+            np.stack([cols for _, cols in pairs])[:, None, :],
         )
-    parts = [(np.ix_(g, g), q[g]) for g in groups]
-
-    def elementwise_norm(a):
-        best = 0.0
-        for ix, qg in parts:
-            c = a[ix] * (qg[None, :] - qg[:, None])  # [A, Q]_ij = A_ij (q_j - q_i)
-            best = max(best, spectral_norm(c, structure="antihermitian"))
-        return best
-
-    return elementwise_norm
+        for pairs in by_shape.values()
+    ]
+    return lambda a: gap * max(
+        (spectral_norm(a[rows, cols]) for rows, cols in stacks), default=0.0
+    )
 
 
 def commutator_norm_sweep(
@@ -182,7 +173,7 @@ def commutator_norm_sweep(
 
     norms = []
     for oq in oq_list:
-        if _is_diagonal(oq.payload):
+        if _two_valued_diagonal(oq.payload):
             q = embed_diagonal(np.diagonal(oq.payload), oq.support.sites, dims)
         else:
             q = embed_sparse(oq.payload, oq.support.sites, dims)

@@ -315,3 +315,42 @@ def test_cli_verify_tfim_past_the_full_hamiltonian_cap(tmp_path, capsys):
     summary = json.loads((out / "verification.json").read_text())
     assert summary["passed"]
     assert summary["row_count"] == 2 * 13 * 61
+
+
+# json.loads reads NaN and Infinity, and the schema cannot see them: each of
+# these once ran, to a FAIL, a PASS, NaN margins or an uncertified series.
+@pytest.mark.parametrize(
+    "key,literal",
+    [
+        ("slack", "NaN"),
+        ("series_tol", "NaN"),
+        ("bound_scale", "Infinity"),
+        ("time_grid", '{"stop": Infinity}'),
+        ("threshold", "1e400"),
+    ],
+)
+def test_cli_non_finite_number_exits_2(tmp_path, capsys, key, literal):
+    text = json.dumps(GOOD)[:-1] + f', "{key}": {literal}}}'
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_key_of_another_model_rejected(tmp_path, capsys):
+    raw = dict(GOOD, model={"name": "tfim", "length": 5, "h": 0.5, "truncation": 7})
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert (
+        "config invalid at 'model/h': model 'tfim' takes no 'h'"
+        in capsys.readouterr().err
+    )
+
+
+def test_repeated_oq_site_rejected(tmp_path, capsys):
+    raw = dict(GOOD, observables=dict(GOOD["observables"], oq_sites=[3, 3]))
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "observables/oq_sites" in capsys.readouterr().err

@@ -75,8 +75,8 @@ def test_sweep_matches_direct_computation(tfim5_sweep):
 _DICKE = build_dicke_chain(2, truncation=3)  # site dims (3, 2, 3, 2)
 
 
-# The number operator on mode 1 is diagonal and takes the sweep's elementwise
-# path; the Pauli X and the quadrature take the sparse one.
+# The number operator on mode 1 is diagonal with three distinct values, so
+# like the Pauli X and the quadrature it takes the sweep's sparse route.
 @pytest.mark.parametrize(
     "model,op_sites,op_payload,oq_sites,oq_payload",
     [

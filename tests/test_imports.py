@@ -1,14 +1,18 @@
-"""No run imports scipy.
+"""A run loads no third-party package but numpy.
 
-scipy.sparse, scipy.sparse.csgraph and scipy.optimize each add a quarter of a
-second or so to a fresh process's start, more than the arithmetic of a small
-run, and the package needs none of them: the large spin-boson commutator
-norms and a non-diagonal `O_Q` in the sweep take numpy's row-padded sparse
-form.  Each case runs in a fresh subprocess and reads `sys.modules` at its
-end: a TFIM `verify` with `Z` observables (the free-fermion sweep), one with
-`X` observables (the structured sweep, whose `O_Q` is not diagonal), the
-truncation study (sparse union norms), and the truncation study with
-`--occupation-cap` (spin `X` observables in the sweep).
+A fresh process pays for every package it imports: scipy.sparse, csgraph
+and optimize each added a quarter of a second or so to a run's start, and
+jsonschema with its eight dependencies about a tenth, more than the
+arithmetic of a small run.  The package needs none of them: the large
+spin-boson commutator norms and a non-diagonal `O_Q` in the sweep take
+numpy's row-padded sparse form, and `config` walks its own schema.  Each
+case runs in a fresh subprocess and reads `sys.modules` at its end, against
+the modules a bare interpreter loads (`site` may bring in packages of its
+own): a TFIM `verify` with `Z` observables (the free-fermion sweep), one
+with `X` observables (the structured sweep, whose `O_Q` is not diagonal),
+the `Z` run again with jsonschema made unimportable, the truncation study
+(sparse union norms), and the truncation study with `--occupation-cap`
+(spin `X` observables in the sweep).
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 RUN = """
 import json, runpy, sys
 out, kind, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
-if kind == "cli":
+if kind == "cli_without_jsonschema":
+    sys.modules["jsonschema"] = None  # so that importing it raises
+if kind.startswith("cli"):
     from lrlab import cli
     rc = cli.main(argv)
 else:
@@ -37,8 +43,10 @@ else:
     except SystemExit as e:
         rc = e.code
 with open(out, "w") as f:
-    json.dump({"rc": rc, "modules": sorted(sys.modules)}, f)
+    json.dump({"rc": rc, "modules": sorted(m for m, v in sys.modules.items() if v)}, f)
 """
+
+BARE = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
 TFIM_X_CONFIG = {
     "model": {"name": "tfim", "length": 5},
@@ -58,6 +66,10 @@ CASES = {
         ["verify", "--config", str(REPO_ROOT / "configs" / "tfim_small.json")],
     ),
     "tfim_verify_x": ("cli", ["verify", "--config", "{config}"]),
+    "tfim_verify_without_jsonschema": (
+        "cli_without_jsonschema",
+        ["verify", "--config", str(REPO_ROOT / "configs" / "tfim_small.json")],
+    ),
     "dicke_truncation": (
         "script", [TRUNCATION, "--length", "3", "--truncations", "2", "3"],
     ),
@@ -68,24 +80,36 @@ CASES = {
 }
 
 
+ENV = dict(
+    os.environ,
+    LRLAB_THREADS="1",
+    PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def bare_packages():
+    """The top-level packages a bare interpreter loads."""
+    proc = subprocess.run(
+        [sys.executable, "-c", BARE], env=ENV, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    return {m.split(".")[0] for m in json.loads(proc.stdout)}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_run_imports_only_the_scipy_it_uses(tmp_path, case):
+def test_run_imports_only_the_scipy_it_uses(tmp_path, bare_packages, case):
     kind, argv = CASES[case]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TFIM_X_CONFIG))
     argv = [str(config) if arg == "{config}" else arg for arg in argv]
     result = tmp_path / "modules.json"
-    env = dict(
-        os.environ,
-        LRLAB_THREADS="1",
-        PYTHONPATH=os.pathsep.join(
-            [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        ),
-    )
     proc = subprocess.run(
         [sys.executable, "-c", RUN, str(result), kind, *argv,
          "--out", str(tmp_path / "out")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     run = json.loads(result.read_text())
@@ -93,4 +117,7 @@ def test_run_imports_only_the_scipy_it_uses(tmp_path, case):
     modules = set(run["modules"])
     # The check sees modules imported inside functions too.
     assert "lrlab.lattice" in modules
-    assert not {m for m in modules if m.split(".")[0] == "scipy"}
+    packages = {m.split(".")[0] for m in modules}
+    assert packages - bare_packages - set(sys.stdlib_module_names) == {
+        "lrlab", "numpy"
+    }
