@@ -8,7 +8,8 @@ value that is not a number) and raises on any other keyword, so a keyword
 added to the schema later cannot be silently ignored.  Of all the errors it
 reports the first by path, as `config invalid at '<path>': <message>`,
 naming the offending key or value; the tests hold its verdict and path to
-`jsonschema`'s.
+`jsonschema`'s.  `_as_int` then makes an int of every value the schema types
+"integer", found by walking the same schema, so 6.0 runs as 6.
 
 Beyond the schema, `parse_config` rejects a non-finite number (`NaN`,
 `Infinity`, or a literal such as `1e400` that overflows to it), a model key
@@ -193,6 +194,19 @@ def _validate(raw: dict, schema: dict) -> None:
         raise ConfigError(f"config invalid at '{where}': {error[1]}")
 
 
+def _as_int(schema: dict, value):
+    """`value` with each value that `schema` types "integer" made an int.
+    A validated value is integer-valued, so nothing is rounded."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {k: _as_int(props.get(k, {}), v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_int(schema.get("items", {}), v) for v in value]
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -228,7 +242,9 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _validate(raw, load_schema())
+    schema = load_schema()
+    _validate(raw, schema)
+    raw = _as_int(schema, raw)
     model = raw["model"]
     for key in sorted(model):
         if key not in ("name", "length", *MODEL_PARAMS[model["name"]]):

@@ -343,9 +343,7 @@ class ValidationReport:
         return "; ".join(self.failures)
 
 
-def validate_two_family(
-    model: TwoFamilyHamiltonian, tol: float = INTRA_FAMILY_TOL
-) -> ValidationReport:
+def validate_two_family(model: TwoFamilyHamiltonian) -> ValidationReport:
     """Check the structural contract; collects failures instead of aborting.
 
     The intra-family commutator norms embed each payload on its support and
@@ -369,7 +367,7 @@ def validate_two_family(
                 unchecked[id(term)] = "payload shape"
                 continue
             dev = float(np.abs(term.payload - term.payload.conj().T).max())
-            if dev > tol * max(1.0, float(np.abs(term.payload).max())):
+            if dev > INTRA_FAMILY_TOL * max(1.0, float(np.abs(term.payload).max())):
                 failures.append(
                     f"term {fam}:{term.index} payload not Hermitian (dev {dev:.3e})"
                 )
@@ -385,7 +383,7 @@ def validate_two_family(
                     )
                     continue
                 nrm = pair_commutator_norm(model, a, b)
-                if nrm > tol:
+                if nrm > INTRA_FAMILY_TOL:
                     failures.append(
                         f"family {fam} terms {a.index},{b.index} do not commute "
                         f"(norm {nrm:.3e})"

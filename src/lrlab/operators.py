@@ -24,9 +24,9 @@ the oracle).
 
 The sparse form is numpy's own, row-padded: an n x n matrix is a pair
 (cols, vals) of (n, w) arrays, row r holding the entries vals[r, s] at
-columns cols[r, s], padded with exact zeros to the width w of the fullest
-row.  A product gathers whole rows (`sparse_commutator`), so nothing here
-needs scipy: numpy is the only import.
+columns cols[r, s], padded by one rule (`row_padded`), exact zeros in
+column 0, to the width w of the fullest row.  A product gathers whole rows
+(`sparse_commutator`), so nothing here needs scipy: numpy is the only import.
 """
 
 from __future__ import annotations
@@ -115,19 +115,12 @@ def embed_sparse(payload, op_sites, site_dims):
     """Row-padded version of `embed_dense`, for operators used only in
     products: (cols, vals), each of shape (n, w), with entry
     [r, cols[r, k]] = vals[r, k] and w the largest nonzero count of a
-    payload row.
-
-    Each row lists its nonzeros in increasing column order, then exact zeros
-    in columns distinct from them and from each other, so the form scatters
-    into a dense matrix by assignment.
-    """
+    payload row.  Each row lists its nonzeros in increasing column order,
+    then the padding of `row_padded`."""
     payload = np.asarray(payload)
-    # Nonzeros first, in column order (a stable sort), then the zero columns.
-    order = np.argsort(payload == 0, axis=1, kind="stable")
-    width = int(np.count_nonzero(payload, axis=1).max(initial=0))
-    order = order[:, :width]
-    vals = np.take_along_axis(payload, order, axis=1)
-    return embed_rows(order, vals, op_sites, site_dims)
+    rows, cols = np.nonzero(payload)
+    padded = row_padded(rows, cols, payload[rows, cols], len(payload))
+    return embed_rows(*padded, op_sites, site_dims)
 
 
 def embed_rows(cols, vals, op_sites, site_dims):
@@ -220,7 +213,7 @@ def _run_sums(vals, first):
 
 def row_padded(rows, cols, vals, n):
     """The row-padded form of an n x n matrix from COO data sorted by row
-    with one entry per position; padding slots hold 0 in column 0."""
+    with one entry per position; padding slots hold exact zeros in column 0."""
     counts = np.bincount(rows, minlength=n)
     slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
     out_cols = np.zeros((n, int(counts.max(initial=0))), dtype=np.intp)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
+import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +233,40 @@ def test_cli_pauli_on_boson_site_rejected(tmp_path):
     assert rc == 2
 
 
+def test_cli_runs_the_observable_methods_beyond_r(tmp_path, capsys):
+    # R = 2 on the TFIM, so Z@2 is too close for the observable-route
+    # methods: `bound` skips it for them and `verify` reports it excluded.
+    raw = {
+        "model": {"name": "tfim", "length": 7},
+        "observables": {"op_site": 0, "oq_sites": [2, 3, 5]},
+        "time_grid": {"start": 0.0, "stop": 1.0, "points": 6},
+        "methods": [
+            "closed_form",
+            "series_exact_cn",
+            "observable",
+            "bounded_reference",
+        ],
+    }
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "b"
+    assert cli.main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "bounds.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    seps = {"closed_form": [2, 3, 5], "series_exact_cn": [2, 3, 5]}
+    seps.update(observable=[3, 5], bounded_reference=[3, 5])
+    for method, ds in seps.items():
+        mine = [r for r in rows if r["method"] == method]
+        assert len(mine) == 6 * len(ds)
+        assert sorted({int(r["d"]) for r in mine}) == ds
+        assert all(0.0 <= float(r["value"]) < math.inf for r in mine)
+    capsys.readouterr()
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "excluded separations d <= R: [2]" in lines
+    assert lines[-1] == "PASS"
+
+
 def test_cli_bound_scores_each_observable_at_equal_separation(tmp_path):
     # Z@1 and Z@9 both sit 4 sites from Z@5 on a 10-site chain, but Z@1 has
     # more chains reaching it (c_10 = 230 against 218 for the chain end), so
@@ -354,3 +391,43 @@ def test_repeated_oq_site_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, raw)
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "observables/oq_sites" in capsys.readouterr().err
+
+
+TFIM_SMALL = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "tfim_small.json").read_text()
+)
+
+
+# JSON Schema counts 6.0 as an integer, so each of these passes validation;
+# each once died with a TypeError traceback (exit 1, a failed check).
+@pytest.mark.parametrize(
+    "path,as_int,as_float,commands",
+    [
+        (("time_grid", "points"), 16, 16.0, ["verify"]),
+        (("model", "length"), 6, 6.0, ["verify", "chains"]),
+        (("observables", "op_site"), 0, 0.0, ["verify", "chains"]),
+        (("observables", "oq_sites"), [3, 4, 5], [3.0, 4, 5], ["verify", "chains"]),
+        (("chain_order",), 12, 12.0, ["chains"]),
+    ],
+    ids=["points", "length", "op_site", "oq_sites", "chain_order"],
+)
+def test_integer_valued_floats_run_as_integers(
+    tmp_path, path, as_int, as_float, commands
+):
+    cfgs = []
+    for name, value in (("int", as_int), ("float", as_float)):
+        raw = copy.deepcopy(TFIM_SMALL)
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        cfgs.append(_write(tmp_path, raw, name=f"{name}.json"))
+    assert cfgs[0].read_text() != cfgs[1].read_text()
+    for command in commands:
+        outs = [tmp_path / f"{command}-{cfg.stem}" for cfg in cfgs]
+        for cfg, out in zip(cfgs, outs):
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -249,14 +249,14 @@ def test_structured_sweep_matches_dense_oracle(kind, seed, projected):
         assert abs(point.value - expected) <= 1e-11 * scale
 
 
-def test_two_valued_route_groups_half_blocks_by_shape_against_dense_oracle():
+def test_two_valued_route_reads_half_blocks_per_sector_against_dense_oracle():
     # A quadrature on mode 1 (site 2) of the Dicke chain stays inside H's
     # four spin sectors, and the 0/1 projector on that mode is a two-valued
     # O_Q, so the norm is read from the half blocks P1 A P2 of each sector.
     # The projector_diag removes the states with one boson on that mode from
     # sector 0 and every state with q = 0 from sector 2.  The sectors are
     # alike, so the cut block of sector 0 reads lower than the full ones, and
-    # the largest norm sits in the second stack.
+    # the largest norm is not the first block's.
     model = build_dicke_chain(2, truncation=3)  # site dims (3, 2, 3, 2)
     dims = list(model.site_dims)
     op = observable_from_sites(model, (2,), mode_quadratures(3)[0], "x@mode1")
@@ -275,7 +275,7 @@ def test_two_valued_route_groups_half_blocks_by_shape_against_dense_oracle():
          int(((q[g] == 1.0) & (keep[g] == 1.0)).sum()))
         for g in sec
     ]
-    # Two stacks of different shapes, and one empty block that is skipped.
+    # Half blocks of two shapes, and one empty block that is skipped.
     assert shapes == [(3, 3), (3, 6), (0, 6), (3, 6)]
 
     times = (0.0, 0.37, 1.3)
