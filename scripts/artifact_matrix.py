@@ -11,7 +11,9 @@ LRLAB_THREADS=1, one at a time:
   occupation cap, and a TFIM with all four bound methods;
 * scripts/run_dicke_truncation.py at its defaults, with --length 3
   --occupation-cap 1, and with --truncations 2 3 4 5 6 8 10;
-* scripts/run_tfim_verify.py at its defaults and with --length 5.
+* scripts/run_tfim_verify.py at its defaults, with --length 5, and with
+  --length 64 --t-max 4 (60 O_Q, so series values and chain tables at depth
+  are compared too).
 
 OUT/<run>/ holds the run's artifacts (out/), stdout, stderr and exit_code.
 Every path a run sees is relative to its own directory, so two checkouts
@@ -80,6 +82,9 @@ SCRIPT_RUNS = {
     ),
     "tfim_verify-defaults": ("run_tfim_verify.py",),
     "tfim_verify-length5": ("run_tfim_verify.py", "--length", "5"),
+    "tfim_verify-length64": (
+        "run_tfim_verify.py", "--length", "64", "--t-max", "4"
+    ),
 }
 
 

@@ -60,10 +60,12 @@ def main() -> int:
     last_mode = 2 * (args.length - 1)
     for m in args.truncations:
         model = build_dicke_chain(args.length, h=args.h, truncation=m)
-        by_n = {t.index: t for t in model.terms}
-        pair_full = pair_commutator_norm(model, by_n[0], by_n[1])
-        pair_proj = pair_commutator_norm(model, by_n[0], by_n[1], projected=True)
+        gid = {t.index: g for g, t in enumerate(model.terms)}
+        h_0, h_1 = model.terms[gid[0]], model.terms[gid[1]]
+        pair_full = pair_commutator_norm(model, h_0, h_1)
         adj = noncommuting_adjacency(model, projected=True)
+        # The adjacency keeps the projected norm of each noncommuting pair.
+        pair_proj = adj.pair_norms.get((gid[0], gid[1]), 0.0)
         consts = compute_bound_constants(model, adj, lam=args.lam)
         _, q_op = mode_quadratures(m)
         obs_p = observable_from_sites(model, (0,), q_op, "Qt@mode0")

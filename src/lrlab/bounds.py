@@ -16,6 +16,7 @@ cannot be certified raises `NumericalError`.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .chains import ChainCountTable
@@ -27,28 +28,31 @@ def _series_rate(consts: BoundConstants) -> float:
     return math.sqrt(2.0 * consts.h0 * consts.h1 * consts.K)
 
 
-def _tail_remainder(x: float, n_last: int) -> float:
-    """Upper bound on sum_{n > n_last} x^n / n! via the geometric majorant."""
-    if x == 0.0:
-        return 0.0
-    ratio = x / (n_last + 2)
-    if ratio >= 1.0:
-        return math.inf
-    term = 1.0
-    for n in range(1, n_last + 2):
-        term *= x / n
-    return term / (1.0 - ratio)
+def _tails(x: float):
+    """R_0, R_1, ...: R_n bounds sum_{k > n} x^k / k! for x >= 0 by the
+    geometric majorant x^(n+1) / (n+1)! / (1 - x / (n+2)), or is infinite."""
+    term = 1.0  # x^(n+1) / (n+1)!, one factor x / k at a time
+    for n in itertools.count():
+        term *= x / (n + 1)
+        ratio = x / (n + 2)
+        yield math.inf if ratio >= 1.0 else term / (1.0 - ratio)
+
+
+def _certified_order(consts: BoundConstants, t: float, tol: float):
+    """(N, R_N): the smallest order N whose certified tail M R_N drops below
+    `tol`, and R_N itself."""
+    tails = _tails(consts.gamma * _series_rate(consts) * abs(t))
+    n, tail = 0, next(tails)
+    while consts.M * tail >= tol:
+        n, tail = n + 1, next(tails)
+        if n > 10_000:
+            raise NumericalError("series tail does not certify; tolerance too tight")
+    return n, tail
 
 
 def series_terms_needed(consts: BoundConstants, t: float, tol: float) -> int:
     """Smallest order N whose certified tail drops below `tol`."""
-    x_env = consts.gamma * _series_rate(consts) * abs(t)
-    n = 0
-    while consts.M * _tail_remainder(x_env, n) >= tol:
-        n += 1
-        if n > 10_000:
-            raise NumericalError("series tail does not certify; tolerance too tight")
-    return n
+    return _certified_order(consts, t, tol)[0]
 
 
 def series_bound(
@@ -62,21 +66,20 @@ def series_bound(
     Raises if the table is too short for the requested tolerance at this t,
     naming the order that would be needed.
     """
-    n_needed = series_terms_needed(consts, t, tol)
+    n_needed, tail = _certified_order(consts, t, tol)
     if n_needed > table.n_max:
         raise NumericalError(
             f"chain table covers orders <= {table.n_max}; tolerance {tol} at "
             f"t = {t} needs orders through n = {n_needed}"
         )
     rate = _series_rate(consts)
-    x_env = consts.gamma * rate * abs(t)
     total = 0.0
     term = 1.0  # rate^n t^n / n!
     for n in range(n_needed + 1):
         if n > 0:
             term *= rate * abs(t) / n
         total += term * table.counts[n]
-    return consts.M * (total + _tail_remainder(x_env, n_needed))
+    return consts.M * (total + tail)
 
 
 def closed_form_bound(consts: BoundConstants, t: float, d: int) -> float:

@@ -15,10 +15,11 @@ commands that use them, so a command loads only what it needs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-from .config import MODEL_PARAMS, ConfigError, RunConfig, parse_config
+from .config import MODEL_PARAMS, ConfigError, RunConfig, invalid, parse_config
 from .operators import NumericalError
 from .reporting import write_csv, write_json
 
@@ -84,26 +85,25 @@ def _observables(cfg: RunConfig, model):
     from .lattice import observable_from_sites
 
     o = cfg.observables
+    n = model.graph.site_count
 
-    def one(site: int, pauli: str, key: str):
-        if site >= model.graph.site_count:
-            raise ConfigError(
-                f"config invalid at 'observables.{key}': site {site} outside "
-                f"model with {model.graph.site_count} sites"
-            )
+    def one(site: int, pauli: str, *path):
+        path = ("observables", *path)
+        if site >= n:
+            raise invalid(path, f"site {site} outside model with {n} sites")
         if model.site_dims[site] != 2:
-            raise ConfigError(
-                f"config invalid at 'observables.{key}': Pauli observables "
-                f"need a 2-dimensional site, site {site} has dimension "
-                f"{model.site_dims[site]}"
+            raise invalid(
+                path,
+                f"Pauli observables need a 2-dimensional site, site {site} has "
+                f"dimension {model.site_dims[site]}",
             )
         return observable_from_sites(
             model, (site,), _pauli(pauli), label=f"{pauli}@{site}"
         )
 
     op = one(o.op_site, o.op_pauli, "op_site")
-    oq_sites = o.oq_sites or (model.graph.site_count - 1,)
-    oqs = [one(s, o.oq_pauli, "oq_sites") for s in oq_sites]
+    oq_sites = o.oq_sites or (n - 1,)
+    oqs = [one(s, o.oq_pauli, "oq_sites", i) for i, s in enumerate(oq_sites)]
     return op, oqs
 
 
@@ -132,9 +132,9 @@ def _fallback_start(model, obs):
     for gid, term in enumerate(model.terms):
         if set(obs.support.sites) <= set(term.support.sites):
             return gid
-    raise ConfigError(
-        f"config invalid at 'observables.op_site': no Hamiltonian term "
-        f"touches sites {obs.support.sites}"
+    raise invalid(
+        ("observables", "op_site"),
+        f"no Hamiltonian term touches sites {obs.support.sites}",
     )
 
 
@@ -355,24 +355,11 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     op, oqs = _observables(cfg, model)
     fns = _bound_functions(cfg, model, adj, consts, op, oqs)
     sweep = _run_sweep(cfg, model, op, oqs)
-    report = verify_bound(
-        sweep,
-        fns,
-        min_separation=consts.R,
-        slack=cfg.slack,
-        bound_scale=cfg.bound_scale,
-    )
+    report = verify_bound(sweep, fns, min_separation=consts.R, slack=cfg.slack)
 
     try:
         vel = extract_velocity(sweep, threshold=cfg.threshold)
-        velocity = {
-            "v_emp": vel.v_emp,
-            "v_lr": consts.v_lr,
-            "intercept": vel.intercept,
-            "residual": vel.residual,
-            "threshold": vel.threshold,
-            "crossings": [[d, t] for d, t in vel.crossings],
-        }
+        velocity = dict(dataclasses.asdict(vel), v_lr=consts.v_lr)
     except ValueError as e:
         velocity = {"error": str(e), "v_lr": consts.v_lr}
 
@@ -393,7 +380,6 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
             "model": model.name,
             "passed": report.passed,
             "slack": report.slack,
-            "bound_scale": cfg.bound_scale,
             "worst_margin": report.worst_margin(),
             "excluded_separations": list(report.excluded_separations),
             "methods": sorted(fns),

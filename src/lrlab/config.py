@@ -6,10 +6,12 @@ schema itself.  It enforces the JSON Schema 2020-12 keywords the schema uses
 (a bool is not a number, 1.0 is an integer, and a numeric bound ignores a
 value that is not a number) and raises on any other keyword, so a keyword
 added to the schema later cannot be silently ignored.  Of all the errors it
-reports the first by path, as `config invalid at '<path>': <message>`,
-naming the offending key or value; the tests hold its verdict and path to
-`jsonschema`'s.  `_as_int` then makes an int of every value the schema types
-"integer", found by walking the same schema, so 6.0 runs as 6.
+reports the first by path, naming the offending key or value; the tests hold
+its verdict and path to `jsonschema`'s.  `invalid` writes every error that
+has a location, the CLI's included, as `config invalid at '<path>': ...`
+with a slash path such as `observables/oq_sites/1`.  `_as_int` then makes an
+int of every value the schema types "integer", found by walking the same
+schema, so 6.0 runs as 6.
 
 Beyond the schema, `parse_config` rejects a non-finite number (`NaN`,
 `Infinity`, or a literal such as `1e400` that overflows to it), a model key
@@ -29,6 +31,12 @@ from pathlib import Path
 
 class ConfigError(Exception):
     pass
+
+
+def invalid(path, message: str) -> ConfigError:
+    """The error for `message` at `path`, a sequence of keys and indices."""
+    where = "/".join(map(str, path)) or "<root>"
+    return ConfigError(f"config invalid at '{where}': {message}")
 
 
 def load_schema() -> dict:
@@ -85,7 +93,6 @@ class RunConfig:
     chain_order: int = 12
     series_tol: float = 1e-9
     slack: float = 1e-9
-    bound_scale: float = 1.0
     threshold: float = 1e-3
     projected: bool = False
     occupation_cap: int | None = None
@@ -190,8 +197,7 @@ def _validate(raw: dict, schema: dict) -> None:
         _errors(schema, raw, ()), key=lambda e: list(map(str, e[0])), default=None
     )
     if error is not None:
-        where = "/".join(map(str, error[0])) or "<root>"
-        raise ConfigError(f"config invalid at '{where}': {error[1]}")
+        raise invalid(*error)
 
 
 def _as_int(schema: dict, value):
@@ -248,9 +254,8 @@ def parse_config(path) -> RunConfig:
     model = raw["model"]
     for key in sorted(model):
         if key not in ("name", "length", *MODEL_PARAMS[model["name"]]):
-            raise ConfigError(
-                f"config invalid at 'model/{key}': model {model['name']!r} "
-                f"takes no {key!r}"
+            raise invalid(
+                ("model", key), f"model {model['name']!r} takes no {key!r}"
             )
 
     kwargs = _fields(raw)
@@ -259,5 +264,5 @@ def parse_config(path) -> RunConfig:
             kwargs[key] = section(**_fields(kwargs[key]))
     cfg = RunConfig(**kwargs)
     if cfg.time_grid.stop < cfg.time_grid.start:
-        raise ConfigError("config invalid at 'time_grid': stop precedes start")
+        raise invalid(("time_grid",), "stop precedes start")
     return cfg

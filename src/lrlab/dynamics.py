@@ -65,7 +65,6 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SimulationSweep:
-    model_name: str
     op_label: str
     oq_labels: tuple
     separations: tuple
@@ -79,22 +78,19 @@ class SimulationSweep:
         return tuple(t for t, _ in pts), tuple(v for _, v in pts)
 
 
-def _two_valued_diagonal(m: np.ndarray) -> bool:
-    d = np.diagonal(m)
-    return np.count_nonzero(m - np.diag(d)) == 0 and len(np.unique(d)) == 2
-
-
-def _commutator_norm_fn(q, groups, kept):
-    """a -> ||[a, Q]|| for Hermitian `a` and Q, restricted to the basis
-    indices `kept` (None: all of them).  `q` is the diagonal of a diagonal Q
-    with two distinct values (1-D), or the row-padded embedding (cols, vals)
-    of any other Q.
+def _commutator_norm_fn(oq: Observable, dims, groups, kept):
+    """a -> ||[a, Q]|| for Hermitian `a` and Q = `oq` embedded in the
+    space of site dimensions `dims`, restricted to the basis indices `kept`
+    (None: all of them).  A diagonal Q with two distinct values is embedded
+    as its diagonal, any other Q row-padded.
 
     For a diagonal Q, `groups` are index sets, each a subset of `kept`, that
     `a` has no entry between; the norm is then the largest over the groups.
     """
-    if isinstance(q, tuple):
-        cols, vals = q
+    diag = np.diagonal(oq.payload)
+    values = np.unique(diag)
+    if np.count_nonzero(oq.payload - np.diag(diag)) or len(values) != 2:
+        cols, vals = embed_sparse(oq.payload, oq.support.sites, dims)
         vals = vals.conj()
         if not cols.shape[1]:  # Q = 0
             return lambda a: 0.0
@@ -113,7 +109,7 @@ def _commutator_norm_fn(q, groups, kept):
         return sparse_norm
     # Q = q1 P1 + q2 P2, so [A, Q] has only the off-diagonal blocks
     # (q2 - q1) P1 A P2 and its adjoint: ||[A, Q]|| = |q1 - q2| ||P1 A P2||.
-    values = np.unique(q)
+    q = embed_diagonal(diag, oq.support.sites, dims)
     gap = float(abs(values[1] - values[0]))
     blocks = []
     for g in groups:
@@ -160,14 +156,7 @@ def commutator_norm_sweep(
     if kept is not None:
         groups = [np.intersect1d(g, kept) for g in groups]
 
-    norms = []
-    for oq in oq_list:
-        if _two_valued_diagonal(oq.payload):
-            q = embed_diagonal(np.diagonal(oq.payload), oq.support.sites, dims)
-        else:
-            q = embed_sparse(oq.payload, oq.support.sites, dims)
-        norms.append(_commutator_norm_fn(q, groups, kept))
-
+    norms = [_commutator_norm_fn(oq, dims, groups, kept) for oq in oq_list]
     ts = tuple(float(t) for t in times)
     values = (
         [norm(a_t) for norm in norms]
@@ -187,7 +176,6 @@ def _sweep(model, op_p, oq_list, ts, values) -> SimulationSweep:
         for v, oq, d in zip(row, oq_list, seps)
     )
     return SimulationSweep(
-        model_name=model.name,
         op_label=op_p.label,
         oq_labels=tuple(oq.label for oq in oq_list),
         separations=seps,
@@ -322,7 +310,6 @@ class VerificationRow:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    model_name: str
     slack: float
     rows: tuple
     excluded_separations: tuple
@@ -337,16 +324,13 @@ def verify_bound(
     bound_fns: dict,
     min_separation: int = 0,
     slack: float = 1e-9,
-    bound_scale: float = 1.0,
 ) -> VerificationReport:
     """Compare measured norms against each named bound function
     (t, oq_label) -> value, so every point is scored against the bound for
     its own observable.
 
     Separations at or below `min_separation` (typically R) are excluded and
-    reported rather than scored.  `bound_scale` rescales the bound values; the
-    default 1.0 is the honest comparison and anything below it exists to make
-    deliberate-failure tests cheap.
+    reported rather than scored.
     """
     excluded = tuple(
         sorted(set(p.d for p in sweep.points if p.d <= min_separation))
@@ -356,7 +340,7 @@ def verify_bound(
         for p in sweep.points:
             if p.d <= min_separation:
                 continue
-            bound = float(fn(p.t, p.oq)) * bound_scale
+            bound = float(fn(p.t, p.oq))
             rows.append(
                 VerificationRow(
                     method=method,
@@ -370,7 +354,6 @@ def verify_bound(
             )
     passed = all(r.margin >= -slack for r in rows)
     return VerificationReport(
-        model_name=sweep.model_name,
         slack=slack,
         rows=tuple(rows),
         excluded_separations=excluded,

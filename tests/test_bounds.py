@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_optimum import optimize_lambda
 from lrlab.bounds import (
-    _tail_remainder,
+    _tails,
     bounded_reference_bound,
     bounded_term_check,
     closed_form_bound,
@@ -70,11 +71,93 @@ def test_tail_remainder_dominates_true_tail(x, n_last):
     # Compare against the exact tail of e^x computed with enough headroom.
     partial = sum(x**n / math.factorial(n) for n in range(n_last + 1))
     true_tail = math.exp(x) - partial
-    bound = _tail_remainder(x, n_last)
+    bound = next(itertools.islice(_tails(x), n_last, None))
     if x / (n_last + 2) < 1.0:
         assert bound >= true_tail - 1e-12 * math.exp(x)
     else:
         assert bound == math.inf
+
+
+# The series as first written, one tail at a time from scratch, O(N^2) in
+# the order N: the one-pass tails must give the same bits.
+def _tail_remainder_by_definition(x, n_last):
+    if x == 0.0:
+        return 0.0
+    ratio = x / (n_last + 2)
+    if ratio >= 1.0:
+        return math.inf
+    term = 1.0
+    for n in range(1, n_last + 2):
+        term *= x / n
+    return term / (1.0 - ratio)
+
+
+def _terms_needed_by_definition(consts, t, tol):
+    x_env = consts.gamma * math.sqrt(2.0 * consts.h0 * consts.h1 * consts.K) * abs(t)
+    n = 0
+    while consts.M * _tail_remainder_by_definition(x_env, n) >= tol:
+        n += 1
+        if n > 10_000:
+            raise NumericalError("series tail does not certify; tolerance too tight")
+    return n
+
+
+def _series_by_definition(consts, table, t, tol):
+    n_needed = _terms_needed_by_definition(consts, t, tol)
+    if n_needed > table.n_max:
+        raise NumericalError(
+            f"chain table covers orders <= {table.n_max}; tolerance {tol} at "
+            f"t = {t} needs orders through n = {n_needed}"
+        )
+    rate = math.sqrt(2.0 * consts.h0 * consts.h1 * consts.K)
+    x_env = consts.gamma * rate * abs(t)
+    total = 0.0
+    term = 1.0
+    for n in range(n_needed + 1):
+        if n > 0:
+            term *= rate * abs(t) / n
+        total += term * table.counts[n]
+    return consts.M * (total + _tail_remainder_by_definition(x_env, n_needed))
+
+
+def _outcome(fn, *args):
+    # repr: exact, and a NaN (M = 0 times an infinite tail) equals itself.
+    try:
+        return "value", repr(fn(*args))
+    except NumericalError as e:
+        return "error", str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 60.0), st.integers(0, 200))
+def test_one_pass_tails_match_their_definition(x, n_last):
+    got = itertools.islice(_tails(x), n_last + 1)
+    want = (_tail_remainder_by_definition(x, n) for n in range(n_last + 1))
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.floats(0.0, 4.0),
+    gamma=st.floats(0.0, 3.0),
+    h0=st.floats(0.1, 2.0),
+    h1=st.floats(0.1, 2.0),
+    m=st.floats(0.0, 10.0),
+    t=st.floats(-3.0, 3.0),
+    tol=st.floats(1e-14, 1e-2),
+    counts=st.lists(st.integers(0, 10**6), min_size=1, max_size=160),
+)
+@example(k=2.0, gamma=2.0, h0=1.0, h1=1.0, m=2.0, t=1e6, tol=1e-9, counts=[1])
+@example(k=2.0, gamma=2.0, h0=1.0, h1=1.0, m=2.0, t=0.0, tol=1e-9, counts=[3])
+def test_one_pass_series_matches_its_definition(k, gamma, h0, h1, m, t, tol, counts):
+    consts = _consts(K=k, gamma=gamma, h0=h0, h1=h1, M=m)
+    table = _table(dict(enumerate(counts)))
+    assert _outcome(series_terms_needed, consts, t, tol) == _outcome(
+        _terms_needed_by_definition, consts, t, tol
+    )
+    assert _outcome(series_bound, consts, table, t, tol) == _outcome(
+        _series_by_definition, consts, table, t, tol
+    )
 
 
 def test_series_at_time_zero_is_m_times_c0():

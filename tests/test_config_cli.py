@@ -41,7 +41,6 @@ def test_parse_config_defaults(tmp_path):
     assert cfg.observables.op_site == 0
     assert cfg.time_grid.points == 61
     assert cfg.lam is None
-    assert cfg.bound_scale == 1.0
     assert cfg.slack == 1e-9
     assert cfg.projected is False
 
@@ -49,10 +48,8 @@ def test_parse_config_defaults(tmp_path):
 def test_parse_config_full(tmp_path):
     raw = dict(GOOD)
     raw["lambda"] = 0.75
-    raw["bound_scale"] = 0.5
     cfg = parse_config(_write(tmp_path, raw))
     assert cfg.lam == 0.75
-    assert cfg.bound_scale == 0.5
     assert cfg.observables.oq_sites == (3, 4)
     assert cfg.time_grid.times()[-1] == 1.0
 
@@ -115,11 +112,16 @@ def test_cli_verify_passes_and_is_deterministic(tmp_path):
     assert lines[1].endswith(",Z@3")
 
 
-def test_cli_verify_bound_scale_fails_with_exit_1(tmp_path):
-    raw = dict(GOOD)
-    raw["bound_scale"] = 1e-9
-    cfg = _write(tmp_path, raw)
-    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+def test_cli_verify_violated_bound_fails_with_exit_1(tmp_path, monkeypatch, capsys):
+    # A closed form of 0 is broken by every nonzero measured norm.
+    monkeypatch.setattr("lrlab.bounds.closed_form_bound", lambda consts, t, d: 0.0)
+    cfg = _write(tmp_path, GOOD)
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+    summary = json.loads((out / "verification.json").read_text())
+    assert summary["passed"] is False
+    assert summary["worst_margin"] < -summary["slack"]
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
@@ -361,7 +363,7 @@ def test_cli_verify_tfim_past_the_full_hamiltonian_cap(tmp_path, capsys):
     [
         ("slack", "NaN"),
         ("series_tol", "NaN"),
-        ("bound_scale", "Infinity"),
+        ("lambda", "Infinity"),
         ("time_grid", '{"stop": Infinity}'),
         ("threshold", "1e400"),
     ],
@@ -384,6 +386,30 @@ def test_model_key_of_another_model_rejected(tmp_path, capsys):
         "config invalid at 'model/h': model 'tfim' takes no 'h'"
         in capsys.readouterr().err
     )
+
+
+def test_observable_on_a_mode_site_names_its_path(tmp_path, capsys):
+    # Site 0 of the spin-boson chain is a mode, with no Pauli operators.
+    raw = {
+        "model": {"name": "dicke_chain", "length": 3, "truncation": 3},
+        "observables": {"op_site": 0},
+    }
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert (
+        "config invalid at 'observables/op_site': Pauli observables need a "
+        "2-dimensional site, site 0 has dimension 3"
+    ) in capsys.readouterr().err
+
+
+def test_oq_site_outside_the_model_names_its_index(tmp_path, capsys):
+    raw = dict(GOOD, observables=dict(GOOD["observables"], oq_sites=[3, 9]))
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert (
+        "config invalid at 'observables/oq_sites/1': site 9 outside model with 5 "
+        "sites"
+    ) in capsys.readouterr().err
 
 
 def test_repeated_oq_site_rejected(tmp_path, capsys):

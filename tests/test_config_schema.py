@@ -69,7 +69,6 @@ valid_configs = st.fixed_dictionaries(
         "chain_order": st.integers(0, 200),
         "series_tol": st.floats(1e-12, 1e-3),
         "slack": st.floats(0, 1e-3),
-        "bound_scale": st.floats(0.1, 10),
         "threshold": st.floats(1e-6, 1),
         "projected": st.booleans(),
         "occupation_cap": st.integers(0, 5),
