@@ -10,10 +10,14 @@ LRLAB_THREADS=1, one at a time:
   X observables (the structured sweep), a projected Dicke chain with an
   occupation cap, and a TFIM with all four bound methods;
 * scripts/run_dicke_truncation.py at its defaults, with --length 3
-  --occupation-cap 1, and with --truncations 2 3 4 5 6 8 10;
-* scripts/run_tfim_verify.py at its defaults, with --length 5, and with
+  --occupation-cap 1, with --truncations 2 3 4 5 6 8 10, and with --h 0.5;
+* scripts/run_tfim_verify.py at its defaults, with --length 5, with
   --length 64 --t-max 4 (60 O_Q, so series values and chain tables at depth
-  are compared too).
+  are compared too), with --length 128 --j 1 --g 0.6 --t-max 4 and with
+  --length 64 --j=-0.5 --g 0.5 --t-max 4 (couplings away from 1, one of
+  them negative).
+
+That is 51 runs: 6 commands on 7 configs, and 9 script runs.
 
 OUT/<run>/ holds the run's artifacts (out/), stdout, stderr and exit_code.
 Every path a run sees is relative to its own directory, so two checkouts
@@ -80,10 +84,19 @@ SCRIPT_RUNS = {
     "dicke_truncation-truncations": (
         "run_dicke_truncation.py", "--truncations", *"2 3 4 5 6 8 10".split()
     ),
+    "dicke_truncation-h0.5": ("run_dicke_truncation.py", "--h", "0.5"),
     "tfim_verify-defaults": ("run_tfim_verify.py",),
     "tfim_verify-length5": ("run_tfim_verify.py", "--length", "5"),
     "tfim_verify-length64": (
         "run_tfim_verify.py", "--length", "64", "--t-max", "4"
+    ),
+    "tfim_verify-length128-j1-g0.6": (
+        "run_tfim_verify.py", "--length", "128", "--j", "1", "--g", "0.6",
+        "--t-max", "4",
+    ),
+    "tfim_verify-length64-j-0.5-g0.5": (
+        "run_tfim_verify.py", "--length", "64", "--j=-0.5", "--g", "0.5",
+        "--t-max", "4",
     ),
 }
 

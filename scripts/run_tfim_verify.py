@@ -10,7 +10,7 @@ Usage:
 
 The observables are single-site Z, so the sweep is the free-fermion one and
 needs no full Hamiltonian.  At 128 sites (124 observables, 61 times) the
-run takes about 6 s on 2 cores, most of it the series bound's chain tables;
+run takes about 3.5 s on 2 cores, most of it the series bound's chain tables;
 the sweep takes a tenth of a second.
 """
 

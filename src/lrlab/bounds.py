@@ -1,13 +1,17 @@
 """Bound formulas built on the extracted constants and chain counts.
 
-The series route evaluates M * sum_n (sqrt(2 h0 h1 K) t)^n / n! * c_n with the
-exact chain coefficients, plus a certified tail: beyond the table the
+The series route evaluates M * sum_n (sqrt(2 |h0 h1| K) t)^n / n! * c_n with
+the exact chain coefficients, plus a certified tail: beyond the table the
 coefficients are dominated by (sqrt(2) nu)^n, so the tail is a Taylor
-remainder of e^{x} at x = sqrt(2) nu sqrt(2 h0 h1 K) t.  The closed form
+remainder of e^{x} at x = sqrt(2) nu sqrt(2 |h0 h1| K) t.  The closed form
 sums that envelope in closed form and carries the familiar
 exp(v (lambda/xi) ... t - lambda d) shape; it dominates the series term by
 term, and minimizing over lambda recovers the velocity 2 (gamma/xi) e
-sqrt(h0 h1 K).
+sqrt(|h0 h1| K).
+
+K and Q are bare commutator norms (see `lattice.compute_bound_constants`):
+the couplings enter every rate here once, as |h0 h1|, one coupling per order
+of t, so bound(sH, t/s) = bound(H, t).
 
 Every formula reads lambda from `BoundConstants.lam`, which owns it; a bound
 at another lambda comes from constants built with that lambda.  A series that
@@ -25,7 +29,7 @@ from .operators import NumericalError
 
 
 def _series_rate(consts: BoundConstants) -> float:
-    return math.sqrt(2.0 * consts.h0 * consts.h1 * consts.K)
+    return math.sqrt(2.0 * abs(consts.h0 * consts.h1) * consts.K)
 
 
 def _tails(x: float):
@@ -83,9 +87,9 @@ def series_bound(
 
 
 def closed_form_bound(consts: BoundConstants, t: float, d: int) -> float:
-    """Mtildetilde * exp(2 sqrt(h0 h1 K) gamma e^{lam/xi} t - lam d)."""
+    """Mtildetilde * exp(2 sqrt(|h0 h1| K) gamma e^{lam/xi} t - lam d)."""
     lam = consts.lam
-    rate = 2.0 * math.sqrt(consts.h0 * consts.h1 * consts.K) * consts.gamma
+    rate = 2.0 * math.sqrt(abs(consts.h0 * consts.h1) * consts.K) * consts.gamma
     exponent = rate * math.exp(lam / consts.xi) * abs(t) - lam * d
     return consts.Mtildetilde * math.exp(exponent)
 
@@ -114,22 +118,23 @@ def bounded_reference_bound(
     grows with the truncation while the commutator-based route stays put.
     """
     lam = consts.lam
-    rate = 2.0 * math.sqrt(consts.h0 * consts.h1) * consts.gamma
+    rate = 2.0 * math.sqrt(abs(consts.h0 * consts.h1)) * consts.gamma
     exponent = rate * math.exp(lam / consts.xi) * abs(t) - lam * d
     return op_norm * oq_norm * n_p * consts.Mtildetilde * math.exp(exponent)
 
 
 def bounded_term_check(model) -> dict:
-    """For models with bounded terms, Ktilde = max_a h_a max_i ||Phi_a^i||
-    controls the commutator constants: K <= 2 Ktilde^2 and Q <= 4 Ktilde^3.
-    Returns the three constants and whether both inequalities hold."""
+    """For models with bounded terms, Ktilde = max_i ||Phi^i|| over the bare
+    payloads of both families controls the commutator constants:
+    K <= 2 Ktilde^2 and Q <= 4 Ktilde^3, all in bare units, so no coupling
+    enters.  Returns the three constants and whether both inequalities
+    hold."""
     from .lattice import compute_bound_constants, noncommuting_adjacency
     from .operators import spectral_norm
 
     consts = compute_bound_constants(model, noncommuting_adjacency(model))
     ktilde = max(
-        model.coupling(t.family) * spectral_norm(t.payload, structure="hermitian")
-        for t in model.terms
+        spectral_norm(t.payload, structure="hermitian") for t in model.terms
     )
     slack = 1e-9 * max(1.0, ktilde) ** 3
     ok = (consts.K <= 2.0 * ktilde**2 + slack) and (

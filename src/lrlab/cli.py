@@ -350,9 +350,19 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
     from .dynamics import extract_velocity, verify_bound
+    from .lattice import region_distance
 
     model, adj, consts = _setup(cfg, args)
     op, oqs = _observables(cfg, model)
+    # Separations d <= R are not scored; a run that scores nothing proves
+    # nothing, so it is a config error rather than a PASS.
+    seps = [region_distance(model.graph, op.support, oq.support) for oq in oqs]
+    if max(seps) <= consts.R:
+        raise invalid(
+            ("observables", "oq_sites"),
+            f"every O_Q lies within R = {consts.R} of O_P, so verify would "
+            "score no point",
+        )
     fns = _bound_functions(cfg, model, adj, consts, op, oqs)
     sweep = _run_sweep(cfg, model, op, oqs)
     report = verify_bound(sweep, fns, min_separation=consts.R, slack=cfg.slack)

@@ -6,6 +6,11 @@ may fail to commute.  From the term data we extract everything the bounds
 need: the noncommuting adjacency, the pair/triple commutator constants K and
 Q, the branching number nu, the locality radius R, and the derived rates.
 
+This module measures commutators of the bare payloads and nothing else: K,
+Q and the observable conditions carry no coupling.  The couplings enter the
+bounds once, as |h0*h1| in the rates and as the imbalance r in the
+prefactor M, so flipping a coupling's sign changes no bound.
+
 Each value has one owner.  This module owns the overlap and distance rules
 for support regions (`regions_overlap`, `region_distance`), which `chains`
 and `dynamics` call rather than repeat.  The adjacency records whether it was
@@ -465,12 +470,14 @@ class BoundConstants:
 
 
 def _coupling_ratio(model: TwoFamilyHamiltonian) -> float:
+    """max(|h0|/|h1|, |h1|/|h0|); signs do not enter any bound."""
     # Degenerate families or couplings carry no cross terms; ratio defaults to 1.
     if not model.family0 or not model.family1:
         return 1.0
-    if model.h0 <= 0.0 or model.h1 <= 0.0:
+    h0, h1 = abs(model.h0), abs(model.h1)
+    if h0 == 0.0 or h1 == 0.0:
         return 1.0
-    return max(model.h0 / model.h1, model.h1 / model.h0)
+    return max(h0 / h1, h1 / h0)
 
 
 def compute_bound_constants(
@@ -480,33 +487,35 @@ def compute_bound_constants(
 ) -> BoundConstants:
     """Extract (K, Q, nu, R, ...) and the derived rates from the term data.
 
-    K maxes h_a*h_b*||[Phi_a, Phi_b]|| over noncommuting cross-family pairs;
-    Q maxes h_a*h_b*h_c*||[[Phi_a, Phi_b], Phi_c]|| over those pairs against
-    any third term whose support meets the pair's union (the pair's own
-    members included).  M is the dominating prefactor
-    max(K*r, Q*sqrt(r)/sqrt(2*h0*h1*K)) with r the coupling imbalance; a
-    fully commuting model gets K = 0, M = 1 and the zero-velocity flag.
-    The triple norms are projected when the adjacency's pair norms are, and
-    lam defaults to xi = 1/R.
+    K and Q are bare commutator norms of the payloads, with no coupling in
+    them: K maxes ||[Phi_a, Phi_b]|| over noncommuting cross-family pairs,
+    and Q maxes ||[[Phi_a, Phi_b], Phi_c]|| over those pairs against any
+    third term whose support meets the pair's union (the pair's own members
+    included).  The couplings enter through |h0*h1| in the rates and through
+    the imbalance r = max(|h0|/|h1|, |h1|/|h0|) in the unit-free prefactor
+    M = max(K*r, Q*sqrt(r)/sqrt(2*K)), so every bound is covariant under
+    H -> sH, t -> t/s, and v_LR = 2 (gamma/xi) e sqrt(|h0*h1| K) scales as
+    s.  zero_velocity means v_LR = 0 (a fully commuting model, or a zero
+    coupling); it gets M = 1.  The triple norms are projected when the
+    adjacency's pair norms are, and lam defaults to xi = 1/R.
     """
     terms = model.terms
-    hh = model.h0 * model.h1
+    hh = abs(model.h0 * model.h1)
 
-    K = 0.0
-    for (i, j), nrm in adjacency.pair_norms.items():
-        K = max(K, hh * nrm)
+    # Every stored pair norm is above NONCOMMUTING_TOL.
+    K = max(adjacency.pair_norms.values(), default=0.0)
 
     Q = 0.0
     for (i, j) in adjacency.pair_norms:
         a, b = terms[i], terms[j]
         pair_sites = set(a.support.sites) | set(b.support.sites)
-        for k, c in enumerate(terms):
+        for c in terms:
             if not (pair_sites & set(c.support.sites)):
                 continue
             nrm = triple_commutator_norm(model, a, b, c, projected=adjacency.projected)
             if nrm <= NONCOMMUTING_TOL:
                 continue
-            Q = max(Q, hh * model.coupling(c.family) * nrm)
+            Q = max(Q, nrm)
 
     nu = adjacency.nu
     diam = max((t.support.diameter for t in terms), default=0)
@@ -514,14 +523,14 @@ def compute_bound_constants(
     gamma = math.sqrt(2.0) * nu
     xi = 1.0 / R
 
-    zero_velocity = K == 0.0
+    zero_velocity = hh * K == 0.0
     r = _coupling_ratio(model)
     if zero_velocity:
         M = 1.0
     elif Q == 0.0:
         M = K * r
     else:
-        M = max(K * r, Q * math.sqrt(r) / math.sqrt(2.0 * hh * K))
+        M = max(K * r, Q * math.sqrt(r) / math.sqrt(2.0 * K))
     Mtilde = 1.0
     v_lr = 2.0 * (gamma / xi) * math.e * math.sqrt(hh * K)
 
@@ -564,13 +573,16 @@ def observable_conditions(
 
     `consts` must come from `adjacency`, whose projection setting every norm
     here follows.  Raises when the separation does not exceed R (condition
-    (i)), when the model is fully commuting (the constants are undefined), or
-    when Q = 0 but O_Q sees a nonzero pair commutator (condition (iii)
-    unsatisfiable).
+    (i)), at zero velocity (a fully commuting model or a zero coupling: the
+    constants are undefined), or when Q = 0 but O_Q sees a nonzero pair
+    commutator (condition (iii) unsatisfiable).
     """
     projected = adjacency.projected
     if consts.zero_velocity:
-        raise ValueError("constants undefined for commuting system (K = 0)")
+        raise ValueError(
+            "constants undefined at v_LR = 0 (a commuting system, K = 0, or a "
+            "zero coupling)"
+        )
     d = region_distance(model.graph, op_p.support, op_q.support)
     if d <= consts.R:
         raise ValueError(

@@ -31,6 +31,6 @@ def optimize_lambda(consts) -> tuple:
     )
     lam_star = float(res.x)
     v_min = 2.0 * consts.gamma * math.sqrt(
-        consts.h0 * consts.h1 * consts.K
+        abs(consts.h0 * consts.h1) * consts.K
     ) * slope(lam_star)
     return lam_star, v_min

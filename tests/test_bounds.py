@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -20,6 +21,7 @@ from lrlab.bounds import (
     series_terms_needed,
 )
 from lrlab.chains import ChainCountTable, count_chains_dp
+from lrlab.dynamics import free_fermion_sweep
 from lrlab.lattice import (
     BoundConstants,
     SupportRegion,
@@ -28,9 +30,16 @@ from lrlab.lattice import (
     observable_conditions,
     observable_from_sites,
     region,
+    region_distance,
 )
-from lrlab.models import PAULI_Z, build_commuting_ising, build_tfim
-from lrlab.operators import NumericalError
+from lrlab.models import (
+    PAULI_X,
+    PAULI_Z,
+    build_commuting_ising,
+    build_dicke_chain,
+    build_tfim,
+)
+from lrlab.operators import NumericalError, spectral_norm
 
 
 def _consts(**overrides):
@@ -93,7 +102,8 @@ def _tail_remainder_by_definition(x, n_last):
 
 
 def _terms_needed_by_definition(consts, t, tol):
-    x_env = consts.gamma * math.sqrt(2.0 * consts.h0 * consts.h1 * consts.K) * abs(t)
+    rate = math.sqrt(2.0 * abs(consts.h0 * consts.h1) * consts.K)
+    x_env = consts.gamma * rate * abs(t)
     n = 0
     while consts.M * _tail_remainder_by_definition(x_env, n) >= tol:
         n += 1
@@ -109,7 +119,7 @@ def _series_by_definition(consts, table, t, tol):
             f"chain table covers orders <= {table.n_max}; tolerance {tol} at "
             f"t = {t} needs orders through n = {n_needed}"
         )
-    rate = math.sqrt(2.0 * consts.h0 * consts.h1 * consts.K)
+    rate = math.sqrt(2.0 * abs(consts.h0 * consts.h1) * consts.K)
     x_env = consts.gamma * rate * abs(t)
     total = 0.0
     term = 1.0
@@ -141,7 +151,7 @@ def test_one_pass_tails_match_their_definition(x, n_last):
     k=st.floats(0.0, 4.0),
     gamma=st.floats(0.0, 3.0),
     h0=st.floats(0.1, 2.0),
-    h1=st.floats(0.1, 2.0),
+    h1=st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0)),
     m=st.floats(0.0, 10.0),
     t=st.floats(-3.0, 3.0),
     tol=st.floats(1e-14, 1e-2),
@@ -218,7 +228,7 @@ def test_optimize_lambda_recovers_xi():
         assert lam_star == pytest.approx(xi, rel=1e-6)
         # _consts() does not recompute v_lr from gamma and xi.
         v_lr = 2.0 * (gamma / xi) * math.e * math.sqrt(
-            consts.h0 * consts.h1 * consts.K
+            abs(consts.h0 * consts.h1) * consts.K
         )
         assert v_min == pytest.approx(v_lr, rel=1e-6)
 
@@ -270,9 +280,92 @@ def test_bounded_term_check_tfim_saturates():
     assert chk["ok"]
 
 
-def test_bounded_term_check_scales_with_couplings():
-    chk = bounded_term_check(build_tfim(5, j=3.0, g=3.0))
-    assert chk["Ktilde"] == pytest.approx(3.0, abs=1e-12)
-    assert chk["K"] == pytest.approx(18.0, rel=1e-12)
-    assert chk["Q"] == pytest.approx(108.0, rel=1e-12)
-    assert chk["ok"]
+def test_bounded_term_check_is_in_bare_units():
+    # Ktilde, K and Q are norms of the bare payloads: the couplings, their
+    # size and their sign, enter none of them.
+    for model in (build_tfim(5, j=3.0, g=3.0), build_tfim(5, j=-3.0)):
+        chk = bounded_term_check(model)
+        assert chk["Ktilde"] == pytest.approx(1.0, abs=1e-12)
+        assert chk["K"] == pytest.approx(2.0, rel=1e-12)
+        assert chk["Q"] == pytest.approx(4.0, rel=1e-12)
+        assert chk["ok"]
+
+
+def _scaled(model, s):
+    """The model of s * H: both couplings times s, the payloads untouched."""
+    return dataclasses.replace(model, h0=s * model.h0, h1=s * model.h1)
+
+
+def _every_bound(model, projected, op, oq, times):
+    """(constants, {method: [bound at each t]}) for one observable pair, the
+    series from the first term that O_P sits on."""
+    adj = noncommuting_adjacency(model, projected=projected)
+    consts = compute_bound_constants(model, adj)
+    d = region_distance(model.graph, op.support, oq.support)
+    start = next(
+        gid
+        for gid, term in enumerate(model.terms)
+        if set(op.support.sites) <= set(term.support.sites)
+    )
+    n_max = series_terms_needed(consts, max(times), 1e-9)
+    table = count_chains_dp(adj, start, oq.support, n_max)
+    cond = observable_conditions(model, op, oq, consts, adj)
+    op_norm = spectral_norm(op.payload, structure="hermitian")
+    oq_norm = spectral_norm(oq.payload, structure="hermitian")
+    methods = {
+        "closed_form": lambda t: closed_form_bound(consts, t, d),
+        "series_exact_cn": lambda t: series_bound(consts, table, t),
+        "observable": lambda t: observable_bound(consts, cond, t),
+        "bounded_reference": lambda t: bounded_reference_bound(
+            consts, op_norm, oq_norm, cond.n_P, t, d
+        ),
+    }
+    values = {name: [fn(t) for t in times] for name, fn in methods.items()}
+    return consts, values
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    case=st.sampled_from(["tfim", "dicke", "dicke_projected"]),
+    j=st.floats(0.3, 2.0),
+    g=st.floats(0.3, 2.0),
+    size=st.floats(0.25, 4.0),
+    negative=st.booleans(),
+)
+def test_every_bound_is_covariant_under_rescaling_the_couplings(
+    case, j, g, size, negative
+):
+    # H -> sH runs the same dynamics at t/s; the couplings enter the bounds
+    # only through |h0 h1|, one per order of t, and the unit-free ratio r.
+    # The sign of s reverses time, which no bound and no norm sees.
+    s = -size if negative else size
+    if case == "tfim":
+        model = build_tfim(8, j=j, g=g)
+        op = observable_from_sites(model, (0,), PAULI_Z, label="Z@0")
+        oq = observable_from_sites(model, (5,), PAULI_Z, label="Z@5")
+        projected = False
+    else:
+        # Projected, Q = 0: condition (iii) then holds only for an O_Q that
+        # commutes with every pair bracket, such as Z@5.
+        model = build_dicke_chain(3, truncation=3)
+        projected = case == "dicke_projected"
+        op = observable_from_sites(model, (1,), PAULI_X)
+        oq = observable_from_sites(model, (5,), PAULI_Z if projected else PAULI_X)
+    times = [0.0, 0.3, 0.9, 1.5]
+    base, base_values = _every_bound(model, projected, op, oq, times)
+    scaled, scaled_values = _every_bound(
+        _scaled(model, s), projected, op, oq, [t / size for t in times]
+    )
+    for key in ("K", "Q", "M", "Mtildetilde"):
+        assert getattr(scaled, key) == pytest.approx(getattr(base, key), rel=1e-12)
+    assert scaled.v_lr == pytest.approx(size * base.v_lr, rel=1e-12)
+    for name, values in base_values.items():
+        assert scaled_values[name] == pytest.approx(values, rel=1e-12), name
+    if case == "tfim":
+        sweep = free_fermion_sweep(model, op, [oq], times)
+        scaled_sweep = free_fermion_sweep(
+            _scaled(model, s), op, [oq], [t / size for t in times]
+        )
+        assert [p.value for p in scaled_sweep.points] == pytest.approx(
+            [p.value for p in sweep.points], abs=1e-12
+        )

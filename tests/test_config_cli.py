@@ -356,6 +356,54 @@ def test_cli_verify_tfim_past_the_full_hamiltonian_cap(tmp_path, capsys):
     assert summary["row_count"] == 2 * 13 * 61
 
 
+# Each of these once FAILed: the couplings were counted twice in the rates,
+# and a negative h0*h1 zeroed K.
+@pytest.mark.parametrize("j,g", [(1.0, 0.6), (0.5, 0.5), (-1.0, 1.0)])
+def test_cli_verify_passes_away_from_unit_couplings(tmp_path, capsys, j, g):
+    raw = {
+        "model": {"name": "tfim", "length": 16, "j": j, "g": g},
+        "observables": {"op_site": 0, "oq_sites": list(range(3, 16))},
+        "time_grid": {"start": 0.0, "stop": 4.0, "points": 41},
+        "methods": ["closed_form", "series_exact_cn"],
+    }
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+    assert json.loads((out / "verification.json").read_text())["passed"] is True
+
+
+def test_cli_bound_ignores_the_sign_of_a_coupling(tmp_path):
+    # Only |h0*h1| and the imbalance of |h0| and |h1| enter any bound.
+    methods = ["closed_form", "series_exact_cn", "observable", "bounded_reference"]
+    for j in (1.0, -1.0):
+        raw = dict(
+            GOOD,
+            model={"name": "tfim", "length": 8, "j": j},
+            observables=dict(GOOD["observables"], oq_sites=[3, 5, 7]),
+            methods=methods,
+        )
+        cfg = _write(tmp_path, raw, name=f"j{j}.json")
+        out = tmp_path / f"{j}"
+        assert cli.main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+    plus = (tmp_path / "1.0" / "bounds.csv").read_bytes()
+    assert (tmp_path / "-1.0" / "bounds.csv").read_bytes() == plus
+
+
+def test_cli_verify_that_would_score_nothing_exits_2(tmp_path, capsys):
+    # R = 2 on the TFIM, so both separations are excluded from scoring.
+    raw = dict(
+        GOOD,
+        model={"name": "tfim", "length": 6},
+        observables=dict(GOOD["observables"], oq_sites=[1, 2]),
+    )
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config invalid at 'observables/oq_sites'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # json.loads reads NaN and Infinity, and the schema cannot see them: each of
 # these once ran, to a FAIL, a PASS, NaN margins or an uncertified series.
 @pytest.mark.parametrize(

@@ -225,12 +225,32 @@ def test_tfim_constants_frozen_values():
     assert not consts.zero_velocity
 
 
-def test_velocity_scales_linearly_in_each_coupling():
+def test_velocity_scales_as_sqrt_h0_h1():
+    # v_LR is a rate, 2 (gamma/xi) e sqrt(|h0 h1| K) with K bare: one
+    # coupling per order of t.
     base = _constants(build_tfim(6, j=1.0, g=1.0))
     dbl_j = _constants(build_tfim(6, j=2.0, g=1.0))
     dbl_g = _constants(build_tfim(6, j=1.0, g=2.0))
-    assert dbl_j.v_lr == pytest.approx(2.0 * base.v_lr, rel=1e-12)
-    assert dbl_g.v_lr == pytest.approx(2.0 * base.v_lr, rel=1e-12)
+    dbl_both = _constants(build_tfim(6, j=2.0, g=2.0))
+    assert dbl_j.v_lr == pytest.approx(math.sqrt(2.0) * base.v_lr, rel=1e-12)
+    assert dbl_g.v_lr == pytest.approx(math.sqrt(2.0) * base.v_lr, rel=1e-12)
+    assert dbl_both.v_lr == pytest.approx(2.0 * base.v_lr, rel=1e-12)
+
+
+def test_tfim_at_zero_coupling_has_zero_velocity():
+    # K and Q stay the bare norms; the zero coupling enters through v_LR.
+    model = build_tfim(6, j=0.0, g=1.0)
+    adj = noncommuting_adjacency(model)
+    consts = compute_bound_constants(model, adj)
+    assert consts.K == pytest.approx(2.0, abs=1e-12)
+    assert consts.Q == pytest.approx(4.0, abs=1e-12)
+    assert consts.v_lr == 0.0
+    assert consts.zero_velocity
+    assert consts.M == 1.0
+    op = observable_from_sites(model, (0,), PAULI_Z)
+    oq = observable_from_sites(model, (5,), PAULI_Z)
+    with pytest.raises(ValueError, match="zero coupling"):
+        observable_conditions(model, op, oq, consts, adj)
 
 
 def test_commuting_ising_constants():
