@@ -38,7 +38,7 @@ def main() -> int:
     ap.add_argument("--out", default="out/dicke_truncation")
     args = ap.parse_args()
 
-    from lrlab.bounds import observable_bound
+    from lrlab.bounds import bounded_reference_bound, observable_bound
     from lrlab.dynamics import commutator_norm_sweep
     from lrlab.lattice import (
         compute_bound_constants,
@@ -72,12 +72,9 @@ def main() -> int:
         obs_q = observable_from_sites(model, (last_mode,), q_op, f"Qt@mode{last_mode // 2}")
         cond = observable_conditions(model, obs_p, obs_q, consts, adj)
         bound = observable_bound(consts, cond, args.time)
-        prefactor = (
-            spectral_norm(obs_p.payload, structure="hermitian")
-            * spectral_norm(obs_q.payload, structure="hermitian")
-            * cond.n_P
-            * consts.Mtildetilde
-        )
+        norms = [spectral_norm(o.payload, "hermitian") for o in (obs_p, obs_q)]
+        # The reference bound at t = 0 and d = 0 is its prefactor alone.
+        prefactor = bounded_reference_bound(consts, *norms, cond.n_P, 0.0, 0)
         rows.append((m, pair_full, pair_proj, consts.K, consts.Q, bound, prefactor))
         print(
             f"m={m}: pair norm {pair_full:.6f} (projected {pair_proj:.6f}), "

@@ -86,12 +86,17 @@ def series_bound(
     return consts.M * (total + tail)
 
 
+def _light_cone(consts: BoundConstants, k: float, t: float, d: int) -> float:
+    """exp(2 sqrt(|h0 h1| k) gamma e^{lam/xi} t - lam d), the envelope of both
+    closed forms: k = K for the commutator route, 1 for the norm-based one."""
+    lam = consts.lam
+    rate = 2.0 * math.sqrt(abs(consts.h0 * consts.h1) * k) * consts.gamma
+    return math.exp(rate * math.exp(lam / consts.xi) * abs(t) - lam * d)
+
+
 def closed_form_bound(consts: BoundConstants, t: float, d: int) -> float:
     """Mtildetilde * exp(2 sqrt(|h0 h1| K) gamma e^{lam/xi} t - lam d)."""
-    lam = consts.lam
-    rate = 2.0 * math.sqrt(abs(consts.h0 * consts.h1) * consts.K) * consts.gamma
-    exponent = rate * math.exp(lam / consts.xi) * abs(t) - lam * d
-    return consts.Mtildetilde * math.exp(exponent)
+    return consts.Mtildetilde * _light_cone(consts, consts.K, t, d)
 
 
 def observable_bound(
@@ -117,10 +122,8 @@ def bounded_reference_bound(
     The prefactor carries ||O_P|| ||O_Q||, so on truncated bosonic models it
     grows with the truncation while the commutator-based route stays put.
     """
-    lam = consts.lam
-    rate = 2.0 * math.sqrt(abs(consts.h0 * consts.h1)) * consts.gamma
-    exponent = rate * math.exp(lam / consts.xi) * abs(t) - lam * d
-    return op_norm * oq_norm * n_p * consts.Mtildetilde * math.exp(exponent)
+    envelope = _light_cone(consts, 1.0, t, d)
+    return op_norm * oq_norm * n_p * consts.Mtildetilde * envelope
 
 
 def bounded_term_check(model) -> dict:

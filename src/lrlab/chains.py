@@ -16,8 +16,8 @@ the dummy predecessor of an even step taken through the two-back branch.
 collapsed <= counts <= 2^floor(n/2) * nu^n holds everywhere, and both vanish
 below the reachability cutoff R*n >= d.
 
-"Touches" is `lattice.regions_overlap`; the per-order envelope takes lambda
-from the bound constants.
+"Touches" is `NoncommutingAdjacency.touching`; the per-order envelope takes
+lambda from the bound constants.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import NoncommutingAdjacency, SupportRegion, regions_overlap
+from .lattice import NoncommutingAdjacency, SupportRegion
 
 BRUTE_FORCE_MAX_ORDER = 10
 
@@ -37,13 +37,6 @@ class ChainCountTable:
     n_max: int
     counts: dict
     collapsed: dict
-
-
-def _terms_touching(adj: NoncommutingAdjacency, target: SupportRegion) -> frozenset:
-    """Ids of the terms whose support overlaps the target region."""
-    return frozenset(
-        gid for gid, sup in adj.supports.items() if regions_overlap(sup, target)
-    )
 
 
 def count_chains_dp(
@@ -60,7 +53,7 @@ def count_chains_dp(
     counts = {n: 0 for n in range(n_max + 1)}
     collapsed = {n: 0 for n in range(n_max + 1)}
 
-    hits = _terms_touching(adj, target)
+    hits = adj.touching(target)
     counts[0] = 1 if start in hits else 0
     collapsed[0] = counts[0]
 
@@ -128,7 +121,7 @@ def count_chains_bruteforce(
     counts = {n: 0 for n in range(n_max + 1)}
     collapsed = {n: 0 for n in range(n_max + 1)}
 
-    hits = _terms_touching(adj, target)
+    hits = adj.touching(target)
     counts[0] = 1 if start in hits else 0
     collapsed[0] = counts[0]
 

@@ -82,7 +82,8 @@ def _pauli(name: str):
 
 
 def _observables(cfg: RunConfig, model):
-    from .lattice import observable_from_sites
+    """(O_P, the O_Q list, each O_Q's separation from O_P by label)."""
+    from .lattice import observable_from_sites, region_distance
 
     o = cfg.observables
     n = model.graph.site_count
@@ -104,7 +105,10 @@ def _observables(cfg: RunConfig, model):
     op = one(o.op_site, o.op_pauli, "op_site")
     oq_sites = o.oq_sites or (n - 1,)
     oqs = [one(s, o.oq_pauli, "oq_sites", i) for i, s in enumerate(oq_sites)]
-    return op, oqs
+    seps = {
+        oq.label: region_distance(model.graph, op.support, oq.support) for oq in oqs
+    }
+    return op, oqs, seps
 
 
 def _matching_term_scale(model, obs):
@@ -169,7 +173,7 @@ def _cmd_chains(cfg: RunConfig, args) -> int:
     from .lattice import region, region_distance
 
     model, adj, consts = _setup(cfg, args)
-    op, oqs = _observables(cfg, model)
+    op, oqs, _ = _observables(cfg, model)
     start, _ = _matching_term_scale(model, op)
     if start is None:
         start = _fallback_start(model, op)
@@ -198,23 +202,21 @@ def _cmd_chains(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs):
+def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs, seps):
     """Per-method (t, oq_label) -> bound callables for the configured
-    observables; each O_Q gets its own chain table and conditions."""
+    observables at `seps`; each O_Q gets its own chain table and conditions."""
     from .bounds import (
         bounded_reference_bound,
         closed_form_bound,
         observable_bound,
         series_bound,
+        series_terms_needed,
     )
     from .chains import count_chains_dp
-    from .lattice import observable_conditions, region_distance
+    from .lattice import observable_conditions
     from .operators import spectral_norm
 
     fns = {}
-    seps = {
-        oq.label: region_distance(model.graph, op.support, oq.support) for oq in oqs
-    }
 
     if "closed_form" in cfg.methods:
         fns["closed_form"] = lambda t, label: closed_form_bound(consts, t, seps[label])
@@ -226,8 +228,6 @@ def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs):
                 "method 'series_exact_cn' needs O_P to match a Hamiltonian "
                 "term up to scale"
             )
-        from .bounds import series_terms_needed
-
         t_max = max(abs(t) for t in cfg.time_grid.times())
         n_max = max(cfg.chain_order, series_terms_needed(consts, t_max, cfg.series_tol))
         tables = {}
@@ -241,20 +241,16 @@ def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs):
                 )
             tables[oq.label] = count_chains_dp(adj, start, oq.support, n_max)
             scales[oq.label] = abs(alpha_p) * abs(alpha_q)
-
-        def series_fn(t, label):
-            return scales[label] * series_bound(
-                consts, tables[label], t, tol=cfg.series_tol
-            )
-
-        fns["series_exact_cn"] = series_fn
+        fns["series_exact_cn"] = lambda t, label: scales[label] * series_bound(
+            consts, tables[label], t, tol=cfg.series_tol
+        )
 
     if "observable" in cfg.methods or "bounded_reference" in cfg.methods:
-        conds = {}
-        for oq in oqs:
-            if seps[oq.label] <= consts.R:
-                continue
-            conds[oq.label] = observable_conditions(model, op, oq, consts, adj)
+        conds = {
+            oq.label: observable_conditions(model, op, oq, consts, adj)
+            for oq in oqs
+            if seps[oq.label] > consts.R
+        }
         if "observable" in cfg.methods:
             fns["observable"] = lambda t, label: observable_bound(
                 consts, conds[label], t
@@ -266,28 +262,20 @@ def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs):
                 for oq in oqs
             }
             fns["bounded_reference"] = lambda t, label: bounded_reference_bound(
-                consts,
-                op_norm,
-                oq_norms[label],
-                conds[label].n_P,
-                t,
-                seps[label],
+                consts, op_norm, oq_norms[label], conds[label].n_P, t, seps[label]
             )
     return fns
 
 
 def _cmd_bound(cfg: RunConfig, args) -> int:
-    from .lattice import region_distance
-
     model, adj, consts = _setup(cfg, args)
-    op, oqs = _observables(cfg, model)
-    fns = _bound_functions(cfg, model, adj, consts, op, oqs)
+    op, oqs, seps = _observables(cfg, model)
+    fns = _bound_functions(cfg, model, adj, consts, op, oqs, seps)
     times = cfg.time_grid.times()
     rows = []
-    for method in sorted(fns):
-        fn = fns[method]
+    for method, fn in sorted(fns.items()):
         for oq in oqs:
-            d = region_distance(model.graph, op.support, oq.support)
+            d = seps[oq.label]
             if method in ("observable", "bounded_reference") and d <= consts.R:
                 continue
             for t in times:
@@ -325,7 +313,7 @@ def _write_simulation(out: Path, sweep) -> None:
 
 def _cmd_simulate(cfg: RunConfig, args) -> int:
     model, _, _ = _setup(cfg, args, constants=False)
-    op, oqs = _observables(cfg, model)
+    op, oqs, _ = _observables(cfg, model)
     sweep = _run_sweep(cfg, model, op, oqs)
     out = _ensure_out(args)
     _write_simulation(out, sweep)
@@ -350,20 +338,18 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
     from .dynamics import extract_velocity, verify_bound
-    from .lattice import region_distance
 
     model, adj, consts = _setup(cfg, args)
-    op, oqs = _observables(cfg, model)
+    op, oqs, seps = _observables(cfg, model)
     # Separations d <= R are not scored; a run that scores nothing proves
     # nothing, so it is a config error rather than a PASS.
-    seps = [region_distance(model.graph, op.support, oq.support) for oq in oqs]
-    if max(seps) <= consts.R:
+    if max(seps.values()) <= consts.R:
         raise invalid(
             ("observables", "oq_sites"),
             f"every O_Q lies within R = {consts.R} of O_P, so verify would "
             "score no point",
         )
-    fns = _bound_functions(cfg, model, adj, consts, op, oqs)
+    fns = _bound_functions(cfg, model, adj, consts, op, oqs, seps)
     sweep = _run_sweep(cfg, model, op, oqs)
     report = verify_bound(sweep, fns, min_separation=consts.R, slack=cfg.slack)
 

@@ -35,12 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    HERMITICITY_TOL,
     commutator,
     connected_components,
     embed_dense,
     embed_rows,
     embed_sparse,
+    hermiticity_defect,
     row_padded,
     sparse_commutator,
     spectral_norm,
@@ -140,7 +140,7 @@ def region_distance(graph: InteractionGraph, a: SupportRegion, b: SupportRegion)
 
 
 def regions_overlap(a: SupportRegion, b: SupportRegion) -> bool:
-    return bool(set(a.sites) & set(b.sites))
+    return not set(a.sites).isdisjoint(b.sites)
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,8 @@ def observable_from_sites(
         raise ValueError(
             f"observable payload shape {payload.shape} != support dim {d}"
         )
-    dev = float(np.abs(payload - payload.conj().T).max())
-    if dev > HERMITICITY_TOL * max(1.0, float(np.abs(payload).max())):
+    dev = hermiticity_defect(payload)
+    if dev is not None:
         raise ValueError(f"observable payload is not Hermitian (dev {dev:.3e})")
     return Observable(support=support, payload=payload, label=label)
 
@@ -371,8 +371,8 @@ def validate_two_family(model: TwoFamilyHamiltonian) -> ValidationReport:
                 )
                 unchecked[id(term)] = "payload shape"
                 continue
-            dev = float(np.abs(term.payload - term.payload.conj().T).max())
-            if dev > INTRA_FAMILY_TOL * max(1.0, float(np.abs(term.payload).max())):
+            dev = hermiticity_defect(term.payload)
+            if dev is not None:
                 failures.append(
                     f"term {fam}:{term.index} payload not Hermitian (dev {dev:.3e})"
                 )
@@ -416,6 +416,18 @@ class NoncommutingAdjacency:
         if not self.zmap:
             return 0
         return max(len(zs) for zs in self.zmap.values())
+
+    def touching(self, support: SupportRegion) -> frozenset:
+        """Ids of the terms whose support overlaps `support`."""
+        return frozenset(
+            g for g, s in self.supports.items() if regions_overlap(s, support)
+        )
+
+    def pairs_meeting(self, support: SupportRegion) -> list:
+        """The noncommuting pairs (i, j) whose union of supports meets
+        `support`, so that their bracket may not commute with an op there."""
+        near = self.touching(support)
+        return [(i, j) for i, j in self.pair_norms if i in near or j in near]
 
 
 def noncommuting_adjacency(
@@ -506,16 +518,12 @@ def compute_bound_constants(
     K = max(adjacency.pair_norms.values(), default=0.0)
 
     Q = 0.0
-    for (i, j) in adjacency.pair_norms:
-        a, b = terms[i], terms[j]
-        pair_sites = set(a.support.sites) | set(b.support.sites)
-        for c in terms:
-            if not (pair_sites & set(c.support.sites)):
-                continue
+    for c in terms:
+        for i, j in adjacency.pairs_meeting(c.support):
+            a, b = terms[i], terms[j]
             nrm = triple_commutator_norm(model, a, b, c, projected=adjacency.projected)
-            if nrm <= NONCOMMUTING_TOL:
-                continue
-            Q = max(Q, nrm)
+            if nrm > NONCOMMUTING_TOL:
+                Q = max(Q, nrm)
 
     nu = adjacency.nu
     diam = max((t.support.diameter for t in terms), default=0)
@@ -595,11 +603,8 @@ def observable_conditions(
     F_P = max(p_norms) / consts.K
     F_Q = max(q_norms) / consts.K
 
-    for (i, j) in adjacency.pair_norms:
+    for i, j in adjacency.pairs_meeting(op_q.support):
         a, b = terms[i], terms[j]
-        pair_sites = set(a.support.sites) | set(b.support.sites)
-        if not (pair_sites & set(op_q.support.sites)):
-            continue
         # ||[O_Q, [a, b]]||, taken as ||[[a, b], O_Q]||: one matrix is the
         # exact negation of the other.
         nrm = operator_norm_on_union(model, (a, b, op_q), projected=projected)

@@ -46,21 +46,26 @@ def _path_graph(site_count: int):
     return build_graph(site_count, edges)
 
 
+def _xx_bonds(graph):
+    """Family 0 of the Ising chains: the X_i X_{i+1} bonds of a path graph."""
+    xx = np.kron(PAULI_X, PAULI_X)
+    return tuple(
+        LocalTerm(0, i, region(graph, (i, i + 1)), xx)
+        for i in range(graph.site_count - 1)
+    )
+
+
 def build_tfim(length: int, j: float = 1.0, g: float = 1.0) -> TwoFamilyHamiltonian:
     if length < 2:
         raise ValueError("tfim needs at least 2 sites")
     graph = _path_graph(length)
-    xx = np.kron(PAULI_X, PAULI_X)
-    bonds = tuple(
-        LocalTerm(0, i, region(graph, (i, i + 1)), xx) for i in range(length - 1)
-    )
     fields = tuple(
         LocalTerm(1, i, region(graph, (i,)), PAULI_Z.copy()) for i in range(length)
     )
     return TwoFamilyHamiltonian(
         graph=graph,
         site_dims=(2,) * length,
-        family0=bonds,
+        family0=_xx_bonds(graph),
         family1=fields,
         h0=float(j),
         h1=float(g),
@@ -72,14 +77,10 @@ def build_commuting_ising(length: int, j: float = 1.0) -> TwoFamilyHamiltonian:
     if length < 2:
         raise ValueError("commuting_ising needs at least 2 sites")
     graph = _path_graph(length)
-    xx = np.kron(PAULI_X, PAULI_X)
-    bonds = tuple(
-        LocalTerm(0, i, region(graph, (i, i + 1)), xx) for i in range(length - 1)
-    )
     return TwoFamilyHamiltonian(
         graph=graph,
         site_dims=(2,) * length,
-        family0=bonds,
+        family0=_xx_bonds(graph),
         family1=(),
         h0=float(j),
         h1=0.0,

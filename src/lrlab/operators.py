@@ -2,8 +2,9 @@
 
 Embedding local operators into a labeled product space (dense, row-padded
 sparse, or only the diagonal), commutators (dense, and sparse on the
-row-padded form), spectral norms, connected-component labelling, a checked
-Hermitian eigendecomposition, and the one Heisenberg-evolution routine.
+row-padded form), spectral norms, connected-component labelling, the one
+Hermiticity test, a checked Hermitian eigendecomposition, and the one
+Heisenberg-evolution routine.
 
 The basis order is owned by one index grid (`_index_grid`), and every
 embedding is a scatter through it.  Site 0 is the first (leftmost) Kronecker
@@ -300,6 +301,14 @@ def connected_components(rows, cols, n: int):
     return len(roots), labels
 
 
+def hermiticity_defect(a) -> float | None:
+    """max|A - A^dagger|, or None when it is within HERMITICITY_TOL *
+    max(1, max|A|): lrlab's one Hermiticity test, which a NaN entry fails."""
+    m = np.asarray(a)
+    dev = float(np.abs(m - m.conj().T).max())
+    return None if dev <= HERMITICITY_TOL * max(1.0, float(np.abs(m).max())) else dev
+
+
 def decompose(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, one sector at a time.
 
@@ -309,9 +318,8 @@ def decompose(h) -> SpectralDecomposition:
     EIG_RECONSTRUCTION_TOL relative to the block's largest eigenvalue.
     """
     m = np.asarray(h)
-    dev = float(np.abs(m - m.conj().T).max())
-    scale = max(float(np.abs(m).max()), 1.0)
-    if dev > HERMITICITY_TOL * scale:
+    dev = hermiticity_defect(m)
+    if dev is not None:
         raise NumericalError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     n_sectors, labels = connected_components(*np.nonzero(m), len(m))
     order = np.argsort(labels, kind="stable")

@@ -272,6 +272,26 @@ def test_bounded_reference_prefactor_is_linear_in_norms():
     assert b == pytest.approx(3.0 * 2.0 * 4 * unit, rel=1e-12)
 
 
+_finite = st.floats(0.01, 100.0)
+
+
+@given(
+    k=_finite, gamma=_finite, m=_finite, h0=st.floats(-10.0, 10.0),
+    h1=st.floats(-10.0, 10.0), xi=st.floats(0.1, 1.0), lam=st.floats(0.01, 5.0),
+    a=_finite, b=_finite, n=st.integers(1, 50),
+)
+@settings(max_examples=100, deadline=None)
+def test_bounds_at_the_origin_are_their_prefactors_exactly(
+    k, gamma, m, h0, h1, xi, lam, a, b, n
+):
+    # At t = 0 and d = 0 the light-cone envelope is exp(0) = 1, so both
+    # closed forms return their prefactors bit for bit; the truncation study
+    # reads its reference prefactor off this identity.
+    consts = _consts(K=k, gamma=gamma, Mtildetilde=m, h0=h0, h1=h1, xi=xi, lam=lam)
+    assert closed_form_bound(consts, 0.0, 0) == m
+    assert bounded_reference_bound(consts, a, b, n, 0.0, 0) == a * b * n * m
+
+
 def test_bounded_term_check_tfim_saturates():
     chk = bounded_term_check(build_tfim(5))
     assert chk["Ktilde"] == pytest.approx(1.0, abs=1e-12)

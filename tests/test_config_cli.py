@@ -91,6 +91,15 @@ def test_thread_env_translation(monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "2"  # an explicit setting wins
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
     assert os.environ["MKL_NUM_THREADS"] == "1"
+    # OpenBLAS reads 0, a negative count or garbage as "every core", so only
+    # a positive integer is copied; anything else is named and ignored.
+    for bad in ("0", "-3", "abc", "1.5"):
+        for var in lrlab._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("LRLAB_THREADS", bad)
+        with pytest.warns(RuntimeWarning, match=f"LRLAB_THREADS='{bad}'"):
+            lrlab._apply_thread_env()
+        assert not any(var in os.environ for var in lrlab._THREAD_VARS)
 
 
 def test_cli_verify_passes_and_is_deterministic(tmp_path):

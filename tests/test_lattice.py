@@ -36,7 +36,14 @@ from lrlab.models import (
     build_dicke_chain,
     build_tfim,
 )
-from lrlab.operators import commutator, embed_dense, spectral_norm
+from lrlab.operators import (
+    HERMITICITY_TOL,
+    NumericalError,
+    commutator,
+    decompose,
+    embed_dense,
+    spectral_norm,
+)
 
 
 def test_build_graph_path_distances():
@@ -140,6 +147,56 @@ def test_validate_reports_non_hermitian_payload():
     )
     report = validate_two_family(bad)
     assert any("not Hermitian" in f for f in report.failures)
+
+
+def _off_hermitian(scale, factor):
+    """A 2x2 payload with max|A| = scale whose max|A - A^dagger| is `factor`
+    times the Hermiticity tolerance at that scale."""
+    dev = factor * HERMITICITY_TOL * max(1.0, scale)
+    return np.array([[scale, dev], [0.0, -scale]])
+
+
+@pytest.mark.parametrize(
+    "payload,hermitian",
+    [
+        (_off_hermitian(0.5, 0.99), True),
+        (_off_hermitian(0.5, 1.01), False),
+        (_off_hermitian(5.0, 0.99), True),
+        (_off_hermitian(5.0, 1.01), False),
+        # A NaN compares false with every tolerance; it must not pass.
+        (np.array([[np.nan, 1.0], [0.0, 1.0]]), False),
+    ],
+    ids=["under@0.5", "over@0.5", "under@5", "over@5", "nan"],
+)
+def test_hermiticity_entry_points_agree_at_the_tolerance(payload, hermitian):
+    # The observable check, the structural check of a term and the
+    # eigendecomposition share one test, max|A - A^dagger| against
+    # HERMITICITY_TOL * max(1, max|A|): just under it all three accept, just
+    # over it all three reject.
+    g = build_graph(1, [])
+    model = TwoFamilyHamiltonian(
+        graph=g,
+        site_dims=(2,),
+        family0=(LocalTerm(0, 0, region(g, (0,)), payload),),
+        family1=(),
+        h0=1.0,
+        h1=0.0,
+    )
+    verdicts = []
+    try:
+        observable_from_sites(model, (0,), payload)
+        verdicts.append(True)
+    except ValueError as e:
+        assert "not Hermitian" in str(e)
+        verdicts.append(False)
+    verdicts.append(validate_two_family(model).passed)
+    try:
+        decompose(payload)
+        verdicts.append(True)
+    except NumericalError as e:
+        assert "not Hermitian" in str(e)
+        verdicts.append(False)
+    assert verdicts == [hermitian] * 3
 
 
 def test_validate_does_not_trust_a_non_hermitian_term_to_commute():
