@@ -6,9 +6,10 @@ them with `diff -r`.  The runs use the checkout's own `src/` and
 LRLAB_THREADS=1, one at a time:
 
 * check, constants, chains, bound, simulate and verify on every
-  configs/*.json, and on three configs written into OUT/configs: a TFIM with
+  configs/*.json, and on four configs written into OUT/configs: a TFIM with
   X observables (the structured sweep), a projected Dicke chain with an
-  occupation cap, and a TFIM with all four bound methods;
+  occupation cap, a TFIM with all four bound methods, and the same TFIM at
+  "lambda": 0.8 (a decay rate other than the default xi);
 * scripts/run_dicke_truncation.py at its defaults, with --length 3
   --occupation-cap 1, with --truncations 2 3 4 5 6 8 10, and with --h 0.5;
 * scripts/run_tfim_verify.py at its defaults, with --length 5, with
@@ -17,7 +18,7 @@ LRLAB_THREADS=1, one at a time:
   --length 64 --j=-0.5 --g 0.5 --t-max 4 (couplings away from 1, one of
   them negative).
 
-That is 51 runs: 6 commands on 7 configs, and 9 script runs.
+That is 57 runs: 6 commands on 8 configs, and 9 script runs.
 
 OUT/<run>/ holds the run's artifacts (out/), stdout, stderr and exit_code.
 Every path a run sees is relative to its own directory, so two checkouts
@@ -76,6 +77,7 @@ WRITTEN_CONFIGS = {
         ],
     },
 }
+WRITTEN_CONFIGS["tfim_lambda"] = {**WRITTEN_CONFIGS["tfim_all_methods"], "lambda": 0.8}
 SCRIPT_RUNS = {
     "dicke_truncation-defaults": ("run_dicke_truncation.py",),
     "dicke_truncation-capped": (

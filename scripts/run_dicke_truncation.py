@@ -39,7 +39,6 @@ def main() -> int:
     args = ap.parse_args()
 
     from lrlab.bounds import bounded_reference_bound, observable_bound
-    from lrlab.dynamics import commutator_norm_sweep
     from lrlab.lattice import (
         compute_bound_constants,
         noncommuting_adjacency,
@@ -83,6 +82,8 @@ def main() -> int:
         )
 
         if args.occupation_cap is not None:
+            from lrlab.dynamics import commutator_norm_sweep
+
             times = tuple(
                 args.t_max * k / (args.points - 1) for k in range(args.points)
             )

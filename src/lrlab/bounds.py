@@ -63,7 +63,7 @@ def series_bound(
     consts: BoundConstants,
     table: ChainCountTable,
     t: float,
-    tol: float = 1e-9,
+    tol: float,
 ) -> float:
     """Exact-coefficient partial sum plus the certified envelope tail.
 
@@ -124,24 +124,3 @@ def bounded_reference_bound(
     """
     envelope = _light_cone(consts, 1.0, t, d)
     return op_norm * oq_norm * n_p * consts.Mtildetilde * envelope
-
-
-def bounded_term_check(model) -> dict:
-    """For models with bounded terms, Ktilde = max_i ||Phi^i|| over the bare
-    payloads of both families controls the commutator constants:
-    K <= 2 Ktilde^2 and Q <= 4 Ktilde^3, all in bare units, so no coupling
-    enters.  Returns the three constants and whether both inequalities
-    hold."""
-    from .lattice import compute_bound_constants, noncommuting_adjacency
-    from .operators import spectral_norm
-
-    consts = compute_bound_constants(model, noncommuting_adjacency(model))
-    ktilde = max(
-        spectral_norm(t.payload, structure="hermitian") for t in model.terms
-    )
-    slack = 1e-9 * max(1.0, ktilde) ** 3
-    ok = (consts.K <= 2.0 * ktilde**2 + slack) and (
-        consts.Q <= 4.0 * ktilde**3 + slack
-    )
-    return {"Ktilde": ktilde, "K": consts.K, "Q": consts.Q, "ok": ok}
-

@@ -1,11 +1,11 @@
 """Command line front end.
 
 Subcommands: check, constants, chains, bound, simulate, verify.  Each takes
---config (JSON, validated against the shipped schema), an optional --lambda
-override for the decay rate, and --out for the artifact directory.  Exit
-codes: 0 success, 1 a checked invariant or bound failed, 2 usage or config
-errors (a non-positive or infinite lambda included), 3 a numerical failure
-(an overflowing bound included).
+--config (JSON, validated against the shipped schema) and --out for the
+artifact directory; every run setting, the decay rate lambda included, comes
+from the config alone.  Exit codes: 0 success, 1 a checked invariant or bound
+failed, 2 usage or config errors (a non-positive or non-finite lambda
+included), 3 a numerical failure (an overflowing bound included).
 
 LRLAB_THREADS is translated into the BLAS thread-count variables on
 `import lrlab`.  The model, lattice and bound modules are imported inside the
@@ -42,19 +42,12 @@ def _build_parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", required=True, type=Path, help="JSON run config")
         s.add_argument(
-            "--lambda",
-            dest="lam",
-            type=float,
-            default=None,
-            help="override the decay rate lambda",
-        )
-        s.add_argument(
             "--out", type=Path, default=Path("out"), help="artifact directory"
         )
     return parser
 
 
-def _setup(cfg: RunConfig, args, constants: bool = True):
+def _setup(cfg: RunConfig, constants: bool = True):
     """(model, adjacency, constants) for one command.
 
     The noncommuting adjacency is built once and shared by everything the
@@ -70,8 +63,7 @@ def _setup(cfg: RunConfig, args, constants: bool = True):
     if not constants:
         return model, None, None
     adj = noncommuting_adjacency(model, projected=cfg.projected)
-    lam = args.lam if args.lam is not None else cfg.lam
-    consts = compute_bound_constants(model, adj, lam=lam)
+    consts = compute_bound_constants(model, adj, lam=cfg.lam)
     return model, adj, consts
 
 
@@ -142,10 +134,10 @@ def _fallback_start(model, obs):
     )
 
 
-def _cmd_check(cfg: RunConfig, args) -> int:
+def _cmd_check(cfg: RunConfig, out: Path) -> int:
     from .lattice import validate_two_family
 
-    model, _, _ = _setup(cfg, args, constants=False)
+    model, _, _ = _setup(cfg, constants=False)
     report = validate_two_family(model)
     print(
         f"{model.name}: {len(model.family0)} family-0 terms, "
@@ -159,27 +151,27 @@ def _cmd_check(cfg: RunConfig, args) -> int:
     return 1
 
 
-def _cmd_constants(cfg: RunConfig, args) -> int:
-    _, _, consts = _setup(cfg, args)
-    out = _ensure_out(args)
+def _cmd_constants(cfg: RunConfig, out: Path) -> int:
+    _, _, consts = _setup(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "constants.json", consts.as_dict())
     for key, val in sorted(consts.as_dict().items()):
         print(f"{key} = {val}")
     return 0
 
 
-def _cmd_chains(cfg: RunConfig, args) -> int:
+def _cmd_chains(cfg: RunConfig, out: Path) -> int:
     from .chains import closed_form_chain_bound, count_chains_dp
     from .lattice import region, region_distance
 
-    model, adj, consts = _setup(cfg, args)
+    model, adj, consts = _setup(cfg)
     op, oqs, _ = _observables(cfg, model)
     start, _ = _matching_term_scale(model, op)
     if start is None:
         start = _fallback_start(model, op)
     target = region(model.graph, [s for oq in oqs for s in oq.support.sites])
     table = count_chains_dp(adj, start, target, cfg.chain_order)
-    out = _ensure_out(args)
+    out.mkdir(parents=True, exist_ok=True)
     d0 = region_distance(model.graph, adj.supports[start], target)
     rows = [
         (n, table.counts[n], closed_form_chain_bound(consts, n, d0))
@@ -229,7 +221,7 @@ def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs, seps):
                 "term up to scale"
             )
         t_max = max(abs(t) for t in cfg.time_grid.times())
-        n_max = max(cfg.chain_order, series_terms_needed(consts, t_max, cfg.series_tol))
+        n_max = series_terms_needed(consts, t_max, cfg.series_tol)
         tables = {}
         scales = {}
         for oq in oqs:
@@ -267,8 +259,8 @@ def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs, seps):
     return fns
 
 
-def _cmd_bound(cfg: RunConfig, args) -> int:
-    model, adj, consts = _setup(cfg, args)
+def _cmd_bound(cfg: RunConfig, out: Path) -> int:
+    model, adj, consts = _setup(cfg)
     op, oqs, seps = _observables(cfg, model)
     fns = _bound_functions(cfg, model, adj, consts, op, oqs, seps)
     times = cfg.time_grid.times()
@@ -280,7 +272,16 @@ def _cmd_bound(cfg: RunConfig, args) -> int:
                 continue
             for t in times:
                 rows.append((method, d, float(t), float(fn(t, oq.label)), oq.label))
-    out = _ensure_out(args)
+    # Only the observable-route methods skip a pair, so no row means they
+    # were all the methods and every O_Q lay within R: as in verify, a run
+    # that computes nothing is a config error rather than a success.
+    if not rows:
+        raise invalid(
+            ("observables", "oq_sites"),
+            f"every O_Q lies within R = {consts.R} of O_P, so methods "
+            f"{sorted(fns)} would write no value",
+        )
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "bounds.csv", ("method", "d", "t", "value", "oq"), rows)
     write_json(out / "constants.json", consts.as_dict())
     print(f"wrote {len(rows)} bound values for methods {sorted(fns)}")
@@ -311,11 +312,11 @@ def _write_simulation(out: Path, sweep) -> None:
     )
 
 
-def _cmd_simulate(cfg: RunConfig, args) -> int:
-    model, _, _ = _setup(cfg, args, constants=False)
+def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
+    model, _, _ = _setup(cfg, constants=False)
     op, oqs, _ = _observables(cfg, model)
     sweep = _run_sweep(cfg, model, op, oqs)
-    out = _ensure_out(args)
+    out.mkdir(parents=True, exist_ok=True)
     _write_simulation(out, sweep)
     write_json(
         out / "meta.json",
@@ -336,10 +337,10 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
+def _cmd_verify(cfg: RunConfig, out: Path) -> int:
     from .dynamics import extract_velocity, verify_bound
 
-    model, adj, consts = _setup(cfg, args)
+    model, adj, consts = _setup(cfg)
     op, oqs, seps = _observables(cfg, model)
     # Separations d <= R are not scored; a run that scores nothing proves
     # nothing, so it is a config error rather than a PASS.
@@ -359,7 +360,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     except ValueError as e:
         velocity = {"error": str(e), "v_lr": consts.v_lr}
 
-    out = _ensure_out(args)
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "constants.json", consts.as_dict())
     _write_simulation(out, sweep)
     write_csv(
@@ -394,12 +395,6 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     return 0 if report.passed else 1
 
 
-def _ensure_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 _COMMANDS = {
     "check": _cmd_check,
     "constants": _cmd_constants,
@@ -414,7 +409,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](cfg, args.out)
     except (NumericalError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -77,8 +77,6 @@ class TimeGridConfig:
     points: int = 61
 
     def times(self) -> tuple:
-        if self.points == 1:
-            return (self.start,)
         step = (self.stop - self.start) / (self.points - 1)
         return tuple(self.start + k * step for k in range(self.points))
 

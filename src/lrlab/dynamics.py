@@ -42,8 +42,9 @@ from .lattice import (
     region_distance,
 )
 from .models import PAULI_Z, full_hamiltonian
+# Unused here, but perfbench/tracer.py wraps `commutator` under this name too.
+from .operators import commutator  # noqa: F401
 from .operators import (
-    commutator,
     decompose,
     embed_dense,
     embed_diagonal,
@@ -51,8 +52,6 @@ from .operators import (
     heisenberg_evolve,
     spectral_norm,
 )
-
-DEFAULT_CONE_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -253,9 +252,7 @@ class VelocityEstimate:
     crossings: tuple  # (d, t_star) pairs
 
 
-def extract_velocity(
-    sweep: SimulationSweep, threshold: float = DEFAULT_CONE_THRESHOLD
-) -> VelocityEstimate:
+def extract_velocity(sweep: SimulationSweep, threshold: float) -> VelocityEstimate:
     """Empirical cone velocity: fit d = v * t_star + c over the first
     threshold crossing of each observable's measured commutator norm, with d
     its separation from O_P (crossings ordered by d, then label).
@@ -323,7 +320,8 @@ def verify_bound(
     sweep: SimulationSweep,
     bound_fns: dict,
     min_separation: int = 0,
-    slack: float = 1e-9,
+    *,
+    slack: float,
 ) -> VerificationReport:
     """Compare measured norms against each named bound function
     (t, oq_label) -> value, so every point is scored against the bound for
@@ -359,60 +357,3 @@ def verify_bound(
         excluded_separations=excluded,
         passed=passed,
     )
-
-
-def _global_id(model: TwoFamilyHamiltonian, family: int, index: int) -> int:
-    for gid, term in enumerate(model.terms):
-        if term.family == family and term.index == index:
-            return gid
-    raise ValueError(f"no term with family {family}, index {index}")
-
-
-def derivative_identity_check(
-    model: TwoFamilyHamiltonian,
-    family_a: int,
-    index_a: int,
-    family_b: int,
-    index_b: int,
-    t: float,
-    step: float = 1e-4,
-) -> float:
-    """Relative defect of the evolution identity for K(t) = [Phi_a^i(t), Phi_b^j].
-
-    dK/dt is compared, as a central difference with the given step, against
-    [K(t), -i h' sum Phi'(t)] + (-i h') sum [Phi_a^i(t), [Phi'(t), Phi_b^j]]
-    where the sums run over the opposite-family terms that fail to commute
-    with Phi_a^i.  Returns ||lhs - rhs|| / max(||rhs||, 1); the floor keeps
-    the metric finite on commuting models where both sides vanish.
-    """
-    from .lattice import noncommuting_adjacency
-
-    adj = noncommuting_adjacency(model)
-    gid_a = _global_id(model, family_a, index_a)
-    gid_b = _global_id(model, family_b, index_b)
-    decomp = decompose(full_hamiltonian(model))
-    dims = list(model.site_dims)
-
-    terms = model.terms
-    a_full = embed_dense(terms[gid_a].payload, terms[gid_a].support.sites, dims)
-    b_full = embed_dense(terms[gid_b].payload, terms[gid_b].support.sites, dims)
-    h_opp = model.coupling(1 - family_a)
-
-    a_plus, a_minus, a_t = heisenberg_evolve(
-        a_full, decomp, (t + step, t - step, t)
-    )
-    lhs = (commutator(a_plus, b_full) - commutator(a_minus, b_full)) / (2.0 * step)
-    k_t = commutator(a_t, b_full)
-    rhs = np.zeros_like(k_t)
-    partner_sum = np.zeros_like(k_t)
-    for gid in sorted(adj.zmap[gid_a]):
-        term = terms[gid]
-        (phi_t,) = heisenberg_evolve(
-            embed_dense(term.payload, term.support.sites, dims), decomp, (t,)
-        )
-        partner_sum += phi_t
-        rhs += (-1j * h_opp) * commutator(a_t, commutator(phi_t, b_full))
-    rhs += commutator(k_t, -1j * h_opp * partner_sum)
-
-    denom = max(spectral_norm(rhs), 1.0)
-    return spectral_norm(lhs - rhs) / denom

@@ -17,8 +17,6 @@ def fmt17(x) -> str:
 
 
 def _cell(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, float):
         return fmt17(x)
     return str(x)

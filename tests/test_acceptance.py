@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from lambda_optimum import optimize_lambda
+from lemma_checks import bounded_term_check, derivative_identity_check
 from lrlab import cli
 from lrlab.bounds import (
-    bounded_term_check,
     closed_form_bound,
     observable_bound,
     series_bound,
@@ -25,7 +25,6 @@ from lrlab.bounds import (
 from lrlab.chains import count_chains_bruteforce, count_chains_dp
 from lrlab.dynamics import (
     commutator_norm_sweep,
-    derivative_identity_check,
     extract_velocity,
     verify_bound,
 )

@@ -11,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_optimum import optimize_lambda
+from lemma_checks import bounded_term_check
 from lrlab.bounds import (
     _tails,
     bounded_reference_bound,
-    bounded_term_check,
     closed_form_bound,
     observable_bound,
     series_bound,
@@ -172,10 +172,9 @@ def test_one_pass_series_matches_its_definition(k, gamma, h0, h1, m, t, tol, cou
 
 def test_series_at_time_zero_is_m_times_c0():
     consts = _consts()
-    assert series_bound(consts, _table({0: 1, 1: 0, 2: 0}), 0.0) == pytest.approx(
-        consts.M
-    )
-    assert series_bound(consts, _table({0: 0, 1: 0, 2: 0}), 0.0) == 0.0
+    one, zero = _table({0: 1, 1: 0, 2: 0}), _table({0: 0, 1: 0, 2: 0})
+    assert series_bound(consts, one, 0.0, tol=1e-9) == pytest.approx(consts.M)
+    assert series_bound(consts, zero, 0.0, tol=1e-9) == 0.0
 
 
 def test_series_needs_enough_orders():
@@ -334,7 +333,7 @@ def _every_bound(model, projected, op, oq, times):
     oq_norm = spectral_norm(oq.payload, structure="hermitian")
     methods = {
         "closed_form": lambda t: closed_form_bound(consts, t, d),
-        "series_exact_cn": lambda t: series_bound(consts, table, t),
+        "series_exact_cn": lambda t: series_bound(consts, table, t, tol=1e-9),
         "observable": lambda t: observable_bound(consts, cond, t),
         "bounded_reference": lambda t: bounded_reference_bound(
             consts, op_norm, oq_norm, cond.n_P, t, d

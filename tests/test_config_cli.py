@@ -15,6 +15,8 @@ import lrlab
 from lrlab import cli
 from lrlab.config import ConfigError, parse_config
 
+COMMANDS = ("check", "constants", "chains", "bound", "simulate", "verify")
+
 GOOD = {
     "model": {"name": "tfim", "length": 5},
     "observables": {
@@ -158,26 +160,40 @@ def test_cli_constants_writes_json(tmp_path):
 
 
 def test_cli_lambda_override(tmp_path):
-    cfg = _write(tmp_path, {"model": {"name": "tfim", "length": 4}})
+    # The config's `lambda` replaces the default decay rate xi.
+    raw = {"model": {"name": "tfim", "length": 4}, "lambda": 0.8}
+    cfg = _write(tmp_path, raw)
     out = tmp_path / "o"
-    assert (
-        cli.main(
-            ["constants", "--config", str(cfg), "--lambda", "0.8", "--out", str(out)]
-        )
-        == 0
-    )
+    assert cli.main(["constants", "--config", str(cfg), "--out", str(out)]) == 0
     data = json.loads((out / "constants.json").read_text())
     assert data["lambda"] == 0.8
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_rejects_the_lambda_flag(tmp_path, capsys, command):
+    # lambda has one source, the config; a flag would be a second.
+    cfg = _write(tmp_path, GOOD)
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg), "--lambda", "0.5", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lambda 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lam", ["-1", "0", "nan", "inf"])
 def test_cli_invalid_lambda_exits_2(tmp_path, capsys, lam):
-    cfg = _write(tmp_path, {"model": {"name": "tfim", "length": 4}})
-    out = tmp_path / "o"
-    argv = ["constants", "--config", str(cfg), f"--lambda={lam}", "--out", str(out)]
-    assert cli.main(argv) == 2
-    assert "lambda must be positive" in capsys.readouterr().err
-    assert not (out / "constants.json").exists()
+    # The schema rejects -1 and 0, `parse_config` NaN and Infinity, before
+    # any command runs: `check` and `simulate`, which never read lambda,
+    # exit 2 too.
+    cfg = _write(tmp_path, dict(GOOD, **{"lambda": float(lam)}))
+    for command in COMMANDS:
+        out = tmp_path / command
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        assert cli.main(argv) == 2, command
+        assert capsys.readouterr().err.startswith("error: config invalid")
+        assert not out.exists()
 
 
 def test_cli_uncertifiable_series_exits_3(tmp_path, capsys):
@@ -190,10 +206,10 @@ def test_cli_uncertifiable_series_exits_3(tmp_path, capsys):
 
 def test_cli_overflowing_bound_exits_3(tmp_path, capsys):
     # lambda = 1000 puts e^{lambda/xi} = e^2000 into the closed form.
-    raw = dict(GOOD)
-    raw["methods"] = ["closed_form"]
+    raw = dict(GOOD, methods=["closed_form"])
+    raw["lambda"] = 1000
     cfg = _write(tmp_path, raw)
-    argv = ["bound", "--config", str(cfg), "--lambda", "1000", "--out", str(tmp_path)]
+    argv = ["bound", "--config", str(cfg), "--out", str(tmp_path)]
     assert cli.main(argv) == 3
     assert "math range error" in capsys.readouterr().err
 
@@ -411,6 +427,53 @@ def test_cli_verify_that_would_score_nothing_exits_2(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config invalid at 'observables/oq_sites'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "methods", [["observable"], ["observable", "bounded_reference"]]
+)
+def test_cli_bound_that_would_write_nothing_exits_2(tmp_path, capsys, methods):
+    # R = 2 on the TFIM, and the observable-route methods skip d <= R.
+    raw = dict(
+        GOOD,
+        model={"name": "tfim", "length": 6},
+        observables=dict(GOOD["observables"], oq_sites=[1, 2]),
+        methods=methods,
+    )
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "o"
+    assert cli.main(["bound", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config invalid at 'observables/oq_sites'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_bound_sizes_series_tables_by_the_tolerance_alone(tmp_path, monkeypatch):
+    # chain_order sizes the `chains` table only; the series needs
+    # series_terms_needed orders at the largest |t|, whatever chain_order says.
+    from lrlab import chains
+    from lrlab.bounds import series_terms_needed
+    from lrlab.lattice import compute_bound_constants, noncommuting_adjacency
+    from lrlab.models import build_tfim
+
+    count = chains.count_chains_dp
+    orders = []
+
+    def counted(adj, start, target, n_max):
+        orders.append(n_max)
+        return count(adj, start, target, n_max)
+
+    monkeypatch.setattr(chains, "count_chains_dp", counted)
+    model = build_tfim(5)
+    consts = compute_bound_constants(model, noncommuting_adjacency(model))
+    needed = series_terms_needed(consts, 1.0, 1e-9)
+    written = []
+    for chain_order in (200, 0):
+        cfg = _write(tmp_path, dict(GOOD, chain_order=chain_order))
+        out = tmp_path / str(chain_order)
+        assert cli.main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        written.append((out / "bounds.csv").read_bytes())
+    assert orders == [needed] * 4  # two O_Q per run
+    assert written[0] == written[1]
 
 
 # json.loads reads NaN and Infinity, and the schema cannot see them: each of

@@ -12,7 +12,9 @@ own): a TFIM `verify` with `Z` observables (the free-fermion sweep), one
 with `X` observables (the structured sweep, whose `O_Q` is not diagonal),
 the `Z` run again with jsonschema made unimportable, the truncation study
 (sparse union norms), and the truncation study with `--occupation-cap`
-(spin `X` observables in the sweep).
+(spin `X` observables in the sweep).  Each case also states whether it loads
+`lrlab.dynamics`: the truncation study sweeps only with `--occupation-cap`,
+so without it the sweep module stays unloaded.
 """
 
 from __future__ import annotations
@@ -59,23 +61,27 @@ TFIM_X_CONFIG = {
 
 TRUNCATION = str(REPO_ROOT / "scripts" / "run_dicke_truncation.py")
 
-# "{config}" stands for TFIM_X_CONFIG written to a file.
+# (kind, argv, whether the run loads lrlab.dynamics); "{config}" stands for
+# TFIM_X_CONFIG written to a file.
 CASES = {
     "tfim_verify": (
         "cli",
         ["verify", "--config", str(REPO_ROOT / "configs" / "tfim_small.json")],
+        True,
     ),
-    "tfim_verify_x": ("cli", ["verify", "--config", "{config}"]),
+    "tfim_verify_x": ("cli", ["verify", "--config", "{config}"], True),
     "tfim_verify_without_jsonschema": (
         "cli_without_jsonschema",
         ["verify", "--config", str(REPO_ROOT / "configs" / "tfim_small.json")],
+        True,
     ),
     "dicke_truncation": (
-        "script", [TRUNCATION, "--length", "3", "--truncations", "2", "3"],
+        "script", [TRUNCATION, "--length", "3", "--truncations", "2", "3"], False,
     ),
     "dicke_occupation_cap": (
         "script",
         [TRUNCATION, "--length", "3", "--truncations", "2", "--occupation-cap", "1"],
+        True,
     ),
 }
 
@@ -101,7 +107,7 @@ def bare_packages():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_imports_only_the_scipy_it_uses(tmp_path, bare_packages, case):
-    kind, argv = CASES[case]
+    kind, argv, sweeps = CASES[case]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TFIM_X_CONFIG))
     argv = [str(config) if arg == "{config}" else arg for arg in argv]
@@ -117,6 +123,7 @@ def test_run_imports_only_the_scipy_it_uses(tmp_path, bare_packages, case):
     modules = set(run["modules"])
     # The check sees modules imported inside functions too.
     assert "lrlab.lattice" in modules
+    assert ("lrlab.dynamics" in modules) == sweeps
     packages = {m.split(".")[0] for m in modules}
     assert packages - bare_packages - set(sys.stdlib_module_names) == {
         "lrlab", "numpy"
