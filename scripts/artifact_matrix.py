@@ -6,10 +6,12 @@ them with `diff -r`.  The runs use the checkout's own `src/` and
 LRLAB_THREADS=1, one at a time:
 
 * check, constants, chains, bound, simulate and verify on every
-  configs/*.json, and on four configs written into OUT/configs: a TFIM with
+  configs/*.json, and on five configs written into OUT/configs: a TFIM with
   X observables (the structured sweep), a projected Dicke chain with an
-  occupation cap, a TFIM with all four bound methods, and the same TFIM at
-  "lambda": 0.8 (a decay rate other than the default xi);
+  occupation cap, a TFIM with all four bound methods, the same TFIM at
+  "lambda": 0.8 (a decay rate other than the default xi), and a 12-site TFIM
+  at "chain_order": 60 (so `chains` writes both counts, sequences and
+  collapsed classes, at depth);
 * scripts/run_dicke_truncation.py at its defaults, with --length 3
   --occupation-cap 1, with --truncations 2 3 4 5 6 8 10, and with --h 0.5;
 * scripts/run_tfim_verify.py at its defaults, with --length 5, with
@@ -18,7 +20,7 @@ LRLAB_THREADS=1, one at a time:
   --length 64 --j=-0.5 --g 0.5 --t-max 4 (couplings away from 1, one of
   them negative).
 
-That is 57 runs: 6 commands on 8 configs, and 9 script runs.
+That is 63 runs: 6 commands on 9 configs, and 9 script runs.
 
 OUT/<run>/ holds the run's artifacts (out/), stdout, stderr and exit_code.
 Every path a run sees is relative to its own directory, so two checkouts
@@ -78,6 +80,12 @@ WRITTEN_CONFIGS = {
     },
 }
 WRITTEN_CONFIGS["tfim_lambda"] = {**WRITTEN_CONFIGS["tfim_all_methods"], "lambda": 0.8}
+WRITTEN_CONFIGS["tfim_deep_chains"] = {
+    "model": {"name": "tfim", "length": 12},
+    "observables": {"op_site": 0, "oq_sites": [5, 11]},
+    "time_grid": {"start": 0.0, "stop": 1.0, "points": 6},
+    "chain_order": 60,
+}
 SCRIPT_RUNS = {
     "dicke_truncation-defaults": ("run_dicke_truncation.py",),
     "dicke_truncation-capped": (
@@ -109,7 +117,9 @@ def runs(out: Path):
     for name in sorted(p.stem for p in (out / "configs").glob("*.json")):
         for command in COMMANDS:
             argv = ["-m", "lrlab.cli", command, "--config", f"../configs/{name}.json"]
-            yield f"{command}-{name}", argv + ["--out", "out"]
+            if command != "check":  # check writes nothing and takes no --out
+                argv += ["--out", "out"]
+            yield f"{command}-{name}", argv
     for name, (script, *args) in SCRIPT_RUNS.items():
         yield name, [str(ROOT / "scripts" / script), *args, "--out", "out"]
 

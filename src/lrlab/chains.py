@@ -46,66 +46,49 @@ def count_chains_dp(
 
     Even-length frontiers are keyed by the last term (the next odd step only
     looks one back); odd-length frontiers keep (penult, last) pairs because
-    both the next even step and the odd terminal rule look two back.
+    both the next even step and the odd terminal rule look two back.  The
+    sequences and the classes share the frontier keys and the terminal rule;
+    they differ only in how an even step grows them.
     """
     if start not in adj.zmap:
         raise ValueError(f"start term id {start} not in adjacency")
-    counts = {n: 0 for n in range(n_max + 1)}
-    collapsed = {n: 0 for n in range(n_max + 1)}
+    zmap, hits = adj.zmap, adj.touching(target)
 
-    hits = adj.touching(target)
-    counts[0] = 1 if start in hits else 0
-    collapsed[0] = counts[0]
+    def tally(frontier, n):
+        if n % 2:
+            return sum(c for (p, l), c in frontier.items() if p in hits or l in hits)
+        return sum(c for last, c in frontier.items() if last in hits)
 
-    # counts: S holds even-length frontier {last: n_sequences}.
-    s_even = {start: 1}
-    # collapsed: F as above, G holds the odd frontier {(penult, last): n_classes}.
-    f_even = {start: 1}
-    g_odd: dict = {}
-
-    for n in range(1, n_max + 1):
-        if n % 2 == 1:
-            s_odd = {}
-            for last, cnt in s_even.items():
-                for y in adj.zmap[last]:
-                    key = (last, y)
-                    s_odd[key] = s_odd.get(key, 0) + cnt
-            g_odd = {}
-            for last, cnt in f_even.items():
-                for y in adj.zmap[last]:
-                    g_odd[(last, y)] = g_odd.get((last, y), 0) + cnt
-            for (p, l), cnt in s_odd.items():
-                if p in hits or l in hits:
-                    counts[n] += cnt
-            for (p, l), cnt in g_odd.items():
-                if p in hits or l in hits:
-                    collapsed[n] += cnt
-            s_frontier = s_odd
-        else:
-            s_next = {}
-            for (p, l), cnt in s_frontier.items():
-                for x in adj.zmap[l] | adj.zmap[p]:
-                    s_next[x] = s_next.get(x, 0) + cnt
-            f_next = {}
-            for (p, l), cnt in g_odd.items():
-                for x in adj.zmap[l]:
-                    f_next[x] = f_next.get(x, 0) + cnt
-            for p, cnt in f_even.items():
-                # Two-back branch: the dummy intermediate is quotiented out.
-                for x in adj.zmap[p]:
-                    f_next[x] = f_next.get(x, 0) + cnt
-            for x, cnt in s_next.items():
-                if x in hits:
-                    counts[n] += cnt
-            for x, cnt in f_next.items():
-                if x in hits:
-                    collapsed[n] += cnt
-            s_even = s_next
-            f_even = f_next
-
+    counts, collapsed = {}, {}
+    seqs = classes = {start: 1}
+    for n in range(n_max + 1):
+        if n % 2:
+            back = classes
+            # Distinct last terms give distinct (last, partner) keys.
+            seqs, classes = (
+                {(last, y): c for last, c in even.items() for y in zmap[last]}
+                for even in (seqs, classes)
+            )
+        elif n:
+            seqs = _grow((zmap[l] | zmap[p], c) for (p, l), c in seqs.items())
+            # Two-back branch: the dummy intermediate is quotiented out.
+            classes = _grow(
+                [(zmap[l], c) for (p, l), c in classes.items()]
+                + [(zmap[p], c) for p, c in back.items()]
+            )
+        counts[n], collapsed[n] = tally(seqs, n), tally(classes, n)
     return ChainCountTable(
         start=start, target=target, n_max=n_max, counts=counts, collapsed=collapsed
     )
+
+
+def _grow(steps) -> dict:
+    """{term: total count} over the (next terms, count) pairs in `steps`."""
+    out = {}
+    for nexts, c in steps:
+        for x in nexts:
+            out[x] = out.get(x, 0) + c
+    return out
 
 
 def count_chains_bruteforce(

@@ -1,11 +1,12 @@
 """Command line front end.
 
 Subcommands: check, constants, chains, bound, simulate, verify.  Each takes
---config (JSON, validated against the shipped schema) and --out for the
-artifact directory; every run setting, the decay rate lambda included, comes
-from the config alone.  Exit codes: 0 success, 1 a checked invariant or bound
-failed, 2 usage or config errors (a non-positive or non-finite lambda
-included), 3 a numerical failure (an overflowing bound included).
+--config (JSON, validated against the shipped schema), and each but check,
+which writes nothing, takes --out for the artifact directory; every run
+setting, the decay rate lambda included, comes from the config alone.  Exit
+codes: 0 success, 1 a checked invariant or bound failed, 2 usage or config
+errors (a non-positive or non-finite lambda included), 3 a numerical failure
+(an overflowing bound included).
 
 LRLAB_THREADS is translated into the BLAS thread-count variables on
 `import lrlab`.  The model, lattice and bound modules are imported inside the
@@ -41,9 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in helps.items():
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", required=True, type=Path, help="JSON run config")
-        s.add_argument(
-            "--out", type=Path, default=Path("out"), help="artifact directory"
-        )
+        if name in _WRITERS:
+            s.add_argument(
+                "--out", type=Path, default=Path("out"), help="artifact directory"
+            )
     return parser
 
 
@@ -134,7 +136,7 @@ def _fallback_start(model, obs):
     )
 
 
-def _cmd_check(cfg: RunConfig, out: Path) -> int:
+def _cmd_check(cfg: RunConfig) -> int:
     from .lattice import validate_two_family
 
     model, _, _ = _setup(cfg, constants=False)
@@ -395,8 +397,8 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
     return 0 if report.passed else 1
 
 
-_COMMANDS = {
-    "check": _cmd_check,
+# The commands that write artifacts, into --out; check writes nothing.
+_WRITERS = {
     "constants": _cmd_constants,
     "chains": _cmd_chains,
     "bound": _cmd_bound,
@@ -409,7 +411,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        return _COMMANDS[args.command](cfg, args.out)
+        if args.command == "check":
+            return _cmd_check(cfg)
+        return _WRITERS[args.command](cfg, args.out)
     except (NumericalError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -14,9 +14,9 @@ int of every value the schema types "integer", found by walking the same
 schema, so 6.0 runs as 6.
 
 Beyond the schema, `parse_config` rejects a non-finite number (`NaN`,
-`Infinity`, or a literal such as `1e400` that overflows to it), a model key
-the named model does not take, and a time grid whose stop precedes its
-start.
+`Infinity`, or a literal such as `1e400` or a 400-digit integer that
+overflows to it), a model key the named model does not take, and a time grid
+whose stop precedes its start.
 """
 
 from __future__ import annotations
@@ -218,6 +218,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    """An integer literal, rejected like a float literal when it is beyond
+    the float range: as lambda, a coupling or a time it would overflow."""
+    _finite_float(text)
+    return int(text)
+
+
 def _fields(obj: dict) -> dict:
     """Dataclass keyword arguments from validated JSON keys: `lambda` is
     `lam`, and lists become tuples."""
@@ -238,7 +245,10 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(
-            path.read_text(), parse_float=_finite_float, parse_constant=_finite_float
+            path.read_text(),
+            parse_float=_finite_float,
+            parse_int=_finite_int,
+            parse_constant=_finite_float,
         )
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")

@@ -28,6 +28,10 @@ The sparse form is numpy's own, row-padded: an n x n matrix is a pair
 columns cols[r, s], padded by one rule (`row_padded`), exact zeros in
 column 0, to the width w of the fullest row.  A product gathers whole rows
 (`sparse_commutator`), so nothing here needs scipy: numpy is the only import.
+The bracket fixes its order of additions: each entry sums its AB terms in
+slot order, and apart from them its BA terms in slot order, then subtracts
+the BA sum from the AB sum, so a cancellation such as 1e16 + 1 - 1e16 rounds
+the same way on every run.
 """
 
 from __future__ import annotations
@@ -144,72 +148,41 @@ def sparse_commutator(a, b, rows=None):
     Row r of AB is the sum over r's slots s of a_vals[r, s] times row
     a_cols[r, s] of B: one gather of B's rows, and likewise for BA.  As in
     `a @ b - b @ a`, each entry sums its AB terms and its BA terms apart,
-    left to right, and then subtracts.
+    each in slot order (A's slot, then B's; for BA, B's, then A's), and
+    then subtracts the BA sum from the AB sum.
     """
     (ac, av), (bc, bv) = a, b
-    if rows is None:
-        rows = np.arange(len(ac))
-        (rac, rav), (rbc, rbv) = a, b
-    else:  # the left factor's rows; the right factor's are gathered whole
-        rac, rav = np.take(ac, rows, axis=0), np.take(av, rows, axis=0)
-        rbc, rbv = np.take(bc, rows, axis=0), np.take(bv, rows, axis=0)
+    rows = np.arange(len(ac)) if rows is None else rows
+    # The left factor's rows; the right factor's are gathered whole.
+    rac, rav, rbc, rbv = (np.take(x, rows, axis=0) for x in (ac, av, bc, bv))
     n, k = len(rows), ac.shape[1] * bc.shape[1]
+    dtype = np.result_type(av, bv)
     if k == 0:
-        return rows[:0], rows[:0], np.zeros(0, np.result_type(av, bv))
-    # A row's 2k terms: AB's k (in slot order) first, then BA's.  Each
-    # term's column is packed above its index, so one sort per row orders
-    # the terms by column, and by index among equal columns.
-    bits = (2 * k - 1).bit_length()
-    terms = np.concatenate(
-        [
-            np.take(bc, rac, axis=0).reshape(n, k),
-            np.take(ac, rbc, axis=0).reshape(n, k),
-        ],
-        axis=1,
-    )
-    terms <<= bits
-    terms |= np.arange(2 * k)
-    terms.sort(axis=1)
-    cols = (terms >> bits).reshape(-1)
-    index = terms & ((1 << bits) - 1)
-    vals = np.concatenate(
-        [
-            (rav[:, :, None] * np.take(bv, rac, axis=0)).reshape(n, k),
-            (-rbv[:, :, None] * np.take(av, rbc, axis=0)).reshape(n, k),
-        ],
-        axis=1,
-    )
-    side = (index >= k).reshape(-1)
-    index += np.arange(0, 2 * k * n, 2 * k)[:, None]  # flat positions
-    vals = vals.reshape(-1)[index.reshape(-1)]
-    # An entry is a run of equal columns in a row; its AB part and its BA
-    # part are summed apart, then added.
-    entry = np.empty(cols.size, dtype=bool)
-    np.not_equal(cols[1:], cols[:-1], out=entry[1:])
-    entry[:: 2 * k] = True
-    part = entry.copy()
-    part[1:] |= side[1:] != side[:-1]
-    first = np.flatnonzero(part)
-    starts = np.flatnonzero(entry[first])
-    sums = _run_sums(_run_sums(vals, first), starts)
+        return rows[:0], rows[:0], np.zeros(0, dtype)
+    # A row's 2k terms: AB's k in slot order, then BA's.  A stable sort
+    # orders each row by column; an entry is a run of equal columns.
+    cols = np.take(bc, rac, axis=0).reshape(n, k)
+    cols = np.concatenate([cols, np.take(ac, rbc, axis=0).reshape(n, k)], axis=1)
+    order = np.argsort(cols, axis=1, kind="stable")
+    cols = np.take_along_axis(cols, order, axis=1)
+    first = np.diff(cols, axis=1, prepend=-1) != 0
+    entry = np.empty(cols.shape, dtype=np.intp)
+    np.put_along_axis(entry, order, np.cumsum(first).reshape(n, 2 * k) - 1, axis=1)
+    size = int(first.sum())
+
+    def total(at, terms):
+        # np.bincount adds in input order: each entry's terms in slot order.
+        out = np.empty(size, dtype)
+        out.real = np.bincount(at.reshape(-1), terms.real.reshape(-1), size)
+        if dtype.kind == "c":
+            out.imag = np.bincount(at.reshape(-1), terms.imag.reshape(-1), size)
+        return out
+
+    sums = total(entry[:, :k], rav[:, :, None] * np.take(bv, rac, axis=0))
+    sums -= total(entry[:, k:], rbv[:, :, None] * np.take(av, rbc, axis=0))
     nonzero = sums != 0
-    first = first[starts[nonzero]]
-    return rows[first // (2 * k)], cols[first], sums[nonzero]
-
-
-def _run_sums(vals, first):
-    """The sum of each run vals[first[i]:first[i + 1]], left to right;
-    first[0] is 0.  Most runs are short, so the loop runs over positions
-    within a run, each step over the runs still that long."""
-    length = np.diff(first, append=vals.size)
-    sums = vals[first]
-    longer = np.flatnonzero(length > 1)
-    j = 1
-    while longer.size:
-        sums[longer] += vals[first[longer] + j]
-        j += 1
-        longer = longer[length[longer] > j]
-    return sums
+    first = np.flatnonzero(first)[nonzero]
+    return rows[first // (2 * k)], cols.reshape(-1)[first], sums[nonzero]
 
 
 def row_padded(rows, cols, vals, n):

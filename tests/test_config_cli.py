@@ -190,10 +190,26 @@ def test_cli_invalid_lambda_exits_2(tmp_path, capsys, lam):
     cfg = _write(tmp_path, dict(GOOD, **{"lambda": float(lam)}))
     for command in COMMANDS:
         out = tmp_path / command
-        argv = [command, "--config", str(cfg), "--out", str(out)]
-        assert cli.main(argv) == 2, command
+        assert cli.main(_argv(command, cfg, out)) == 2, command
         assert capsys.readouterr().err.startswith("error: config invalid")
         assert not out.exists()
+
+
+def _argv(command, cfg, out):
+    """A run of `command` on `cfg`, writing to `out` (check writes nothing
+    and takes no --out)."""
+    argv = [command, "--config", str(cfg)]
+    return argv if command == "check" else argv + ["--out", str(out)]
+
+
+def test_cli_check_takes_no_out(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --out {out}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_uncertifiable_series_exits_3(tmp_path, capsys):
@@ -478,6 +494,11 @@ def test_cli_bound_sizes_series_tables_by_the_tolerance_alone(tmp_path, monkeypa
 
 # json.loads reads NaN and Infinity, and the schema cannot see them: each of
 # these once ran, to a FAIL, a PASS, NaN margins or an uncertified series.
+# A 401-digit integer literal once ran too, to exit 3 ("int too large to
+# convert to float") or, as lambda, through `check` to exit 0.
+BEYOND_FLOAT = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
     "key,literal",
     [
@@ -486,16 +507,26 @@ def test_cli_bound_sizes_series_tables_by_the_tolerance_alone(tmp_path, monkeypa
         ("lambda", "Infinity"),
         ("time_grid", '{"stop": Infinity}'),
         ("threshold", "1e400"),
+        pytest.param("lambda", BEYOND_FLOAT, id="lambda-int401"),
+        pytest.param(
+            "model",
+            f'{{"name": "tfim", "length": 5, "j": {BEYOND_FLOAT}}}',
+            id="model-j-int401",
+        ),
+        pytest.param(
+            "time_grid", f'{{"stop": {BEYOND_FLOAT}}}', id="time_grid-stop-int401"
+        ),
     ],
 )
 def test_cli_non_finite_number_exits_2(tmp_path, capsys, key, literal):
     text = json.dumps(GOOD)[:-1] + f', "{key}": {literal}}}'
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    out = tmp_path / "o"
-    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "not a finite number" in capsys.readouterr().err
-    assert not out.exists()
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert cli.main(_argv(command, cfg, out)) == 2, command
+        assert "not a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_model_key_of_another_model_rejected(tmp_path, capsys):

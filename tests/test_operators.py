@@ -159,6 +159,70 @@ def test_sparse_commutator_matches_dense(seed):
     np.testing.assert_array_equal(again, got)
 
 
+def _bracket_in_slot_order(a, b, rows):
+    """COO of [A, B] on `rows`, one term at a time: each entry sums its AB
+    terms in slot order (A's slot, then B's), then its BA terms, and
+    subtracts the BA sum from the AB sum."""
+    (ac, av), (bc, bv) = a, b
+    out = []
+    for r in rows:
+        parts = ({}, {})
+        for part, (xc, xv, yc, yv) in zip(parts, ((ac, av, bc, bv), (bc, bv, ac, av))):
+            for s in range(xc.shape[1]):
+                for t in range(yc.shape[1]):
+                    term = xv[r, s] * yv[xc[r, s], t]
+                    part.setdefault(int(yc[xc[r, s], t]), []).append(term)
+        for col in sorted(parts[0].keys() | parts[1].keys()):
+            ab, ba = (part.get(col, [0.0]) for part in parts)
+            total_ab, total_ba = ab[0], ba[0]
+            for term in ab[1:]:
+                total_ab = total_ab + term
+            for term in ba[1:]:
+                total_ba = total_ba + term
+            if total_ab - total_ba != 0:
+                out.append((r, col, total_ab - total_ba))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_commutator_sums_in_slot_order(seed):
+    # Entries built from 1e16, 1 and -1e16 (real and imaginary) round to
+    # different values in different orders, so the bracket must match the
+    # slot-order reference bit for bit, with and without a row restriction.
+    rng = np.random.default_rng(seed)
+    n = 12
+    values = np.array([1e16, 1.0, -1e16, 1e16j, -1e16j, 1j])
+    a = rng.choice(values, size=(n, n)) * (rng.random((n, n)) < 0.4)
+    b = rng.choice(values, size=(n, n)) * (rng.random((n, n)) < 0.4)
+    pa, pb = embed_sparse(a, (0,), (n,)), embed_sparse(b, (0,), (n,))
+    for rows in (None, np.flatnonzero(rng.random(n) < 0.5)):
+        expected = _bracket_in_slot_order(pa, pb, range(n) if rows is None else rows)
+        r, c, v = sparse_commutator(pa, pb, rows)
+        np.testing.assert_array_equal(r, [e[0] for e in expected])
+        np.testing.assert_array_equal(c, [e[1] for e in expected])
+        np.testing.assert_array_equal(v, np.array([e[2] for e in expected]))
+
+
+def test_sparse_commutator_cancels_in_slot_order():
+    # Exactly, [A, B][0, 0] = 1e16 + 1 - 1e16 (AB's three slots, no BA term)
+    # and [A, B][5, 4] = (1e16 + 1) - 1e16 (two AB terms, one BA term) are
+    # both 1.  Summed in slot order, with AB and BA apart, both round to 0
+    # and are dropped; summed as 1e16 - 1e16 + 1 they would keep a 1.
+    a, b = np.zeros((8, 8)), np.zeros((8, 8))
+    a[0, [1, 2, 3]] = 1.0
+    b[[1, 2, 3], 0] = [1e16, 1.0, -1e16]
+    a[5, [6, 7]] = 1.0
+    b[[6, 7], 4] = [1e16, 1.0]
+    b[5, 6], a[6, 4] = 1e16, 1.0
+    pa, pb = embed_sparse(a, (0,), (8,)), embed_sparse(b, (0,), (8,))
+    r, c, v = sparse_commutator(pa, pb)
+    kept = set(zip(r.tolist(), c.tolist()))
+    assert (0, 0) not in kept and (5, 4) not in kept
+    expected = _bracket_in_slot_order(pa, pb, range(8))
+    assert [(e[0], e[1]) for e in expected] == sorted(kept)
+    np.testing.assert_array_equal(v, [e[2] for e in expected])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_embed_diagonal_matches_dense(seed):
