@@ -13,14 +13,15 @@ LRLAB_THREADS=1, one at a time:
   at "chain_order": 60 (so `chains` writes both counts, sequences and
   collapsed classes, at depth);
 * scripts/run_dicke_truncation.py at its defaults, with --length 3
-  --occupation-cap 1, with --truncations 2 3 4 5 6 8 10, and with --h 0.5;
+  --occupation-cap 1, with --truncations 2 3 4 5 6 8 10, with --h 0.5, and
+  with --truncations 1 (an argument error, exit 2);
 * scripts/run_tfim_verify.py at its defaults, with --length 5, with
   --length 64 --t-max 4 (60 O_Q, so series values and chain tables at depth
   are compared too), with --length 128 --j 1 --g 0.6 --t-max 4 and with
   --length 64 --j=-0.5 --g 0.5 --t-max 4 (couplings away from 1, one of
-  them negative).
+  them negative), and with --lambda -1 (a config error, exit 2).
 
-That is 63 runs: 6 commands on 9 configs, and 9 script runs.
+That is 65 runs: 6 commands on 9 configs, and 11 script runs.
 
 OUT/<run>/ holds the run's artifacts (out/), stdout, stderr and exit_code.
 Every path a run sees is relative to its own directory, so two checkouts
@@ -95,6 +96,7 @@ SCRIPT_RUNS = {
         "run_dicke_truncation.py", "--truncations", *"2 3 4 5 6 8 10".split()
     ),
     "dicke_truncation-h0.5": ("run_dicke_truncation.py", "--h", "0.5"),
+    "dicke_truncation-truncations1": ("run_dicke_truncation.py", "--truncations", "1"),
     "tfim_verify-defaults": ("run_tfim_verify.py",),
     "tfim_verify-length5": ("run_tfim_verify.py", "--length", "5"),
     "tfim_verify-length64": (
@@ -108,6 +110,7 @@ SCRIPT_RUNS = {
         "run_tfim_verify.py", "--length", "64", "--j=-0.5", "--g", "0.5",
         "--t-max", "4",
     ),
+    "tfim_verify-lambda-1": ("run_tfim_verify.py", "--lambda", "-1"),
 }
 
 

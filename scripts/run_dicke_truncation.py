@@ -20,6 +20,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 from pathlib import Path
 
 
@@ -37,6 +38,15 @@ def main() -> int:
     ap.add_argument("--points", type=int, default=6)
     ap.add_argument("--out", default="out/dicke_truncation")
     args = ap.parse_args()
+    # The two end modes are 2 (length - 1) sites apart and must lie beyond R = 3.
+    if args.length < 3:
+        ap.error(f"--length must be at least 3, got {args.length}")
+    if any(m < 2 for m in args.truncations):
+        ap.error(f"--truncations must each be at least 2, got {args.truncations}")
+    if args.lam is not None and not (math.isfinite(args.lam) and args.lam > 0):
+        ap.error(f"--lambda must be positive and finite, got {args.lam}")
+    if args.points < 2:
+        ap.error(f"--points must be at least 2, got {args.points}")
 
     from lrlab.bounds import bounded_reference_bound, observable_bound
     from lrlab.lattice import (

@@ -8,13 +8,22 @@ the coefficient c_n iff its terminal support touches the target region: the
 support of s_n for even n, of s_{n-1} or s_n for odd n (s_0's own support at
 n = 0).
 
-Two counts are kept.  ``counts`` treats every admissible sequence as
-distinct, which is exactly what unrolling the recursion produces (the two
-branches of an even step extend disjoint families, so no sequence arises
-twice).  ``collapsed`` additionally identifies sequences that differ only in
-the dummy predecessor of an even step taken through the two-back branch.
-collapsed <= counts <= 2^floor(n/2) * nu^n holds everywhere, and both vanish
-below the reachability cutoff R*n >= d.
+``count_chains_dp`` counts every admissible sequence as distinct, which is
+exactly what unrolling the recursion produces (the two branches of an even
+step extend disjoint families, so no sequence arises twice); the series bound
+reads these counts.  ``count_chain_classes`` also identifies sequences that
+differ only in the dummy predecessor of an even step taken through the
+two-back branch; only ``lrlab chains`` writes these, as "collapsed".
+classes <= sequences <= 2^floor(n/2) * nu^n, and both vanish below the
+reachability cutoff R*n >= d.
+
+Both follow one recurrence over even chains.  An odd chain (..., p, l) is an
+even chain ending at p and some l in Z(p), and its terminal rule and the next
+even step look only at p and l, so a frontier E (last term -> count) of even
+chains suffices.  An odd order is c_n = sum_p E[p] |{l in Z(p) : p or l
+touches}|.  A sequence step adds E[p] to each x in Z(l) | Z(p) (a set union,
+exact on any adjacency) for each l in Z(p); a class step adds it to each x in
+Z(l) for each l in Z(p), and once more to each x in Z(p), the two-back branch.
 
 "Touches" is `NoncommutingAdjacency.touching`; the per-order envelope takes
 lambda from the bound constants.
@@ -36,65 +45,50 @@ class ChainCountTable:
     target: SupportRegion
     n_max: int
     counts: dict
-    collapsed: dict
 
 
 def count_chains_dp(
     adj: NoncommutingAdjacency, start: int, target: SupportRegion, n_max: int
 ) -> ChainCountTable:
-    """Dynamic program over chain suffixes; exact integer counts.
+    """Exact integer counts of the admissible sequences, orders 0..n_max."""
+    z = adj.zmap
+    return _count(adj, start, target, n_max, lambda p: [z[l] | z[p] for l in z[p]])
 
-    Even-length frontiers are keyed by the last term (the next odd step only
-    looks one back); odd-length frontiers keep (penult, last) pairs because
-    both the next even step and the odd terminal rule look two back.  The
-    sequences and the classes share the frontier keys and the terminal rule;
-    they differ only in how an even step grows them.
-    """
+
+def count_chain_classes(
+    adj: NoncommutingAdjacency, start: int, target: SupportRegion, n_max: int
+) -> ChainCountTable:
+    """Exact integer counts of the collapsed classes, orders 0..n_max."""
+    z = adj.zmap
+    return _count(adj, start, target, n_max, lambda p: [z[l] for l in z[p]] + [z[p]])
+
+
+def _count(adj, start, target, n_max, nexts) -> ChainCountTable:
+    """The even-chain recurrence; an even step from last term p appends from
+    each set in `nexts(p)`."""
     if start not in adj.zmap:
         raise ValueError(f"start term id {start} not in adjacency")
     zmap, hits = adj.zmap, adj.touching(target)
-
-    def tally(frontier, n):
-        if n % 2:
-            return sum(c for (p, l), c in frontier.items() if p in hits or l in hits)
-        return sum(c for last, c in frontier.items() if last in hits)
-
-    counts, collapsed = {}, {}
-    seqs = classes = {start: 1}
-    for n in range(n_max + 1):
-        if n % 2:
-            back = classes
-            # Distinct last terms give distinct (last, partner) keys.
-            seqs, classes = (
-                {(last, y): c for last, c in even.items() for y in zmap[last]}
-                for even in (seqs, classes)
-            )
-        elif n:
-            seqs = _grow((zmap[l] | zmap[p], c) for (p, l), c in seqs.items())
-            # Two-back branch: the dummy intermediate is quotiented out.
-            classes = _grow(
-                [(zmap[l], c) for (p, l), c in classes.items()]
-                + [(zmap[p], c) for p, c in back.items()]
-            )
-        counts[n], collapsed[n] = tally(seqs, n), tally(classes, n)
-    return ChainCountTable(
-        start=start, target=target, n_max=n_max, counts=counts, collapsed=collapsed
-    )
-
-
-def _grow(steps) -> dict:
-    """{term: total count} over the (next terms, count) pairs in `steps`."""
-    out = {}
-    for nexts, c in steps:
-        for x in nexts:
-            out[x] = out.get(x, 0) + c
-    return out
+    counts, even = {0: int(start in hits)}, {start: 1}
+    for n in range(1, n_max + 1, 2):
+        counts[n] = sum(
+            c * len(zmap[p] if p in hits else zmap[p] & hits) for p, c in even.items()
+        )
+        if n < n_max:
+            grown = {}
+            for p, c in even.items():
+                for xs in nexts(p):
+                    for x in xs:
+                        grown[x] = grown.get(x, 0) + c
+            even = grown
+            counts[n + 1] = sum(c for p, c in even.items() if p in hits)
+    return ChainCountTable(start=start, target=target, n_max=n_max, counts=counts)
 
 
 def count_chains_bruteforce(
     adj: NoncommutingAdjacency, start: int, target: SupportRegion, n_max: int
 ) -> ChainCountTable:
-    """Explicit enumeration of sequences and collapsed classes; n_max <= 10."""
+    """Explicit enumeration of the admissible sequences; n_max <= 10."""
     if n_max > BRUTE_FORCE_MAX_ORDER:
         raise ValueError(
             f"brute force capped at order {BRUTE_FORCE_MAX_ORDER}, got {n_max}"
@@ -102,11 +96,9 @@ def count_chains_bruteforce(
     if start not in adj.zmap:
         raise ValueError(f"start term id {start} not in adjacency")
     counts = {n: 0 for n in range(n_max + 1)}
-    collapsed = {n: 0 for n in range(n_max + 1)}
 
     hits = adj.touching(target)
     counts[0] = 1 if start in hits else 0
-    collapsed[0] = counts[0]
 
     def walk_sequences(seq):
         n = len(seq) - 1
@@ -129,28 +121,7 @@ def count_chains_bruteforce(
 
     walk_sequences((start,))
 
-    def walk_classes(last, length):
-        # `last` is the recorded term at an even length.
-        if length + 1 <= n_max:
-            for y in adj.zmap[last]:
-                if last in hits or y in hits:
-                    collapsed[length + 1] += 1
-        if length + 2 <= n_max:
-            for y in adj.zmap[last]:
-                for x in adj.zmap[y]:
-                    if x in hits:
-                        collapsed[length + 2] += 1
-                    walk_classes(x, length + 2)
-            for x in adj.zmap[last]:
-                if x in hits:
-                    collapsed[length + 2] += 1
-                walk_classes(x, length + 2)
-
-    walk_classes(start, 0)
-
-    return ChainCountTable(
-        start=start, target=target, n_max=n_max, counts=counts, collapsed=collapsed
-    )
+    return ChainCountTable(start=start, target=target, n_max=n_max, counts=counts)
 
 
 def closed_form_chain_bound(consts, n: int, d: int) -> float:

@@ -163,7 +163,7 @@ def _cmd_constants(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_chains(cfg: RunConfig, out: Path) -> int:
-    from .chains import closed_form_chain_bound, count_chains_dp
+    from .chains import closed_form_chain_bound, count_chain_classes, count_chains_dp
     from .lattice import region, region_distance
 
     model, adj, consts = _setup(cfg)
@@ -173,6 +173,7 @@ def _cmd_chains(cfg: RunConfig, out: Path) -> int:
         start = _fallback_start(model, op)
     target = region(model.graph, [s for oq in oqs for s in oq.support.sites])
     table = count_chains_dp(adj, start, target, cfg.chain_order)
+    classes = count_chain_classes(adj, start, target, cfg.chain_order)
     out.mkdir(parents=True, exist_ok=True)
     d0 = region_distance(model.graph, adj.supports[start], target)
     rows = [
@@ -187,7 +188,7 @@ def _cmd_chains(cfg: RunConfig, out: Path) -> int:
             "target_sites": list(target.sites),
             "n_max": cfg.chain_order,
             "counts": {str(n): table.counts[n] for n in table.counts},
-            "collapsed": {str(n): table.collapsed[n] for n in table.collapsed},
+            "collapsed": {str(n): classes.counts[n] for n in classes.counts},
         },
     )
     total = sum(table.counts.values())

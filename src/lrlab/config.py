@@ -15,7 +15,8 @@ schema, so 6.0 runs as 6.
 
 Beyond the schema, `parse_config` rejects a non-finite number (`NaN`,
 `Infinity`, or a literal such as `1e400` or a 400-digit integer that
-overflows to it), a model key the named model does not take, and a time grid
+overflows to it), a key repeated within one object (`json.loads` would keep
+the last value), a model key the named model does not take, and a time grid
 whose stop precedes its start.
 """
 
@@ -225,6 +226,15 @@ def _finite_int(text: str) -> int:
     return int(text)
 
 
+def _unique_keys(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"config invalid: key {key!r} is repeated")
+        out[key] = value
+    return out
+
+
 def _fields(obj: dict) -> dict:
     """Dataclass keyword arguments from validated JSON keys: `lambda` is
     `lam`, and lists become tuples."""
@@ -249,6 +259,7 @@ def parse_config(path) -> RunConfig:
             parse_float=_finite_float,
             parse_int=_finite_int,
             parse_constant=_finite_float,
+            object_pairs_hook=_unique_keys,
         )
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")

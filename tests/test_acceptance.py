@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chain_classes import count_chain_classes_bruteforce
 from lambda_optimum import optimize_lambda
 from lemma_checks import bounded_term_check, derivative_identity_check
 from lrlab import cli
@@ -22,7 +23,11 @@ from lrlab.bounds import (
     series_bound,
     series_terms_needed,
 )
-from lrlab.chains import count_chains_bruteforce, count_chains_dp
+from lrlab.chains import (
+    count_chain_classes,
+    count_chains_bruteforce,
+    count_chains_dp,
+)
 from lrlab.dynamics import (
     commutator_norm_sweep,
     extract_velocity,
@@ -221,7 +226,9 @@ def test_criterion_06_chain_counts_dual_route():
             target = region(model.graph, (site,))
             dp = count_chains_dp(adj, start, target, 8)
             bf = count_chains_bruteforce(adj, start, target, 8)
-            ok = ok and dp.counts == bf.counts and dp.collapsed == bf.collapsed
+            classes = count_chain_classes(adj, start, target, 8).counts
+            bf_classes = count_chain_classes_bruteforce(adj, start, target, 8)
+            ok = ok and dp.counts == bf.counts and classes == bf_classes
             d = min(
                 int(model.graph.distances[a, site])
                 for a in adj.supports[start].sites
@@ -229,7 +236,7 @@ def test_criterion_06_chain_counts_dual_route():
             for n in range(9):
                 if consts.R * n < d:
                     ok = ok and dp.counts[n] == 0
-                ok = ok and dp.collapsed[n] <= dp.counts[n]
+                ok = ok and classes[n] <= dp.counts[n]
                 envelope = 2 ** (n // 2) * adj.nu**n
                 ok = ok and dp.counts[n] <= envelope
             checked += 1

@@ -70,7 +70,6 @@ def _table(counts, start=0, n_max=None):
         target=SupportRegion(sites=(9,), diameter=0),
         n_max=n_max,
         counts=dict(counts),
-        collapsed=dict(counts),
     )
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 
 import pytest
+from chain_classes import count_chain_classes_bruteforce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrlab.chains import (
     ChainCountTable,
     closed_form_chain_bound,
+    count_chain_classes,
     count_chains_bruteforce,
     count_chains_dp,
 )
@@ -41,15 +43,17 @@ def test_tfim_counts_frozen_d3(tfim6):
     start = 5  # field on site 0; bonds occupy global ids 0..4
     target = region(model.graph, (3,))
     table = count_chains_dp(adj, start, target, 8)
+    classes = count_chain_classes(adj, start, target, 8)
     assert [table.counts[n] for n in range(9)] == [0, 0, 0, 0, 0, 1, 6, 25, 93]
-    assert [table.collapsed[n] for n in range(9)] == [0, 0, 0, 0, 0, 1, 4, 16, 45]
+    assert [classes.counts[n] for n in range(9)] == [0, 0, 0, 0, 0, 1, 4, 16, 45]
 
 
 def test_tfim_start_on_target_counts_order_zero(tfim6):
     model, adj = tfim6
     table = count_chains_dp(adj, 5, region(model.graph, (0,)), 2)
+    classes = count_chain_classes(adj, 5, region(model.graph, (0,)), 2)
     assert table.counts[0] == 1
-    assert table.collapsed[0] == 1
+    assert classes.counts[0] == 1
 
 
 def test_dp_equals_bruteforce_all_targets(tfim6):
@@ -59,15 +63,19 @@ def test_dp_equals_bruteforce_all_targets(tfim6):
         for start in (0, 5, 8):
             dp = count_chains_dp(adj, start, target, 6)
             bf = count_chains_bruteforce(adj, start, target, 6)
+            classes = count_chain_classes(adj, start, target, 6)
             assert dp.counts == bf.counts
-            assert dp.collapsed == bf.collapsed
+            assert classes.counts == count_chain_classes_bruteforce(
+                adj, start, target, 6
+            )
 
 
 def test_collapsed_never_exceeds_counts(tfim6):
     model, adj = tfim6
     table = count_chains_dp(adj, 5, region(model.graph, (4,)), 10)
+    classes = count_chain_classes(adj, 5, region(model.graph, (4,)), 10)
     for n in range(11):
-        assert table.collapsed[n] <= table.counts[n]
+        assert classes.counts[n] <= table.counts[n]
 
 
 def test_reachability_cutoff(tfim6):
@@ -151,7 +159,25 @@ def test_dp_equals_bruteforce_random_structures(seed):
     for start in adj.zmap:
         dp = count_chains_dp(adj, start, target, 5)
         bf = count_chains_bruteforce(adj, start, target, 5)
+        classes = count_chain_classes(adj, start, target, 5)
         assert dp.counts == bf.counts
-        assert dp.collapsed == bf.collapsed
+        assert classes.counts == count_chain_classes_bruteforce(adj, start, target, 5)
         for n in range(6):
-            assert dp.collapsed[n] <= dp.counts[n] <= 2 ** (n // 2) * nu**n
+            assert classes.counts[n] <= dp.counts[n] <= 2 ** (n // 2) * nu**n
+
+
+def test_dp_equals_bruteforce_where_neighbourhoods_overlap():
+    # Three mutually noncommuting terms: Z(l) and Z(p) share a term, which a
+    # sequence step must count once (a two-family adjacency never shows this).
+    adj = NoncommutingAdjacency(
+        zmap={i: frozenset({0, 1, 2} - {i}) for i in range(3)},
+        supports={i: SupportRegion(sites=(i,), diameter=0) for i in range(3)},
+        pair_norms={(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0},
+        projected=False,
+    )
+    for site in range(3):
+        target = SupportRegion(sites=(site,), diameter=0)
+        dp = count_chains_dp(adj, 0, target, 7)
+        assert dp.counts == count_chains_bruteforce(adj, 0, target, 7).counts
+        classes = count_chain_classes(adj, 0, target, 7)
+        assert classes.counts == count_chain_classes_bruteforce(adj, 0, target, 7)

@@ -492,6 +492,28 @@ def test_cli_bound_sizes_series_tables_by_the_tolerance_alone(tmp_path, monkeypa
     assert written[0] == written[1]
 
 
+def test_cli_series_path_computes_no_class_counts(tmp_path, monkeypatch):
+    # The series bound reads the sequence counts alone; only `chains`
+    # writes the collapsed classes.
+    from lrlab import chains
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(chains, "count_chain_classes", reached)
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "tfim_small.json"
+    reaching = []
+    for command in COMMANDS:
+        try:
+            assert cli.main(_argv(command, cfg, tmp_path / command)) == 0, command
+        except Reached:
+            reaching.append(command)
+    assert reaching == ["chains"]
+
+
 # json.loads reads NaN and Infinity, and the schema cannot see them: each of
 # these once ran, to a FAIL, a PASS, NaN margins or an uncertified series.
 # A 401-digit integer literal once ran too, to exit 3 ("int too large to
@@ -526,6 +548,27 @@ def test_cli_non_finite_number_exits_2(tmp_path, capsys, key, literal):
         out = tmp_path / command
         assert cli.main(_argv(command, cfg, out)) == 2, command
         assert "not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# json.loads keeps the last value of a repeated key, so a stale duplicate
+# once ran silently with whichever came last.
+@pytest.mark.parametrize(
+    "key,text",
+    [
+        ("lambda", json.dumps(GOOD)[:-1] + ', "lambda": 0.5, "lambda": 2.0}'),
+        ("model", json.dumps(GOOD)[:-1] + ', "model": {"name": "tfim", "length": 6}}'),
+        ("j", json.dumps(GOOD).replace('"length": 5', '"length": 5, "j": 1, "j": 2')),
+    ],
+    ids=["lambda", "model", "model-j"],
+)
+def test_cli_repeated_key_exits_2(tmp_path, capsys, key, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert cli.main(_argv(command, cfg, out)) == 2, command
+        assert f"key {key!r} is repeated" in capsys.readouterr().err
         assert not out.exists()
 
 
