@@ -13,15 +13,17 @@ LRLAB_THREADS=1, one at a time:
   at "chain_order": 60 (so `chains` writes both counts, sequences and
   collapsed classes, at depth);
 * scripts/run_dicke_truncation.py at its defaults, with --length 3
-  --occupation-cap 1, with --truncations 2 3 4 5 6 8 10, with --h 0.5, and
-  with --truncations 1 (an argument error, exit 2);
+  --occupation-cap 1, with --truncations 2 3 4 5 6 8 10, with --truncations
+  12 16 (union norms whose blocks come in many sizes), with --h 0.5, and
+  with --truncations 1, with --truncations and no value and with --h nan
+  (argument errors, exit 2);
 * scripts/run_tfim_verify.py at its defaults, with --length 5, with
   --length 64 --t-max 4 (60 O_Q, so series values and chain tables at depth
   are compared too), with --length 128 --j 1 --g 0.6 --t-max 4 and with
   --length 64 --j=-0.5 --g 0.5 --t-max 4 (couplings away from 1, one of
   them negative), and with --lambda -1 (a config error, exit 2).
 
-That is 65 runs: 6 commands on 9 configs, and 11 script runs.
+That is 68 runs: 6 commands on 9 configs, and 14 script runs.
 
 OUT/<run>/ holds the run's artifacts (out/), stdout, stderr and exit_code.
 Every path a run sees is relative to its own directory, so two checkouts
@@ -95,8 +97,13 @@ SCRIPT_RUNS = {
     "dicke_truncation-truncations": (
         "run_dicke_truncation.py", "--truncations", *"2 3 4 5 6 8 10".split()
     ),
+    "dicke_truncation-truncations-deep": (
+        "run_dicke_truncation.py", "--truncations", "12", "16"
+    ),
     "dicke_truncation-h0.5": ("run_dicke_truncation.py", "--h", "0.5"),
     "dicke_truncation-truncations1": ("run_dicke_truncation.py", "--truncations", "1"),
+    "dicke_truncation-truncations-empty": ("run_dicke_truncation.py", "--truncations"),
+    "dicke_truncation-h-nan": ("run_dicke_truncation.py", "--h", "nan"),
     "tfim_verify-defaults": ("run_tfim_verify.py",),
     "tfim_verify-length5": ("run_tfim_verify.py", "--length", "5"),
     "tfim_verify-length64": (

@@ -41,10 +41,20 @@ def main() -> int:
     # The two end modes are 2 (length - 1) sites apart and must lie beyond R = 3.
     if args.length < 3:
         ap.error(f"--length must be at least 3, got {args.length}")
+    if not args.truncations:
+        ap.error("--truncations needs at least one value")
     if any(m < 2 for m in args.truncations):
         ap.error(f"--truncations must each be at least 2, got {args.truncations}")
     if args.lam is not None and not (math.isfinite(args.lam) and args.lam > 0):
         ap.error(f"--lambda must be positive and finite, got {args.lam}")
+    if not (math.isfinite(args.h) and args.h != 0):
+        ap.error(f"--h must be finite and nonzero, got {args.h}")
+    if not math.isfinite(args.time):
+        ap.error(f"--time must be finite, got {args.time}")
+    if args.occupation_cap is not None and args.occupation_cap < 0:
+        ap.error(f"--occupation-cap must be at least 0, got {args.occupation_cap}")
+    if not (math.isfinite(args.t_max) and args.t_max > 0):
+        ap.error(f"--t-max must be positive and finite, got {args.t_max}")
     if args.points < 2:
         ap.error(f"--points must be at least 2, got {args.points}")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import tempfile
 from pathlib import Path
 
 
@@ -50,14 +51,17 @@ def main() -> int:
     if args.lam is not None:
         config["lambda"] = args.lam
 
+    # The config joins the artifacts only once verify has run on it: a
+    # rejected one must not land in --out, or replace an earlier run's.
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg_path = out / "config.json"
-    cfg_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
-
-    rc = cli.main(["verify", "--config", str(cfg_path), "--out", str(out)])
+    text = json.dumps(config, indent=2, sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(text)
+        rc = cli.main(["verify", "--config", str(cfg_path), "--out", str(out)])
     if rc not in (0, 1):  # no verification was written
         return rc
+    (out / "config.json").write_text(text)
     summary = json.loads((out / "verification.json").read_text())
     vel = summary["velocity"]
     if "v_emp" in vel:

@@ -23,7 +23,7 @@ embedded locally; the full Hilbert space is never materialized here.  Small
 unions are embedded densely.  Large ones (a few spins with their boson modes
 reach thousands of dimensions) take numpy's row-padded sparse form, one
 bracket level at a time, and the commutator is split into the exact blocks
-of its sparsity pattern, whose largest norm is its norm.
+of its sparsity pattern, stacked by size; the largest block norm is its norm.
 """
 
 from __future__ import annotations
@@ -276,11 +276,13 @@ def _block_norm(model, ops, keep, structure) -> float:
     exact zeros are dropped: nothing is approximated away, which could
     under-estimate.  The result C is split into the connected components of
     its sparsity pattern: after that permutation C is block diagonal, so
-    ||C|| is exactly the largest block norm, and each block is small.
+    ||C|| is exactly the largest block norm, and each block is small.  The
+    blocks of one size k that hold an entry go to `spectral_norm` as one
+    (count, k, k) stack with the bracket's hint, which takes no scaling.
 
-    Only dense blocks reach `spectral_norm`: the benchmark's tracer hooks
+    Only dense stacks reach `spectral_norm`: the benchmark's tracer hooks
     this module's `commutator` and `spectral_norm` and sizes each call with
-    `len()` of its first argument.
+    `len()` of its first argument, a stack's block count.
     """
     sites = list(ops[0].support.sites)
     dims = [model.site_dims[s] for s in sites]
@@ -307,23 +309,19 @@ def _block_norm(model, ops, keep, structure) -> float:
         if vals.size == 0:
             return 0.0
     n_blocks, labels = connected_components(rows, cols, math.prod(dims))
-    # Lay the blocks out densely, one after another, in a flat buffer: block
-    # b is the sizes[b] x sizes[b] row-major slab starting at offsets[b].
     sizes = np.bincount(labels, minlength=n_blocks)
-    first = np.cumsum(sizes) - sizes
-    offsets = np.cumsum(sizes * sizes) - sizes * sizes
     rank = np.empty_like(labels)
     rank[np.argsort(labels, kind="stable")] = np.arange(labels.size)
-    local = rank - first[labels]  # position of each index inside its block
+    local = rank - (np.cumsum(sizes) - sizes)[labels]  # position in its block
     block = labels[rows]
-    flat = np.zeros(int((sizes * sizes).sum()), dtype=vals.dtype)
-    flat[offsets[block] + local[rows] * sizes[block] + local[cols]] = vals
-    # A 1x1 block is its own norm.
-    best = float(np.abs(flat[offsets[sizes == 1]]).max(initial=0.0))
-    for b in np.flatnonzero(sizes > 1):
-        k, off = int(sizes[b]), int(offsets[b])
-        block = flat[off : off + k * k].reshape(k, k)
-        best = max(best, spectral_norm(block, structure=structure))
+    best = 0.0
+    # Not np.unique, whose plain form imports numpy.ma: 1 MB of peak memory.
+    for k in np.flatnonzero(np.bincount(sizes[block])):
+        here = sizes[block] == k
+        ids, slot = np.unique(block[here], return_inverse=True)
+        stack = np.zeros((ids.size, k, k), dtype=vals.dtype)
+        stack[slot, local[rows[here]], local[cols[here]]] = vals[here]
+        best = max(best, spectral_norm(stack, structure=structure))
     return best
 
 

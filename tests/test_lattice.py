@@ -409,6 +409,16 @@ def test_block_norm_matches_dense_oracle(seed, n_ops, projected):
     assert abs(blocks - oracle) <= 1e-12 * max(oracle, scale)
 
 
+def _direct_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
 def test_block_norm_of_empty_and_diagonal_brackets(monkeypatch):
     monkeypatch.setattr(lattice, "DENSE_UNION_MAX_DIM", 0)
     model = build_tfim(3)
@@ -419,6 +429,39 @@ def test_block_norm_of_empty_and_diagonal_brackets(monkeypatch):
     # Commuting: no entry survives.  [X, Y] = 2iZ: every block is 1x1.
     assert operator_norm_on_union(model, (z0, zz)) == 0.0
     assert operator_norm_on_union(model, (x0, y0)) == 2.0
+
+    # On one 9-dim site, [X + Z + Z + A, sY + X + Y + B] (direct sums) is
+    # 2isZ + 2iY - 2iX + [A, B]: blocks of sizes 1, 1, 2, 2 and 3 with norms
+    # 2s, 2s, 2, 2 and ||[A, B]|| = 3.54..., all in exact integer arithmetic.
+    # s = 3 puts the largest norm in a 1x1 block, s = 1 in the 3x3 one.
+    model = TwoFamilyHamiltonian(
+        graph=build_graph(1, []), site_dims=(9,), family0=(), family1=(),
+        h0=1.0, h1=1.0,
+    )
+    a3 = np.array([[1, 1, 0], [1, 0, 1j], [0, -1j, -1]])
+    b3 = np.array([[0, 1, 1], [1, 1, 0], [1, 0, 0]])
+    shapes = []
+
+    def norm(m, structure):
+        shapes.append(m.shape)
+        return spectral_norm(m, structure=structure)
+
+    monkeypatch.setattr(lattice, "spectral_norm", norm)
+    for s in (3.0, 1.0):
+        a = _direct_sum(PAULI_X, PAULI_Z, PAULI_Z, a3)
+        b = _direct_sum(s * PAULI_Y, PAULI_X, PAULI_Y, b3)
+        c = commutator(a, b)
+        # Anti-Hermitian: each block's norm is that of i times the block.
+        oracle = max(
+            float(np.abs(np.linalg.eigvalsh(1j * c[np.ix_(i, i)])).max())
+            for i in ([0], [1], [2, 3], [4, 5], [6, 7, 8])
+        )
+        assert (oracle == 2 * s) == (s == 3.0)
+        ops = [observable_from_sites(model, (0,), m) for m in (a, b)]
+        shapes.clear()
+        assert operator_norm_on_union(model, ops) == oracle
+        # One stack per block size.
+        assert sorted(shapes) == [(1, 3, 3), (2, 1, 1), (2, 2, 2)]
 
 
 def test_pair_commutator_norm_disjoint_is_zero():

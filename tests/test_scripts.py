@@ -6,7 +6,10 @@ once did: `run_dicke_truncation.py` died inside the library on a truncation
 below 2, a chain too short for its end modes and a negative lambda, and
 `run_tfim_verify.py` read a `verification.json` that a failed `verify` had
 not written (a `FileNotFoundError`, or an earlier run's summary printed as
-its own).
+its own).  Others exited 0 on an input they cannot use (no truncation, a
+non-finite field or time, a negative occupation cap) and wrote an empty or
+NaN study as a success, and `run_tfim_verify.py` left a rejected config in
+--out.
 """
 
 from __future__ import annotations
@@ -45,9 +48,19 @@ def _run(script, *args, out):
         ("--lambda", "-1"),
         ("--lambda", "nan"),
         ("--length", "3", "--occupation-cap", "1", "--points", "1"),
+        ("--truncations",),
+        ("--h", "nan"),
+        ("--h", "inf"),
+        ("--h", "0"),
+        ("--time", "nan"),
+        ("--time", "inf"),
+        ("--length", "3", "--occupation-cap", "1", "--t-max", "nan"),
+        ("--t-max", "0"),
+        ("--occupation-cap", "-1"),
     ],
     ids=["truncation1", "truncations2-1", "length1", "length2", "lambda-1",
-         "lambda-nan", "points1"],
+         "lambda-nan", "points1", "truncations-empty", "h-nan", "h-inf", "h0",
+         "time-nan", "time-inf", "t-max-nan", "t-max0", "occupation-cap-1"],
 )
 def test_dicke_truncation_rejects_bad_arguments(tmp_path, args):
     out = tmp_path / "out"
@@ -67,7 +80,8 @@ def test_tfim_verify_rejects_a_short_chain(tmp_path):
 
 
 def test_tfim_verify_exits_2_on_a_config_error(tmp_path):
-    # Into a fresh directory, and into one that holds an earlier run.
+    # Into a fresh directory, and into one that holds an earlier run, whose
+    # config must keep its bytes: a rejected config is never written.
     out = tmp_path / "out"
     for earlier in (False, True):
         if earlier:
@@ -75,9 +89,14 @@ def test_tfim_verify_exits_2_on_a_config_error(tmp_path):
                         "--points", "3", out=out)
             assert good.returncode == 0, good.stderr
             assert "artifacts in" in good.stdout
+            config = (out / "config.json").read_bytes()
         proc = _run("run_tfim_verify.py", "--lambda", "-1", out=out)
         assert proc.returncode == 2, proc.stderr
         assert "config invalid at 'lambda'" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
         assert (out / "verification.json").exists() == earlier
+        if earlier:
+            assert (out / "config.json").read_bytes() == config
+        else:
+            assert not out.exists()
