@@ -10,20 +10,20 @@ LRLAB_THREADS=1, one at a time:
   X observables (the structured sweep), a projected Dicke chain with an
   occupation cap, a TFIM with all four bound methods, the same TFIM at
   "lambda": 0.8 (a decay rate other than the default xi), and a 12-site TFIM
-  at "chain_order": 60 (so `chains` writes both counts, sequences and
-  collapsed classes, at depth);
+  at "chain_order": 60 (so `chains` writes its sequence counts at depth);
 * scripts/run_dicke_truncation.py at its defaults, with --length 3
   --occupation-cap 1, with --truncations 2 3 4 5 6 8 10, with --truncations
   12 16 (union norms whose blocks come in many sizes), with --h 0.5, and
-  with --truncations 1, with --truncations and no value and with --h nan
-  (argument errors, exit 2);
+  with --truncations 1, with --truncations and no value, with --h nan and
+  with --length 5 --truncations 4 --occupation-cap 1 (a capped sweep above
+  the dense Hamiltonian's cap) (argument errors, exit 2);
 * scripts/run_tfim_verify.py at its defaults, with --length 5, with
   --length 64 --t-max 4 (60 O_Q, so series values and chain tables at depth
   are compared too), with --length 128 --j 1 --g 0.6 --t-max 4 and with
   --length 64 --j=-0.5 --g 0.5 --t-max 4 (couplings away from 1, one of
   them negative), and with --lambda -1 (a config error, exit 2).
 
-That is 68 runs: 6 commands on 9 configs, and 14 script runs.
+That is 69 runs: 6 commands on 9 configs, and 15 script runs.
 
 OUT/<run>/ holds the run's artifacts (out/), stdout, stderr and exit_code.
 Every path a run sees is relative to its own directory, so two checkouts
@@ -104,6 +104,10 @@ SCRIPT_RUNS = {
     "dicke_truncation-truncations1": ("run_dicke_truncation.py", "--truncations", "1"),
     "dicke_truncation-truncations-empty": ("run_dicke_truncation.py", "--truncations"),
     "dicke_truncation-h-nan": ("run_dicke_truncation.py", "--h", "nan"),
+    "dicke_truncation-cap-over-limit": (
+        "run_dicke_truncation.py", "--length", "5", "--truncations", "4",
+        "--occupation-cap", "1",
+    ),
     "tfim_verify-defaults": ("run_tfim_verify.py",),
     "tfim_verify-length5": ("run_tfim_verify.py", "--length", "5"),
     "tfim_verify-length64": (

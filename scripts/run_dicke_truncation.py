@@ -67,12 +67,30 @@ def main() -> int:
         occupation_projector_diagonal,
         pair_commutator_norm,
     )
-    from lrlab.models import PAULI_X, build_dicke_chain, mode_quadratures
+    from lrlab.models import (
+        FULL_HAMILTONIAN_DIM_CAP,
+        PAULI_X,
+        build_dicke_chain,
+        mode_quadratures,
+    )
     from lrlab.operators import spectral_norm
     from lrlab.reporting import write_csv, write_json
 
+    # The capped sweep diagonalises the full Hamiltonian at every truncation.
+    if args.occupation_cap is not None:
+        m = max(args.truncations)
+        dim = build_dicke_chain(args.length, h=args.h, truncation=m).hilbert_dim
+        if dim > FULL_HAMILTONIAN_DIM_CAP:
+            ap.error(
+                f"--occupation-cap needs the full Hamiltonian, of dimension "
+                f"{dim} at --length {args.length} and m = {m}, above the cap "
+                f"{FULL_HAMILTONIAN_DIM_CAP}"
+            )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        ap.error(f"--out {out}: {e.strerror}")
 
     rows = []
     capped_curves = {}

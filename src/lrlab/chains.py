@@ -11,19 +11,15 @@ n = 0).
 ``count_chains_dp`` counts every admissible sequence as distinct, which is
 exactly what unrolling the recursion produces (the two branches of an even
 step extend disjoint families, so no sequence arises twice); the series bound
-reads these counts.  ``count_chain_classes`` also identifies sequences that
-differ only in the dummy predecessor of an even step taken through the
-two-back branch; only ``lrlab chains`` writes these, as "collapsed".
-classes <= sequences <= 2^floor(n/2) * nu^n, and both vanish below the
-reachability cutoff R*n >= d.
+reads these counts.  They vanish below the reachability cutoff R*n >= d and
+never exceed the envelope 2^floor(n/2) * nu^n.
 
-Both follow one recurrence over even chains.  An odd chain (..., p, l) is an
-even chain ending at p and some l in Z(p), and its terminal rule and the next
-even step look only at p and l, so a frontier E (last term -> count) of even
-chains suffices.  An odd order is c_n = sum_p E[p] |{l in Z(p) : p or l
-touches}|.  A sequence step adds E[p] to each x in Z(l) | Z(p) (a set union,
-exact on any adjacency) for each l in Z(p); a class step adds it to each x in
-Z(l) for each l in Z(p), and once more to each x in Z(p), the two-back branch.
+The count runs one recurrence over even chains.  An odd chain (..., p, l) is
+an even chain ending at p and some l in Z(p), and its terminal rule and the
+next even step look only at p and l, so a frontier E (last term -> count) of
+even chains suffices.  An odd order is c_n = sum_p E[p] |{l in Z(p) : p or l
+touches}|.  An even step adds E[p] to each x in Z(l) | Z(p) (a set union,
+exact on any adjacency) for each l in Z(p).
 
 "Touches" is `NoncommutingAdjacency.touching`; the per-order envelope takes
 lambda from the bound constants.
@@ -51,21 +47,6 @@ def count_chains_dp(
     adj: NoncommutingAdjacency, start: int, target: SupportRegion, n_max: int
 ) -> ChainCountTable:
     """Exact integer counts of the admissible sequences, orders 0..n_max."""
-    z = adj.zmap
-    return _count(adj, start, target, n_max, lambda p: [z[l] | z[p] for l in z[p]])
-
-
-def count_chain_classes(
-    adj: NoncommutingAdjacency, start: int, target: SupportRegion, n_max: int
-) -> ChainCountTable:
-    """Exact integer counts of the collapsed classes, orders 0..n_max."""
-    z = adj.zmap
-    return _count(adj, start, target, n_max, lambda p: [z[l] for l in z[p]] + [z[p]])
-
-
-def _count(adj, start, target, n_max, nexts) -> ChainCountTable:
-    """The even-chain recurrence; an even step from last term p appends from
-    each set in `nexts(p)`."""
     if start not in adj.zmap:
         raise ValueError(f"start term id {start} not in adjacency")
     zmap, hits = adj.zmap, adj.touching(target)
@@ -77,8 +58,8 @@ def _count(adj, start, target, n_max, nexts) -> ChainCountTable:
         if n < n_max:
             grown = {}
             for p, c in even.items():
-                for xs in nexts(p):
-                    for x in xs:
+                for l in zmap[p]:
+                    for x in zmap[l] | zmap[p]:
                         grown[x] = grown.get(x, 0) + c
             even = grown
             counts[n + 1] = sum(c for p, c in even.items() if p in hits)

@@ -4,9 +4,10 @@ Subcommands: check, constants, chains, bound, simulate, verify.  Each takes
 --config (JSON, validated against the shipped schema), and each but check,
 which writes nothing, takes --out for the artifact directory; every run
 setting, the decay rate lambda included, comes from the config alone.  Exit
-codes: 0 success, 1 a checked invariant or bound failed, 2 usage or config
-errors (a non-positive or non-finite lambda included), 3 a numerical failure
-(an overflowing bound included).
+codes: 0 success, 1 a checked invariant or bound failed, 2 usage, config or
+file errors (a non-positive or non-finite lambda, a --config that cannot be
+read and an --out that cannot be made a directory included), 3 a numerical
+failure (an overflowing bound included).
 
 LRLAB_THREADS is translated into the BLAS thread-count variables on
 `import lrlab`.  The model, lattice and bound modules are imported inside the
@@ -163,7 +164,7 @@ def _cmd_constants(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_chains(cfg: RunConfig, out: Path) -> int:
-    from .chains import closed_form_chain_bound, count_chain_classes, count_chains_dp
+    from .chains import closed_form_chain_bound, count_chains_dp
     from .lattice import region, region_distance
 
     model, adj, consts = _setup(cfg)
@@ -173,7 +174,6 @@ def _cmd_chains(cfg: RunConfig, out: Path) -> int:
         start = _fallback_start(model, op)
     target = region(model.graph, [s for oq in oqs for s in oq.support.sites])
     table = count_chains_dp(adj, start, target, cfg.chain_order)
-    classes = count_chain_classes(adj, start, target, cfg.chain_order)
     out.mkdir(parents=True, exist_ok=True)
     d0 = region_distance(model.graph, adj.supports[start], target)
     rows = [
@@ -188,7 +188,6 @@ def _cmd_chains(cfg: RunConfig, out: Path) -> int:
             "target_sites": list(target.sites),
             "n_max": cfg.chain_order,
             "counts": {str(n): table.counts[n] for n in table.counts},
-            "collapsed": {str(n): classes.counts[n] for n in classes.counts},
         },
     )
     total = sum(table.counts.values())
@@ -418,7 +417,7 @@ def main(argv=None) -> int:
     except (NumericalError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -11,14 +11,12 @@ from __future__ import annotations
 import math
 
 import pytest
-from chain_classes import count_chain_classes_bruteforce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrlab.chains import (
     ChainCountTable,
     closed_form_chain_bound,
-    count_chain_classes,
     count_chains_bruteforce,
     count_chains_dp,
 )
@@ -43,17 +41,13 @@ def test_tfim_counts_frozen_d3(tfim6):
     start = 5  # field on site 0; bonds occupy global ids 0..4
     target = region(model.graph, (3,))
     table = count_chains_dp(adj, start, target, 8)
-    classes = count_chain_classes(adj, start, target, 8)
     assert [table.counts[n] for n in range(9)] == [0, 0, 0, 0, 0, 1, 6, 25, 93]
-    assert [classes.counts[n] for n in range(9)] == [0, 0, 0, 0, 0, 1, 4, 16, 45]
 
 
 def test_tfim_start_on_target_counts_order_zero(tfim6):
     model, adj = tfim6
     table = count_chains_dp(adj, 5, region(model.graph, (0,)), 2)
-    classes = count_chain_classes(adj, 5, region(model.graph, (0,)), 2)
     assert table.counts[0] == 1
-    assert classes.counts[0] == 1
 
 
 def test_dp_equals_bruteforce_all_targets(tfim6):
@@ -63,19 +57,7 @@ def test_dp_equals_bruteforce_all_targets(tfim6):
         for start in (0, 5, 8):
             dp = count_chains_dp(adj, start, target, 6)
             bf = count_chains_bruteforce(adj, start, target, 6)
-            classes = count_chain_classes(adj, start, target, 6)
             assert dp.counts == bf.counts
-            assert classes.counts == count_chain_classes_bruteforce(
-                adj, start, target, 6
-            )
-
-
-def test_collapsed_never_exceeds_counts(tfim6):
-    model, adj = tfim6
-    table = count_chains_dp(adj, 5, region(model.graph, (4,)), 10)
-    classes = count_chain_classes(adj, 5, region(model.graph, (4,)), 10)
-    for n in range(11):
-        assert classes.counts[n] <= table.counts[n]
 
 
 def test_reachability_cutoff(tfim6):
@@ -159,11 +141,9 @@ def test_dp_equals_bruteforce_random_structures(seed):
     for start in adj.zmap:
         dp = count_chains_dp(adj, start, target, 5)
         bf = count_chains_bruteforce(adj, start, target, 5)
-        classes = count_chain_classes(adj, start, target, 5)
         assert dp.counts == bf.counts
-        assert classes.counts == count_chain_classes_bruteforce(adj, start, target, 5)
         for n in range(6):
-            assert classes.counts[n] <= dp.counts[n] <= 2 ** (n // 2) * nu**n
+            assert dp.counts[n] <= 2 ** (n // 2) * nu**n
 
 
 def test_dp_equals_bruteforce_where_neighbourhoods_overlap():
@@ -179,5 +159,3 @@ def test_dp_equals_bruteforce_where_neighbourhoods_overlap():
         target = SupportRegion(sites=(site,), diameter=0)
         dp = count_chains_dp(adj, 0, target, 7)
         assert dp.counts == count_chains_bruteforce(adj, 0, target, 7).counts
-        classes = count_chain_classes(adj, 0, target, 7)
-        assert classes.counts == count_chain_classes_bruteforce(adj, 0, target, 7)

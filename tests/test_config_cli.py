@@ -202,6 +202,24 @@ def _argv(command, cfg, out):
     return argv if command == "check" else argv + ["--out", str(out)]
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_file_errors_exit_2(tmp_path, capsys, command):
+    # Exit 1 means a failed check: a --config that is a directory, and an
+    # --out that is a file or lies under one, once exited 1 with a traceback.
+    cfg = _write(tmp_path, GOOD)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    runs = [_argv(command, tmp_path, tmp_path / "o")]
+    if command != "check":
+        runs += [_argv(command, cfg, blocker), _argv(command, cfg, blocker / "o")]
+    for argv in runs:
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+    assert blocker.read_text() == "kept"
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_check_takes_no_out(tmp_path, capsys):
     cfg = _write(tmp_path, GOOD)
     out = tmp_path / "o"
@@ -240,6 +258,7 @@ def test_cli_chains_csv_schema(tmp_path):
     assert lines[0] == "n,c_n,closed_form"
     assert len(lines) == 8  # header + orders 0..6
     extra = json.loads((out / "chains.json").read_text())
+    assert set(extra) == {"counts", "n_max", "start", "target_sites"}
     assert set(extra["counts"]) == {str(n) for n in range(7)}
 
 
@@ -490,28 +509,6 @@ def test_cli_bound_sizes_series_tables_by_the_tolerance_alone(tmp_path, monkeypa
         written.append((out / "bounds.csv").read_bytes())
     assert orders == [needed] * 4  # two O_Q per run
     assert written[0] == written[1]
-
-
-def test_cli_series_path_computes_no_class_counts(tmp_path, monkeypatch):
-    # The series bound reads the sequence counts alone; only `chains`
-    # writes the collapsed classes.
-    from lrlab import chains
-
-    class Reached(Exception):
-        pass
-
-    def reached(*args):
-        raise Reached
-
-    monkeypatch.setattr(chains, "count_chain_classes", reached)
-    cfg = Path(__file__).resolve().parent.parent / "configs" / "tfim_small.json"
-    reaching = []
-    for command in COMMANDS:
-        try:
-            assert cli.main(_argv(command, cfg, tmp_path / command)) == 0, command
-        except Reached:
-            reaching.append(command)
-    assert reaching == ["chains"]
 
 
 # json.loads reads NaN and Infinity, and the schema cannot see them: each of

@@ -9,7 +9,9 @@ not written (a `FileNotFoundError`, or an earlier run's summary printed as
 its own).  Others exited 0 on an input they cannot use (no truncation, a
 non-finite field or time, a negative occupation cap) and wrote an empty or
 NaN study as a success, and `run_tfim_verify.py` left a rejected config in
---out.
+--out.  `run_dicke_truncation.py` also died with exit 1 on an --out that is a
+file, and on an occupation cap whose sweep needs a Hamiltonian above the
+dense cap, after making an empty --out.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ ENV = dict(
 
 
 def _run(script, *args, out):
+    # --out comes first, so that a case can name its own.
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args, "--out", str(out)],
+        [sys.executable, str(SCRIPTS / script), "--out", str(out), *args],
         env=ENV, capture_output=True, text=True, timeout=300,
     )
 
@@ -57,18 +60,27 @@ def _run(script, *args, out):
         ("--length", "3", "--occupation-cap", "1", "--t-max", "nan"),
         ("--t-max", "0"),
         ("--occupation-cap", "-1"),
+        # (2 m)^5 = 32768 at m = 4, above the 2^14 dense cap
+        ("--length", "5", "--truncations", "4", "--occupation-cap", "1"),
+        ("--out", "{file}"),
+        ("--out", "{file}/out"),
     ],
     ids=["truncation1", "truncations2-1", "length1", "length2", "lambda-1",
          "lambda-nan", "points1", "truncations-empty", "h-nan", "h-inf", "h0",
-         "time-nan", "time-inf", "t-max-nan", "t-max0", "occupation-cap-1"],
+         "time-nan", "time-inf", "t-max-nan", "t-max0", "occupation-cap-1",
+         "cap-over-limit", "out-file", "out-under-file"],
 )
 def test_dicke_truncation_rejects_bad_arguments(tmp_path, args):
     out = tmp_path / "out"
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    args = [a.replace("{file}", str(blocker)) for a in args]
     proc = _run("run_dicke_truncation.py", *args, out=out)
     assert proc.returncode == 2, proc.stderr
     assert "run_dicke_truncation.py: error: " in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+    assert blocker.read_text() == "kept"
 
 
 def test_tfim_verify_rejects_a_short_chain(tmp_path):
