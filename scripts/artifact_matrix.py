@@ -6,11 +6,13 @@ them with `diff -r`.  The runs use the checkout's own `src/` and
 LRLAB_THREADS=1, one at a time:
 
 * check, constants, chains, bound, simulate and verify on every
-  configs/*.json, and on five configs written into OUT/configs: a TFIM with
-  X observables (the structured sweep), a projected Dicke chain with an
-  occupation cap, a TFIM with all four bound methods, the same TFIM at
-  "lambda": 0.8 (a decay rate other than the default xi), and a 12-site TFIM
-  at "chain_order": 60 (so `chains` writes its sequence counts at depth);
+  configs/*.json, and on six configs written into OUT/configs: a TFIM with
+  X observables (the structured sweep), the same TFIM with an occupation cap
+  (a cap on a model without bosons, on the full-space route), a projected
+  Dicke chain with an occupation cap, a TFIM with all four bound methods,
+  the same TFIM at "lambda": 0.8 (a decay rate other than the default xi),
+  and a 12-site TFIM at "chain_order": 60 (so `chains` writes its sequence
+  counts at depth);
 * scripts/run_dicke_truncation.py at its defaults, with --length 3
   --occupation-cap 1, with --truncations 2 3 4 5 6 8 10, with --truncations
   12 16 (union norms whose blocks come in many sizes), with --h 0.5, and
@@ -23,7 +25,7 @@ LRLAB_THREADS=1, one at a time:
   --length 64 --j=-0.5 --g 0.5 --t-max 4 (couplings away from 1, one of
   them negative), and with --lambda -1 (a config error, exit 2).
 
-That is 69 runs: 6 commands on 9 configs, and 15 script runs.
+That is 75 runs: 6 commands on 10 configs, and 15 script runs.
 
 OUT/<run>/ holds the run's artifacts (out/), stdout, stderr and exit_code.
 Every path a run sees is relative to its own directory, so two checkouts
@@ -56,6 +58,18 @@ WRITTEN_CONFIGS = {
         },
         "time_grid": {"start": 0.0, "stop": 1.5, "points": 16},
         "methods": ["closed_form"],
+    },
+    "tfim_x_capped": {
+        "model": {"name": "tfim", "length": 8},
+        "observables": {
+            "op_site": 0,
+            "op_pauli": "X",
+            "oq_sites": [2, 4, 7],
+            "oq_pauli": "X",
+        },
+        "time_grid": {"start": 0.0, "stop": 1.5, "points": 16},
+        "methods": ["closed_form"],
+        "occupation_cap": 1,
     },
     "dicke_capped": {
         "model": {"name": "dicke_chain", "length": 3, "truncation": 3},

@@ -64,7 +64,6 @@ def main() -> int:
         noncommuting_adjacency,
         observable_conditions,
         observable_from_sites,
-        occupation_projector_diagonal,
         pair_commutator_norm,
     )
     from lrlab.models import (
@@ -120,17 +119,14 @@ def main() -> int:
         )
 
         if args.occupation_cap is not None:
-            from lrlab.dynamics import commutator_norm_sweep
+            from lrlab.dynamics import exact_sweep
 
             times = tuple(
                 args.t_max * k / (args.points - 1) for k in range(args.points)
             )
             spin_p = observable_from_sites(model, (1,), PAULI_X, "X@spin0")
             spin_q = observable_from_sites(model, (3,), PAULI_X, "X@spin1")
-            proj = occupation_projector_diagonal(model, args.occupation_cap)
-            sweep = commutator_norm_sweep(
-                model, spin_p, [spin_q], times, projector_diag=proj
-            )
+            sweep = exact_sweep(model, spin_p, [spin_q], times, args.occupation_cap)
             capped_curves[m] = [p.value for p in sweep.points]
 
     write_csv(

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -70,16 +72,12 @@ def _setup(cfg: RunConfig, constants: bool = True):
     return model, adj, consts
 
 
-def _pauli(name: str):
-    from . import models
-
-    return {"X": models.PAULI_X, "Y": models.PAULI_Y, "Z": models.PAULI_Z}[name]
-
-
 def _observables(cfg: RunConfig, model):
     """(O_P, the O_Q list, each O_Q's separation from O_P by label)."""
     from .lattice import observable_from_sites, region_distance
+    from .models import PAULI_X, PAULI_Y, PAULI_Z
 
+    paulis = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
     o = cfg.observables
     n = model.graph.site_count
 
@@ -94,7 +92,7 @@ def _observables(cfg: RunConfig, model):
                 f"dimension {model.site_dims[site]}",
             )
         return observable_from_sites(
-            model, (site,), _pauli(pauli), label=f"{pauli}@{site}"
+            model, (site,), paulis[pauli], label=f"{pauli}@{site}"
         )
 
     op = one(o.op_site, o.op_pauli, "op_site")
@@ -104,37 +102,6 @@ def _observables(cfg: RunConfig, model):
         oq.label: region_distance(model.graph, op.support, oq.support) for oq in oqs
     }
     return op, oqs, seps
-
-
-def _matching_term_scale(model, obs):
-    """Global id and scale for a term equal to `obs.payload` up to a factor.
-
-    The series route bounds commutators of Hamiltonian terms, so the
-    observable must coincide with one (up to scale) for it to apply.
-    """
-    import numpy as np
-
-    for gid, term in enumerate(model.terms):
-        if term.support.sites != obs.support.sites:
-            continue
-        t_scale = float(np.abs(term.payload).max())
-        o_scale = float(np.abs(obs.payload).max())
-        if t_scale == 0.0 or o_scale == 0.0:
-            continue
-        alpha = o_scale / t_scale
-        if np.allclose(obs.payload, alpha * term.payload, atol=1e-12):
-            return gid, alpha
-    return None, None
-
-
-def _fallback_start(model, obs):
-    for gid, term in enumerate(model.terms):
-        if set(obs.support.sites) <= set(term.support.sites):
-            return gid
-    raise invalid(
-        ("observables", "op_site"),
-        f"no Hamiltonian term touches sites {obs.support.sites}",
-    )
 
 
 def _cmd_check(cfg: RunConfig) -> int:
@@ -169,9 +136,10 @@ def _cmd_chains(cfg: RunConfig, out: Path) -> int:
 
     model, adj, consts = _setup(cfg)
     op, oqs, _ = _observables(cfg, model)
-    start, _ = _matching_term_scale(model, op)
+    # O_P's own term, or else the first term that meets it.
+    start = model.term_id(op)
     if start is None:
-        start = _fallback_start(model, op)
+        start = min(adj.touching(op.support))
     target = region(model.graph, [s for oq in oqs for s in oq.support.sites])
     table = count_chains_dp(adj, start, target, cfg.chain_order)
     out.mkdir(parents=True, exist_ok=True)
@@ -216,26 +184,18 @@ def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs, seps):
         fns["closed_form"] = lambda t, label: closed_form_bound(consts, t, seps[label])
 
     if "series_exact_cn" in cfg.methods:
-        start, alpha_p = _matching_term_scale(model, op)
-        if start is None:
+        start = model.term_id(op)
+        if start is None or any(model.term_id(oq) is None for oq in oqs):
             raise ConfigError(
-                "method 'series_exact_cn' needs O_P to match a Hamiltonian "
-                "term up to scale"
+                "method 'series_exact_cn' needs O_P and every O_Q to be "
+                "Hamiltonian terms"
             )
         t_max = max(abs(t) for t in cfg.time_grid.times())
         n_max = series_terms_needed(consts, t_max, cfg.series_tol)
-        tables = {}
-        scales = {}
-        for oq in oqs:
-            tgt, alpha_q = _matching_term_scale(model, oq)
-            if tgt is None:
-                raise ConfigError(
-                    "method 'series_exact_cn' needs O_Q to match a "
-                    "Hamiltonian term up to scale"
-                )
-            tables[oq.label] = count_chains_dp(adj, start, oq.support, n_max)
-            scales[oq.label] = abs(alpha_p) * abs(alpha_q)
-        fns["series_exact_cn"] = lambda t, label: scales[label] * series_bound(
+        tables = {
+            oq.label: count_chains_dp(adj, start, oq.support, n_max) for oq in oqs
+        }
+        fns["series_exact_cn"] = lambda t, label: series_bound(
             consts, tables[label], t, tol=cfg.series_tol
         )
 
@@ -290,22 +250,6 @@ def _cmd_bound(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _run_sweep(cfg: RunConfig, model, op, oqs):
-    from .dynamics import commutator_norm_sweep, free_fermion_sweep
-    from .lattice import occupation_projector_diagonal
-
-    o = cfg.observables
-    if model.name == "tfim" and o.op_pauli == o.oq_pauli == "Z":
-        # Exact and O(L^3); the TFIM has no boson sites to project.
-        return free_fermion_sweep(model, op, oqs, cfg.time_grid.times())
-    projector = None
-    if cfg.occupation_cap is not None:
-        projector = occupation_projector_diagonal(model, cfg.occupation_cap)
-    return commutator_norm_sweep(
-        model, op, oqs, cfg.time_grid.times(), projector_diag=projector
-    )
-
-
 def _write_simulation(out: Path, sweep) -> None:
     write_csv(
         out / "simulation.csv",
@@ -315,9 +259,11 @@ def _write_simulation(out: Path, sweep) -> None:
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
+    from .dynamics import exact_sweep
+
     model, _, _ = _setup(cfg, constants=False)
     op, oqs, _ = _observables(cfg, model)
-    sweep = _run_sweep(cfg, model, op, oqs)
+    sweep = exact_sweep(model, op, oqs, cfg.time_grid.times(), cfg.occupation_cap)
     out.mkdir(parents=True, exist_ok=True)
     _write_simulation(out, sweep)
     write_json(
@@ -340,7 +286,7 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, out: Path) -> int:
-    from .dynamics import extract_velocity, verify_bound
+    from .dynamics import exact_sweep, extract_velocity, verify_bound
 
     model, adj, consts = _setup(cfg)
     op, oqs, seps = _observables(cfg, model)
@@ -353,7 +299,7 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
             "score no point",
         )
     fns = _bound_functions(cfg, model, adj, consts, op, oqs, seps)
-    sweep = _run_sweep(cfg, model, op, oqs)
+    sweep = exact_sweep(model, op, oqs, cfg.time_grid.times(), cfg.occupation_cap)
     report = verify_bound(sweep, fns, min_separation=consts.R, slack=cfg.slack)
 
     try:
@@ -407,12 +353,24 @@ _WRITERS = {
 }
 
 
+def _check_out(out: Path) -> None:
+    """Raise the OSError that making `out` a directory would raise, before
+    any computation and without creating anything."""
+    for path in (out, *out.parents):
+        if path.is_dir():
+            return
+        if path.exists():
+            code = errno.EEXIST if path == out else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(out))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
         if args.command == "check":
             return _cmd_check(cfg)
+        _check_out(args.out)
         return _WRITERS[args.command](cfg, args.out)
     except (NumericalError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)

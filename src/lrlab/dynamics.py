@@ -1,12 +1,12 @@
 """Exact Heisenberg dynamics, and checking bounds against it.
 
-Two sweeps give the same `SimulationSweep`.  `free_fermion_sweep` takes
-single-site Z observables on the TFIM through its free-fermion form: under
-Jordan-Wigner, Z_j and X_j X_{j+1} are Majorana bilinears, so each norm is a
-4x4 eigenproblem after one eigh of a 2L x 2L single-particle matrix, and the
-chain can have hundreds of sites.  `commutator_norm_sweep` takes any model
-and observables on the full Hilbert space, and is the free-fermion sweep's
-test oracle.
+Two sweeps give the same `SimulationSweep`, and `exact_sweep` picks between
+them.  `free_fermion_sweep` takes single-site Z observables on the TFIM
+through its free-fermion form: under Jordan-Wigner, Z_j and X_j X_{j+1} are
+Majorana bilinears, so each norm is a 4x4 eigenproblem after one eigh of a
+2L x 2L single-particle matrix, and the chain can have hundreds of sites.
+`commutator_norm_sweep` takes any model and observables on the full Hilbert
+space, and is the free-fermion sweep's test oracle.
 
 The full-space sweep diagonalizes H once, sector by sector
 (`operators.decompose`, which also checks each sector's reconstruction),
@@ -39,9 +39,10 @@ import numpy as np
 from .lattice import (
     Observable,
     TwoFamilyHamiltonian,
+    occupation_projector_diagonal,
     region_distance,
 )
-from .models import PAULI_Z, full_hamiltonian
+from .models import PAULI_Z, full_hamiltonian, full_space_dim
 # Unused here, but perfbench/tracer.py wraps `commutator` under this name too.
 from .operators import commutator  # noqa: F401
 from .operators import (
@@ -75,6 +76,19 @@ class SimulationSweep:
         """(times, values) of the observable labelled `oq`, time-ordered."""
         pts = sorted((p.t, p.value) for p in self.points if p.oq == oq)
         return tuple(t for t, _ in pts), tuple(v for _, v in pts)
+
+
+def exact_sweep(model, op_p, oq_list, times, occupation_cap=None) -> SimulationSweep:
+    """The sweep by the route that takes these observables: free-fermion if
+    it can (the TFIM has no boson sites to cap), else full-space, its size
+    checked first, with boson occupations <= `occupation_cap` when given."""
+    if _free_fermion_refusal(model, (op_p, *oq_list)) is None:
+        return free_fermion_sweep(model, op_p, oq_list, times)
+    full_space_dim(model)
+    projector = None
+    if occupation_cap is not None:
+        projector = occupation_projector_diagonal(model, occupation_cap)
+    return commutator_norm_sweep(model, op_p, oq_list, times, projector_diag=projector)
 
 
 def _commutator_norm_fn(oq: Observable, dims, groups, kept):
@@ -194,6 +208,16 @@ def _majorana_pair(x, y):
     return -2.0 * (outer - np.swapaxes(outer, -1, -2))
 
 
+def _free_fermion_refusal(model, observables) -> str | None:
+    """Why `free_fermion_sweep` cannot take `observables` on `model`, or None."""
+    if model.name != "tfim":
+        return f"free-fermion sweep needs the tfim, got {model.name!r}"
+    for obs in observables:
+        if len(obs.support.sites) != 1 or not np.array_equal(obs.payload, PAULI_Z):
+            return f"free-fermion sweep needs single-site Pauli Z, got {obs.label!r}"
+    return None
+
+
 def free_fermion_sweep(
     model: TwoFamilyHamiltonian, op_p: Observable, oq_list, times
 ) -> SimulationSweep:
@@ -214,16 +238,11 @@ def free_fermion_sweep(
     matrix ih, O(L^2) per time and O(L) per point, with no full Hamiltonian,
     so chains of hundreds of sites are cheap.
 
-    Raises ValueError unless the model is the TFIM and O_P and every O_Q are
-    single-site Pauli Z.
+    Raises ValueError off the TFIM, or for an observable not single-site Pauli Z.
     """
-    if model.name != "tfim":
-        raise ValueError(f"free-fermion sweep needs the tfim, got {model.name!r}")
-    for obs in (op_p, *oq_list):
-        if len(obs.support.sites) != 1 or not np.array_equal(obs.payload, PAULI_Z):
-            raise ValueError(
-                f"free-fermion sweep needs single-site Pauli Z, got {obs.label!r}"
-            )
+    refusal = _free_fermion_refusal(model, (op_p, *oq_list))
+    if refusal is not None:
+        raise ValueError(refusal)
     modes = 2 * model.graph.site_count
     # h_{2j,2j+1} = -2g (fields), h_{2j+1,2j+2} = -2J (bonds).
     h = np.diag(-2.0 * np.where(np.arange(modes - 1) % 2, model.h0, model.h1), 1)

@@ -181,6 +181,15 @@ class TwoFamilyHamiltonian:
     def coupling(self, family: int) -> float:
         return self.h0 if family == 0 else self.h1
 
+    def term_id(self, obs) -> int | None:
+        """The global id of the term that is `obs` exactly, or None."""
+        for gid, term in enumerate(self.terms):
+            if term.support.sites == obs.support.sites and np.array_equal(
+                term.payload, obs.payload
+            ):
+                return gid
+        return None
+
     @property
     def hilbert_dim(self) -> int:
         # math.prod on Python ints: a numpy product wraps past 2^63.
@@ -595,11 +604,14 @@ def observable_conditions(
             f"condition (i) violated: separation d = {d} must exceed R = {consts.R}"
         )
     terms = model.terms
-    p_norms = [pair_commutator_norm(model, op_p, t, projected) for t in terms]
-    q_norms = [pair_commutator_norm(model, op_q, t, projected) for t in terms]
+    # A term that does not overlap an observable commutes with it.
+    near_p = adjacency.touching(op_p.support)
+    near_q = adjacency.touching(op_q.support)
+    p_norms = [pair_commutator_norm(model, op_p, terms[g], projected) for g in near_p]
+    q_norms = [pair_commutator_norm(model, op_q, terms[g], projected) for g in near_q]
     n_P = sum(1 for x in p_norms if x > NONCOMMUTING_TOL)
-    F_P = max(p_norms) / consts.K
-    F_Q = max(q_norms) / consts.K
+    F_P = max(p_norms, default=0.0) / consts.K
+    F_Q = max(q_norms, default=0.0) / consts.K
 
     for i, j in adjacency.pairs_meeting(op_q.support):
         a, b = terms[i], terms[j]

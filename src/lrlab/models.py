@@ -175,13 +175,20 @@ def build_model(name: str, length: int, **kwargs) -> TwoFamilyHamiltonian:
     return builders[name](length, **kwargs)
 
 
-def full_hamiltonian(model: TwoFamilyHamiltonian) -> np.ndarray:
-    """Dense H on the full Hilbert space, refused above FULL_HAMILTONIAN_DIM_CAP."""
+def full_space_dim(model: TwoFamilyHamiltonian) -> int:
+    """The Hilbert dimension, refused above FULL_HAMILTONIAN_DIM_CAP: every
+    full-space route asks this before it builds a full-space array."""
     dim = model.hilbert_dim
     if dim > FULL_HAMILTONIAN_DIM_CAP:
         raise ValueError(
             f"Hilbert dimension {dim} exceeds cap {FULL_HAMILTONIAN_DIM_CAP}"
         )
+    return dim
+
+
+def full_hamiltonian(model: TwoFamilyHamiltonian) -> np.ndarray:
+    """Dense H on the full Hilbert space, refused above FULL_HAMILTONIAN_DIM_CAP."""
+    dim = full_space_dim(model)
     real = all(np.isrealobj(t.payload) for t in model.terms)
     h = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
     dims = list(model.site_dims)

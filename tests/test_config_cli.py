@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import errno
 import json
 import math
 import os
@@ -397,6 +398,88 @@ def test_cli_takes_the_free_fermion_sweep_for_tfim_z_runs_only(
     cfg = _write(tmp_path, raw)
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert calls == [route]
+
+
+def _refuse(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{what} was called")
+
+    return refused
+
+
+@pytest.mark.parametrize("command", ("simulate", "verify"))
+def test_cli_checks_the_full_space_cap_before_building_the_projector(
+    tmp_path, monkeypatch, capsys, command
+):
+    # 40 qubits: the projector diagonal alone would take 2^40 floats.
+    from lrlab import dynamics, lattice
+
+    for module in (dynamics, lattice):
+        monkeypatch.setattr(
+            module, "occupation_projector_diagonal", _refuse("the projector")
+        )
+    raw = {
+        "model": {"name": "tfim", "length": 40},
+        "observables": {
+            "op_site": 0, "op_pauli": "X", "oq_sites": [5, 39], "oq_pauli": "X",
+        },
+        "time_grid": {"start": 0.0, "stop": 1.0, "points": 2},
+        "methods": ["closed_form"],
+        "occupation_cap": 1,
+    }
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: Hilbert dimension 1099511627776 exceeds cap 16384"]
+    assert not out.exists()
+
+
+def test_cli_simulates_a_capped_tfim_z_run_on_the_free_fermion_route(
+    tmp_path, monkeypatch
+):
+    # The TFIM has no boson sites, so the cap builds no projector either.
+    from lrlab import dynamics
+
+    monkeypatch.setattr(
+        dynamics, "occupation_projector_diagonal", _refuse("the projector")
+    )
+    monkeypatch.setattr(dynamics, "commutator_norm_sweep", _refuse("the full sweep"))
+    raw = {
+        "model": {"name": "tfim", "length": 64},
+        "observables": {"op_site": 0, "oq_sites": [5, 63]},
+        "time_grid": {"start": 0.0, "stop": 1.0, "points": 3},
+        "occupation_cap": 1,
+    }
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["hilbert_dim"] == 2**64
+    assert meta["occupation_cap"] == 1
+    assert len((out / "simulation.csv").read_text().splitlines()) == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "check"])
+def test_cli_checks_out_before_building_the_model(
+    tmp_path, monkeypatch, capsys, command
+):
+    from lrlab import models
+
+    monkeypatch.setattr(models, "build_model", _refuse("build_model"))
+    cfg = _write(tmp_path, GOOD)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    # The error mkdir itself raises, one `error:` line.
+    for out, code in (
+        (blocker, errno.EEXIST),
+        (blocker / "o", errno.ENOTDIR),
+        (blocker / "a" / "b", errno.ENOTDIR),
+    ):
+        assert cli.main(_argv(command, cfg, out)) == 2, out
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: [Errno {code}] {os.strerror(code)}: '{out}'"]
+    assert blocker.read_text() == "kept"
 
 
 def test_cli_verify_tfim_past_the_full_hamiltonian_cap(tmp_path, capsys):

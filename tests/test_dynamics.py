@@ -14,6 +14,7 @@ from lrlab.dynamics import (
     SimulationSweep,
     SweepPoint,
     commutator_norm_sweep,
+    exact_sweep,
     extract_velocity,
     free_fermion_sweep,
     verify_bound,
@@ -25,6 +26,7 @@ from lrlab.lattice import (
     compute_bound_constants,
     noncommuting_adjacency,
     observable_from_sites,
+    occupation_projector_diagonal,
     region,
 )
 from lrlab.models import (
@@ -337,6 +339,30 @@ def test_free_fermion_sweep_rejects_other_models_and_observables():
                    (_z(model, 0), two_z)):
         with pytest.raises(ValueError, match="Pauli Z"):
             free_fermion_sweep(model, op, [_z(model, 1), oq], (0.0, 1.0))
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1])
+def test_exact_sweep_is_the_full_space_sweep_off_the_free_fermion_route(cap):
+    model = build_dicke_chain(2, truncation=3)
+    op = observable_from_sites(model, (1,), PAULI_X, "X@spin0")
+    oqs = [
+        observable_from_sites(model, (3,), pauli, f"{name}@spin1")
+        for name, pauli in (("X", PAULI_X), ("Z", PAULI_Z))
+    ]
+    times = (0.0, 0.3, 0.6)
+    got = exact_sweep(model, op, oqs, times, occupation_cap=cap)
+    proj = None if cap is None else occupation_projector_diagonal(model, cap)
+    want = commutator_norm_sweep(model, op, oqs, times, projector_diag=proj)
+    assert got.points == want.points
+    assert got == want
+
+
+def test_exact_sweep_takes_the_free_fermion_route_for_tfim_z():
+    model = build_tfim(6, j=0.7, g=1.3)
+    oqs = [_z(model, s) for s in (0, 3, 5)]
+    times = (0.0, 0.5, 1.5)
+    got = exact_sweep(model, _z(model, 2), oqs, times, occupation_cap=1)
+    assert got == free_fermion_sweep(model, _z(model, 2), oqs, times)
 
 
 @pytest.mark.parametrize("j,g", [(1.0, 1.0), (1.0, 0.6)])

@@ -246,6 +246,20 @@ def test_validate_reports_a_misshapen_term_instead_of_raising():
     )
 
 
+def test_term_id_finds_each_term_by_its_own_payload_only():
+    model = build_tfim(5)
+    for gid, term in enumerate(model.terms):
+        obs = observable_from_sites(model, term.support.sites, term.payload)
+        assert model.term_id(obs) == gid
+    ising = build_commuting_ising(5)
+    for s in range(5):
+        assert model.term_id(observable_from_sites(model, (s,), PAULI_X)) is None
+        # A multiple of a term is not the term: the series takes no scale.
+        two_z = observable_from_sites(model, (s,), 2.0 * PAULI_Z)
+        assert model.term_id(two_z) is None
+        assert ising.term_id(observable_from_sites(ising, (s,), PAULI_Z)) is None
+
+
 def test_tfim_adjacency_structure():
     model = build_tfim(6)
     adj = noncommuting_adjacency(model)
