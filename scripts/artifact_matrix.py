@@ -6,26 +6,20 @@ them with `diff -r`.  The runs use the checkout's own `src/` and
 LRLAB_THREADS=1, one at a time:
 
 * check, constants, chains, bound, simulate and verify on every
-  configs/*.json, and on six configs written into OUT/configs: a TFIM with
-  X observables (the structured sweep), the same TFIM with an occupation cap
-  (a cap on a model without bosons, on the full-space route), a projected
-  Dicke chain with an occupation cap, a TFIM with all four bound methods,
-  the same TFIM at "lambda": 0.8 (a decay rate other than the default xi),
-  and a 12-site TFIM at "chain_order": 60 (so `chains` writes its sequence
-  counts at depth);
-* scripts/run_dicke_truncation.py at its defaults, with --length 3
-  --occupation-cap 1, with --truncations 2 3 4 5 6 8 10, with --truncations
-  12 16 (union norms whose blocks come in many sizes), with --h 0.5, and
-  with --truncations 1, with --truncations and no value, with --h nan and
-  with --length 5 --truncations 4 --occupation-cap 1 (a capped sweep above
-  the dense Hamiltonian's cap) (argument errors, exit 2);
-* scripts/run_tfim_verify.py at its defaults, with --length 5, with
-  --length 64 --t-max 4 (60 O_Q, so series values and chain tables at depth
-  are compared too), with --length 128 --j 1 --g 0.6 --t-max 4 and with
-  --length 64 --j=-0.5 --g 0.5 --t-max 4 (couplings away from 1, one of
-  them negative), and with --lambda -1 (a config error, exit 2).
+  configs/*.json, and on the seven WRITTEN_CONFIGS, written into OUT/configs:
+  a TFIM with X observables (the structured sweep) and the same with an
+  occupation cap (a cap without bosons, on the full-space route); a
+  projected Dicke chain with an occupation cap, and the same at 8 spins and
+  m = 12, whose full space is above the cap (simulate and verify exit 2); a
+  TFIM with all four bound methods, and the same at "lambda": 0.8; and a
+  12-site TFIM at "chain_order": 60 (sequence counts at depth);
+* the two study scripts in the SCRIPT_RUNS settings: their defaults, union
+  norms whose blocks come in many sizes (--truncations 12 16), a capped
+  sweep, 60 O_Q at L = 64 (series values and chain tables at depth),
+  couplings away from 1 (one negative), four argument errors and a config
+  error (each exit 2).
 
-That is 75 runs: 6 commands on 10 configs, and 15 script runs.
+That is 81 runs: 6 commands on 11 configs, and 15 script runs.
 
 OUT/<run>/ holds the run's artifacts (out/), stdout, stderr and exit_code.
 Every path a run sees is relative to its own directory, so two checkouts
@@ -59,18 +53,6 @@ WRITTEN_CONFIGS = {
         "time_grid": {"start": 0.0, "stop": 1.5, "points": 16},
         "methods": ["closed_form"],
     },
-    "tfim_x_capped": {
-        "model": {"name": "tfim", "length": 8},
-        "observables": {
-            "op_site": 0,
-            "op_pauli": "X",
-            "oq_sites": [2, 4, 7],
-            "oq_pauli": "X",
-        },
-        "time_grid": {"start": 0.0, "stop": 1.5, "points": 16},
-        "methods": ["closed_form"],
-        "occupation_cap": 1,
-    },
     "dicke_capped": {
         "model": {"name": "dicke_chain", "length": 3, "truncation": 3},
         "observables": {
@@ -95,6 +77,13 @@ WRITTEN_CONFIGS = {
             "bounded_reference",
         ],
     },
+}
+WRITTEN_CONFIGS["tfim_x_capped"] = {**WRITTEN_CONFIGS["tfim_x"], "occupation_cap": 1}
+# Its full space, 24^8 dimensions, is far above the cap; its constants are not.
+WRITTEN_CONFIGS["dicke_over_cap"] = {
+    **WRITTEN_CONFIGS["dicke_capped"],
+    "model": {"name": "dicke_chain", "length": 8, "truncation": 12},
+    "observables": {"op_site": 1, "op_pauli": "X", "oq_sites": [15], "oq_pauli": "X"},
 }
 WRITTEN_CONFIGS["tfim_lambda"] = {**WRITTEN_CONFIGS["tfim_all_methods"], "lambda": 0.8}
 WRITTEN_CONFIGS["tfim_deep_chains"] = {

@@ -66,25 +66,24 @@ def main() -> int:
         observable_from_sites,
         pair_commutator_norm,
     )
-    from lrlab.models import (
-        FULL_HAMILTONIAN_DIM_CAP,
-        PAULI_X,
-        build_dicke_chain,
-        mode_quadratures,
-    )
+    from lrlab.models import PAULI_X, build_dicke_chain, mode_quadratures
     from lrlab.operators import spectral_norm
     from lrlab.reporting import write_csv, write_json
 
-    # The capped sweep diagonalises the full Hamiltonian at every truncation.
+    def spins(model):  # the capped sweep's pair: X on spins 0 and 1
+        return [observable_from_sites(model, (s,), PAULI_X, f"X@spin{s // 2}")
+                for s in (1, 3)]
+
+    # The capped sweep takes the full space at every truncation.
     if args.occupation_cap is not None:
+        from lrlab.dynamics import check_sweep, exact_sweep
+
         m = max(args.truncations)
-        dim = build_dicke_chain(args.length, h=args.h, truncation=m).hilbert_dim
-        if dim > FULL_HAMILTONIAN_DIM_CAP:
-            ap.error(
-                f"--occupation-cap needs the full Hamiltonian, of dimension "
-                f"{dim} at --length {args.length} and m = {m}, above the cap "
-                f"{FULL_HAMILTONIAN_DIM_CAP}"
-            )
+        model = build_dicke_chain(args.length, h=args.h, truncation=m)
+        try:
+            check_sweep(model, spins(model))
+        except ValueError as e:
+            ap.error(f"--occupation-cap at --length {args.length} and m = {m}: {e}")
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -119,13 +118,10 @@ def main() -> int:
         )
 
         if args.occupation_cap is not None:
-            from lrlab.dynamics import exact_sweep
-
             times = tuple(
                 args.t_max * k / (args.points - 1) for k in range(args.points)
             )
-            spin_p = observable_from_sites(model, (1,), PAULI_X, "X@spin0")
-            spin_q = observable_from_sites(model, (3,), PAULI_X, "X@spin1")
+            spin_p, spin_q = spins(model)
             sweep = exact_sweep(model, spin_p, [spin_q], times, args.occupation_cap)
             capped_curves[m] = [p.value for p in sweep.points]
 

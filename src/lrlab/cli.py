@@ -9,9 +9,13 @@ file errors (a non-positive or non-finite lambda, a --config that cannot be
 read and an --out that cannot be made a directory included), 3 a numerical
 failure (an overflowing bound included).
 
+A command builds the model, then the observables, then raises every refusal
+they decide, and only then takes a commutator norm.
+
 LRLAB_THREADS is translated into the BLAS thread-count variables on
 `import lrlab`.  The model, lattice and bound modules are imported inside the
-commands that use them, so a command loads only what it needs.
+commands, so a command loads only what it needs and finds the functions the
+benchmark's probe puts in place after importing this module.
 """
 
 from __future__ import annotations
@@ -52,31 +56,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup(cfg: RunConfig, constants: bool = True):
-    """(model, adjacency, constants) for one command.
-
-    The noncommuting adjacency is built once and shared by everything the
-    command computes from it; both it and the constants are None when
-    `constants` is false.
-    """
-    from .lattice import compute_bound_constants, noncommuting_adjacency
+def _model(cfg: RunConfig):
     from .models import build_model
 
     m = cfg.model
     params = {key: getattr(m, key) for key in MODEL_PARAMS[m.name]}
-    model = build_model(m.name, m.length, **params)
-    if not constants:
-        return model, None, None
+    return build_model(m.name, m.length, **params)
+
+
+def _constants(cfg: RunConfig, model):
+    """The noncommuting adjacency, built once, and the constants from it."""
+    from .lattice import compute_bound_constants, noncommuting_adjacency
+
     adj = noncommuting_adjacency(model, projected=cfg.projected)
-    consts = compute_bound_constants(model, adj, lam=cfg.lam)
-    return model, adj, consts
+    return adj, compute_bound_constants(model, adj, lam=cfg.lam)
 
 
-def _observables(cfg: RunConfig, model):
-    """(O_P, the O_Q list, each O_Q's separation from O_P by label)."""
+def _observables(cfg: RunConfig):
+    """(model, O_P, the O_Q list, each O_Q's separation from O_P by label)."""
     from .lattice import observable_from_sites, region_distance
     from .models import PAULI_X, PAULI_Y, PAULI_Z
 
+    model = _model(cfg)
     paulis = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
     o = cfg.observables
     n = model.graph.site_count
@@ -101,13 +102,34 @@ def _observables(cfg: RunConfig, model):
     seps = {
         oq.label: region_distance(model.graph, op.support, oq.support) for oq in oqs
     }
-    return op, oqs, seps
+    return model, op, oqs, seps
+
+
+# The methods that hold, and write rows, only at separations d > R.
+_BEYOND_R = {"observable", "bounded_reference"}
+
+
+def _check_methods(cfg: RunConfig, model, op, oqs, seps, verify: bool) -> None:
+    """Raise the refusals of a bound or verify run that its observables
+    decide.  Separations d <= R are not scored, and the `_BEYOND_R` methods
+    write no row there: a run that computes nothing is a config error."""
+    R = model.locality_radius
+    if max(seps.values()) <= R and (verify or set(cfg.methods) <= _BEYOND_R):
+        what = "verify would score no point" if verify else (
+            f"methods {sorted(cfg.methods)} would write no value")
+        raise invalid(("observables", "oq_sites"),
+                      f"every O_Q lies within R = {R} of O_P, so {what}")
+    if "series_exact_cn" in cfg.methods and any(
+        model.term_id(o) is None for o in (op, *oqs)
+    ):
+        raise ConfigError("method 'series_exact_cn' needs O_P and every O_Q "
+                          "to be Hamiltonian terms")
 
 
 def _cmd_check(cfg: RunConfig) -> int:
     from .lattice import validate_two_family
 
-    model, _, _ = _setup(cfg, constants=False)
+    model = _model(cfg)
     report = validate_two_family(model)
     print(
         f"{model.name}: {len(model.family0)} family-0 terms, "
@@ -122,7 +144,7 @@ def _cmd_check(cfg: RunConfig) -> int:
 
 
 def _cmd_constants(cfg: RunConfig, out: Path) -> int:
-    _, _, consts = _setup(cfg)
+    _, consts = _constants(cfg, _model(cfg))
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "constants.json", consts.as_dict())
     for key, val in sorted(consts.as_dict().items()):
@@ -134,8 +156,8 @@ def _cmd_chains(cfg: RunConfig, out: Path) -> int:
     from .chains import closed_form_chain_bound, count_chains_dp
     from .lattice import region, region_distance
 
-    model, adj, consts = _setup(cfg)
-    op, oqs, _ = _observables(cfg, model)
+    model, op, oqs, _ = _observables(cfg)
+    adj, consts = _constants(cfg, model)
     # O_P's own term, or else the first term that meets it.
     start = model.term_id(op)
     if start is None:
@@ -165,8 +187,8 @@ def _cmd_chains(cfg: RunConfig, out: Path) -> int:
 
 
 def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs, seps):
-    """Per-method (t, oq_label) -> bound callables for the configured
-    observables at `seps`; each O_Q gets its own chain table and conditions."""
+    """Per-method (t, oq_label) -> bound callables for observables that
+    `_check_methods` passed; each O_Q gets its own chain table and conditions."""
     from .bounds import (
         bounded_reference_bound,
         closed_form_bound,
@@ -185,11 +207,6 @@ def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs, seps):
 
     if "series_exact_cn" in cfg.methods:
         start = model.term_id(op)
-        if start is None or any(model.term_id(oq) is None for oq in oqs):
-            raise ConfigError(
-                "method 'series_exact_cn' needs O_P and every O_Q to be "
-                "Hamiltonian terms"
-            )
         t_max = max(abs(t) for t in cfg.time_grid.times())
         n_max = series_terms_needed(consts, t_max, cfg.series_tol)
         tables = {
@@ -222,27 +239,19 @@ def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs, seps):
 
 
 def _cmd_bound(cfg: RunConfig, out: Path) -> int:
-    model, adj, consts = _setup(cfg)
-    op, oqs, seps = _observables(cfg, model)
+    model, op, oqs, seps = _observables(cfg)
+    _check_methods(cfg, model, op, oqs, seps, verify=False)
+    adj, consts = _constants(cfg, model)
     fns = _bound_functions(cfg, model, adj, consts, op, oqs, seps)
     times = cfg.time_grid.times()
     rows = []
     for method, fn in sorted(fns.items()):
         for oq in oqs:
             d = seps[oq.label]
-            if method in ("observable", "bounded_reference") and d <= consts.R:
+            if method in _BEYOND_R and d <= consts.R:
                 continue
             for t in times:
                 rows.append((method, d, float(t), float(fn(t, oq.label)), oq.label))
-    # Only the observable-route methods skip a pair, so no row means they
-    # were all the methods and every O_Q lay within R: as in verify, a run
-    # that computes nothing is a config error rather than a success.
-    if not rows:
-        raise invalid(
-            ("observables", "oq_sites"),
-            f"every O_Q lies within R = {consts.R} of O_P, so methods "
-            f"{sorted(fns)} would write no value",
-        )
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "bounds.csv", ("method", "d", "t", "value", "oq"), rows)
     write_json(out / "constants.json", consts.as_dict())
@@ -261,8 +270,7 @@ def _write_simulation(out: Path, sweep) -> None:
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
     from .dynamics import exact_sweep
 
-    model, _, _ = _setup(cfg, constants=False)
-    op, oqs, _ = _observables(cfg, model)
+    model, op, oqs, _ = _observables(cfg)
     sweep = exact_sweep(model, op, oqs, cfg.time_grid.times(), cfg.occupation_cap)
     out.mkdir(parents=True, exist_ok=True)
     _write_simulation(out, sweep)
@@ -286,18 +294,12 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, out: Path) -> int:
-    from .dynamics import exact_sweep, extract_velocity, verify_bound
+    from .dynamics import check_sweep, exact_sweep, extract_velocity, verify_bound
 
-    model, adj, consts = _setup(cfg)
-    op, oqs, seps = _observables(cfg, model)
-    # Separations d <= R are not scored; a run that scores nothing proves
-    # nothing, so it is a config error rather than a PASS.
-    if max(seps.values()) <= consts.R:
-        raise invalid(
-            ("observables", "oq_sites"),
-            f"every O_Q lies within R = {consts.R} of O_P, so verify would "
-            "score no point",
-        )
+    model, op, oqs, seps = _observables(cfg)
+    _check_methods(cfg, model, op, oqs, seps, verify=True)
+    check_sweep(model, (op, *oqs))
+    adj, consts = _constants(cfg, model)
     fns = _bound_functions(cfg, model, adj, consts, op, oqs, seps)
     sweep = exact_sweep(model, op, oqs, cfg.time_grid.times(), cfg.occupation_cap)
     report = verify_bound(sweep, fns, min_separation=consts.R, slack=cfg.slack)

@@ -1,7 +1,7 @@
 """Exact Heisenberg dynamics, and checking bounds against it.
 
-Two sweeps give the same `SimulationSweep`, and `exact_sweep` picks between
-them.  `free_fermion_sweep` takes single-site Z observables on the TFIM
+Two sweeps give the same `SimulationSweep`; `check_sweep` picks one, and
+`exact_sweep` runs it.  `free_fermion_sweep` takes single-site Z observables on the TFIM
 through its free-fermion form: under Jordan-Wigner, Z_j and X_j X_{j+1} are
 Majorana bilinears, so each norm is a 4x4 eigenproblem after one eigh of a
 2L x 2L single-particle matrix, and the chain can have hundreds of sites.
@@ -78,13 +78,22 @@ class SimulationSweep:
         return tuple(t for t, _ in pts), tuple(v for _, v in pts)
 
 
-def exact_sweep(model, op_p, oq_list, times, occupation_cap=None) -> SimulationSweep:
-    """The sweep by the route that takes these observables: free-fermion if
-    it can (the TFIM has no boson sites to cap), else full-space, its size
-    checked first, with boson occupations <= `occupation_cap` when given."""
-    if _free_fermion_refusal(model, (op_p, *oq_list)) is None:
-        return free_fermion_sweep(model, op_p, oq_list, times)
+def check_sweep(model, observables) -> bool:
+    """Whether `exact_sweep` takes `observables` on `model` by the free-fermion
+    route, decided without building anything; ValueError if it would take the
+    full-space route above the cap of `models.full_space_dim`."""
+    if _free_fermion_refusal(model, observables) is None:
+        return True
     full_space_dim(model)
+    return False
+
+
+def exact_sweep(model, op_p, oq_list, times, occupation_cap=None) -> SimulationSweep:
+    """The sweep by the route `check_sweep` picks: free-fermion if it can
+    (the TFIM has no boson sites to cap), else full-space, its size checked
+    first, with boson occupations <= `occupation_cap` when given."""
+    if check_sweep(model, (op_p, *oq_list)):
+        return free_fermion_sweep(model, op_p, oq_list, times)
     projector = None
     if occupation_cap is not None:
         projector = occupation_projector_diagonal(model, occupation_cap)
@@ -280,7 +289,8 @@ def extract_velocity(sweep: SimulationSweep, threshold: float) -> VelocityEstima
     its separation from O_P (crossings ordered by d, then label).
 
     Raises ValueError unless the crossings span at least three distinct
-    separations; several observables at one separation count once.
+    separations (several observables at one separation count once) and two
+    distinct times, without which the fit has no slope to find.
     """
     crossings = []
     for d, oq in sorted(zip(sweep.separations, sweep.oq_labels)):
@@ -303,6 +313,8 @@ def extract_velocity(sweep: SimulationSweep, threshold: float) -> VelocityEstima
             f"cone not resolved: only {crossed} separations crossed "
             f"threshold {threshold}; extend the time grid or lower the threshold"
         )
+    if len({t for _, t in crossings}) < 2:
+        raise ValueError(f"cone not resolved: every crossing at t = {crossings[0][1]}")
     ds = np.array([c[0] for c in crossings], dtype=float)
     tstars = np.array([c[1] for c in crossings])
     slope, intercept = np.polyfit(tstars, ds, 1)

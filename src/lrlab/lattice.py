@@ -127,10 +127,7 @@ def region(graph: InteractionGraph, sites) -> SupportRegion:
         raise ValueError("support region must be nonempty")
     if sites[0] < 0 or sites[-1] >= graph.site_count:
         raise ValueError(f"sites {sites} outside graph")
-    diam = 0
-    for a in sites:
-        for b in sites:
-            diam = max(diam, int(graph.distances[a, b]))
+    diam = int(graph.distances[np.ix_(sites, sites)].max())
     return SupportRegion(sites=sites, diameter=diam)
 
 
@@ -189,6 +186,12 @@ class TwoFamilyHamiltonian:
             ):
                 return gid
         return None
+
+    @property
+    def locality_radius(self) -> int:
+        """R = 1 + the largest term diameter, from the supports alone: the
+        bounds hold at separations d > R (the paper's condition (i))."""
+        return 1 + max((t.support.diameter for t in self.terms), default=0)
 
     @property
     def hilbert_dim(self) -> int:
@@ -533,8 +536,7 @@ def compute_bound_constants(
                 Q = max(Q, nrm)
 
     nu = adjacency.nu
-    diam = max((t.support.diameter for t in terms), default=0)
-    R = 1 + diam
+    R = model.locality_radius
     gamma = math.sqrt(2.0) * nu
     xi = 1.0 / R
 

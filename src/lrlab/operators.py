@@ -161,16 +161,13 @@ def sparse_commutator(a, b, rows=None):
     dtype = np.result_type(av, bv)
     if k == 0:
         return rows[:0], rows[:0], np.zeros(0, dtype)
-    # A row's 2k terms: AB's k in slot order, then BA's.  A stable sort
-    # orders each row by column; an entry is a run of equal columns.
+    # A row's 2k terms: AB's k in slot order, then BA's.  An entry is one
+    # (row, column) position, numbered in row, then column order.
     cols = np.take(bc, rac, axis=0).reshape(n, k)
     cols = np.concatenate([cols, np.take(ac, rbc, axis=0).reshape(n, k)], axis=1)
-    order = np.argsort(cols, axis=1, kind="stable")
-    cols = np.take_along_axis(cols, order, axis=1)
-    first = np.diff(cols, axis=1, prepend=-1) != 0
-    entry = np.empty(cols.shape, dtype=np.intp)
-    np.put_along_axis(entry, order, np.cumsum(first).reshape(n, 2 * k) - 1, axis=1)
-    size = int(first.sum())
+    # return_inverse also keeps np.unique from importing numpy.ma.
+    keys, entry = np.unique(rows[:, None] * len(bc) + cols, return_inverse=True)
+    entry, size = entry.reshape(n, 2 * k), keys.size
 
     def total(at, terms):
         # np.bincount adds in input order: each entry's terms in slot order.
@@ -183,8 +180,8 @@ def sparse_commutator(a, b, rows=None):
     sums = total(entry[:, :k], rav[:, :, None] * np.take(bv, rac, axis=0))
     sums -= total(entry[:, k:], rbv[:, :, None] * np.take(av, rbc, axis=0))
     nonzero = sums != 0
-    first = np.flatnonzero(first)[nonzero]
-    return rows[first // (2 * k)], cols.reshape(-1)[first], sums[nonzero]
+    keys = keys[nonzero]
+    return keys // len(bc), keys % len(bc), sums[nonzero]
 
 
 def row_padded(rows, cols, vals, n):

@@ -407,6 +407,83 @@ def _refuse(what):
     return refused
 
 
+# Small versions of the refusals that the config, the model and the
+# observables decide: (config, the commands that make it, the error line).
+REFUSALS = {
+    "op-on-a-mode-site": (
+        {"model": {"name": "dicke_chain", "length": 3, "truncation": 3},
+         "projected": True},
+        ("chains", "bound", "verify"),
+        "config invalid at 'observables/op_site': Pauli observables need a "
+        "2-dimensional site, site 0 has dimension 3",
+    ),
+    "series-with-x": (
+        {"model": {"name": "tfim", "length": 6},
+         "observables": {"op_site": 0, "op_pauli": "X", "oq_sites": [4, 5],
+                         "oq_pauli": "X"}},
+        ("bound", "verify"),
+        "method 'series_exact_cn' needs O_P and every O_Q to be Hamiltonian terms",
+    ),
+    "observable-within-r": (
+        {"model": {"name": "tfim", "length": 6},
+         "observables": {"op_site": 0, "oq_sites": [1, 2]},
+         "methods": ["observable"]},
+        ("bound", "verify"),
+        "config invalid at 'observables/oq_sites': every O_Q lies within R = 2 "
+        "of O_P, so {}",
+    ),
+    "full-space-over-the-cap": (  # (2 m)^4 = 65536 at m = 8
+        {"model": {"name": "dicke_chain", "length": 4, "truncation": 8},
+         "observables": {"op_site": 1, "op_pauli": "X", "oq_sites": [7],
+                         "oq_pauli": "X"},
+         "methods": ["closed_form"], "projected": True, "occupation_cap": 1},
+        ("verify",),
+        "Hilbert dimension 65536 exceeds cap 16384",
+    ),
+}
+WITHIN_R = {"bound": "methods ['observable'] would write no value",
+            "verify": "verify would score no point"}
+
+
+@pytest.mark.parametrize(
+    "case,command",
+    [(case, command) for case, (_, commands, _) in REFUSALS.items()
+     for command in commands],
+)
+def test_cli_refuses_before_any_commutator_norm(
+    tmp_path, monkeypatch, capsys, case, command
+):
+    from lrlab import lattice
+
+    monkeypatch.setattr(lattice, "noncommuting_adjacency", _refuse("the adjacency"))
+    monkeypatch.setattr(lattice, "operator_norm_on_union", _refuse("a norm"))
+    raw, _, message = REFUSALS[case]
+    raw = dict(raw, time_grid={"start": 0.0, "stop": 1.0, "points": 3})
+    out = tmp_path / "o"
+    argv = [command, "--config", str(_write(tmp_path, raw)), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: " + message.format(WITHIN_R.get(command))]
+    assert not out.exists()
+
+
+def test_cli_verify_records_crossings_at_one_time_as_unresolved(tmp_path):
+    # Every point of the grid is at t = 2, where every O_Q is past the
+    # threshold: there is no slope to fit.
+    raw = {
+        "model": {"name": "tfim", "length": 10},
+        "observables": {"op_site": 0, "oq_sites": [3, 4, 5, 6, 7, 8]},
+        "time_grid": {"start": 2.0, "stop": 2.0, "points": 3},
+        "threshold": 1e-6,
+    }
+    out = tmp_path / "o"
+    argv = ["verify", "--config", str(_write(tmp_path, raw)), "--out", str(out)]
+    assert cli.main(argv) == 0
+    velocity = json.loads((out / "verification.json").read_text())["velocity"]
+    assert velocity["error"] == "cone not resolved: every crossing at t = 2.0"
+    assert "v_emp" not in velocity
+
+
 @pytest.mark.parametrize("command", ("simulate", "verify"))
 def test_cli_checks_the_full_space_cap_before_building_the_projector(
     tmp_path, monkeypatch, capsys, command

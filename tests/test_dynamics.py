@@ -492,6 +492,14 @@ def test_extract_velocity_counts_distinct_separations():
         extract_velocity(sweep, threshold=1e-3)
 
 
+def test_extract_velocity_needs_two_crossing_times():
+    # Three separations cross, but all at the grid's first time: a fit
+    # through one t has no slope, and polyfit would return one anyway.
+    sweep = _synthetic_sweep(10.0, (3, 4, 5), [2.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="cone not resolved: every crossing at t = 2.0"):
+        extract_velocity(sweep, threshold=1e-6)
+
+
 def test_verify_bound_margins_and_exclusion():
     times = [0.5, 1.0]
     sweep = _synthetic_sweep(2.0, (1, 2, 3), times)

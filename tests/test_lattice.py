@@ -296,6 +296,19 @@ def test_tfim_constants_frozen_values():
     assert not consts.zero_velocity
 
 
+@pytest.mark.parametrize("projected", [False, True])
+@pytest.mark.parametrize(
+    "model,R",
+    [(build_tfim(6), 2), (build_commuting_ising(5), 2),
+     (build_dicke_chain(3, truncation=3), 3)],
+    ids=["tfim", "commuting_ising", "dicke_chain"],
+)
+def test_locality_radius_is_the_constants_r(model, R, projected):
+    # The model owns R, from its supports alone; the constants read it.
+    adj = noncommuting_adjacency(model, projected=projected)
+    assert model.locality_radius == compute_bound_constants(model, adj).R == R
+
+
 def test_velocity_scales_as_sqrt_h0_h1():
     # v_LR is a rate, 2 (gamma/xi) e sqrt(|h0 h1| K) with K bare: one
     # coupling per order of t.
