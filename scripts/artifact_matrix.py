@@ -6,20 +6,23 @@ them with `diff -r`.  The runs use the checkout's own `src/` and
 LRLAB_THREADS=1, one at a time:
 
 * check, constants, chains, bound, simulate and verify on every
-  configs/*.json, and on the seven WRITTEN_CONFIGS, written into OUT/configs:
+  configs/*.json, and on the nine WRITTEN_CONFIGS, written into OUT/configs:
   a TFIM with X observables (the structured sweep) and the same with an
   occupation cap (a cap without bosons, on the full-space route); a
   projected Dicke chain with an occupation cap, and the same at 8 spins and
   m = 12, whose full space is above the cap (simulate and verify exit 2); a
-  TFIM with all four bound methods, and the same at "lambda": 0.8; and a
-  12-site TFIM at "chain_order": 60 (sequence counts at depth);
+  TFIM with all four bound methods, and the same at "lambda": 0.8; a
+  12-site TFIM at "chain_order": 60 (sequence counts at depth); a 10-site
+  TFIM whose time grid starts at t = 1, where most O_Q are already past the
+  threshold (the velocity fit); and a 10-site TFIM at "g": 0 with the two
+  methods that need v_LR > 0 (bound and verify exit 2);
 * the two study scripts in the SCRIPT_RUNS settings: their defaults, union
   norms whose blocks come in many sizes (--truncations 12 16), a capped
   sweep, 60 O_Q at L = 64 (series values and chain tables at depth),
   couplings away from 1 (one negative), four argument errors and a config
   error (each exit 2).
 
-That is 81 runs: 6 commands on 11 configs, and 15 script runs.
+That is 93 runs: 6 commands on 13 configs, and 15 script runs.
 
 OUT/<run>/ holds the run's artifacts (out/), stdout, stderr and exit_code.
 Every path a run sees is relative to its own directory, so two checkouts
@@ -91,6 +94,19 @@ WRITTEN_CONFIGS["tfim_deep_chains"] = {
     "observables": {"op_site": 0, "oq_sites": [5, 11]},
     "time_grid": {"start": 0.0, "stop": 1.0, "points": 6},
     "chain_order": 60,
+}
+WRITTEN_CONFIGS["tfim_late_grid"] = {
+    "model": {"name": "tfim", "length": 10},
+    "observables": {"op_site": 0, "oq_sites": [3, 4, 5, 6, 7, 8]},
+    "time_grid": {"start": 1.0, "stop": 3.0, "points": 41},
+    "methods": ["closed_form"],
+    "threshold": 1e-6,
+}
+WRITTEN_CONFIGS["tfim_zero_coupling"] = {
+    "model": {"name": "tfim", "length": 10, "g": 0},
+    "observables": {"op_site": 0, "oq_sites": [5, 7]},
+    "time_grid": {"start": 0.0, "stop": 1.0, "points": 6},
+    "methods": ["observable", "bounded_reference"],
 }
 SCRIPT_RUNS = {
     "dicke_truncation-defaults": ("run_dicke_truncation.py",),

@@ -106,9 +106,8 @@ def count_chains_bruteforce(
 
 
 def closed_form_chain_bound(consts, n: int, d: int) -> float:
-    """Per-order envelope (sqrt(2) nu)^n e^{lam (R n - d)}, zero below reach."""
+    """Per-order envelope gamma^n e^{lam (R n - d)}, gamma = sqrt(2) nu, zero
+    below reach."""
     if consts.R * n < d:
         return 0.0
-    return (math.sqrt(2.0) * consts.nu) ** n * math.exp(
-        consts.lam * (consts.R * n - d)
-    )
+    return consts.gamma**n * math.exp(consts.lam * (consts.R * n - d))

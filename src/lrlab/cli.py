@@ -110,9 +110,9 @@ _BEYOND_R = {"observable", "bounded_reference"}
 
 
 def _check_methods(cfg: RunConfig, model, op, oqs, seps, verify: bool) -> None:
-    """Raise the refusals of a bound or verify run that its observables
-    decide.  Separations d <= R are not scored, and the `_BEYOND_R` methods
-    write no row there: a run that computes nothing is a config error."""
+    """Raise the refusals of a bound or verify run that its model and
+    observables decide.  Separations d <= R are not scored, and the
+    `_BEYOND_R` methods write no row there and need v_LR > 0 beyond it."""
     R = model.locality_radius
     if max(seps.values()) <= R and (verify or set(cfg.methods) <= _BEYOND_R):
         what = "verify would score no point" if verify else (
@@ -124,6 +124,14 @@ def _check_methods(cfg: RunConfig, model, op, oqs, seps, verify: bool) -> None:
     ):
         raise ConfigError("method 'series_exact_cn' needs O_P and every O_Q "
                           "to be Hamiltonian terms")
+    if verify:
+        from .dynamics import check_sweep
+
+        check_sweep(model, (op, *oqs))
+    if model.decoupled and _BEYOND_R & set(cfg.methods) and max(seps.values()) > R:
+        from .lattice import ZERO_VELOCITY_REFUSAL
+
+        raise ValueError(ZERO_VELOCITY_REFUSAL)
 
 
 def _cmd_check(cfg: RunConfig) -> int:
@@ -294,11 +302,10 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, out: Path) -> int:
-    from .dynamics import check_sweep, exact_sweep, extract_velocity, verify_bound
+    from .dynamics import exact_sweep, extract_velocity, verify_bound
 
     model, op, oqs, seps = _observables(cfg)
     _check_methods(cfg, model, op, oqs, seps, verify=True)
-    check_sweep(model, (op, *oqs))
     adj, consts = _constants(cfg, model)
     fns = _bound_functions(cfg, model, adj, consts, op, oqs, seps)
     sweep = exact_sweep(model, op, oqs, cfg.time_grid.times(), cfg.occupation_cap)

@@ -94,10 +94,7 @@ def exact_sweep(model, op_p, oq_list, times, occupation_cap=None) -> SimulationS
     first, with boson occupations <= `occupation_cap` when given."""
     if check_sweep(model, (op_p, *oq_list)):
         return free_fermion_sweep(model, op_p, oq_list, times)
-    projector = None
-    if occupation_cap is not None:
-        projector = occupation_projector_diagonal(model, occupation_cap)
-    return commutator_norm_sweep(model, op_p, oq_list, times, projector_diag=projector)
+    return commutator_norm_sweep(model, op_p, oq_list, times, occupation_cap)
 
 
 def _commutator_norm_fn(oq: Observable, dims, groups, kept):
@@ -147,29 +144,23 @@ def commutator_norm_sweep(
     op_p: Observable,
     oq_list,
     times,
-    projector_diag=None,
+    occupation_cap=None,
 ) -> SimulationSweep:
     """||[O_P(t), O_Q]|| on the full space for each O_Q and each t.
 
-    `projector_diag` (a 0/1 diagonal) restricts the commutator to a subspace,
-    used for truncation-convergence checks on bosonic models.  P and a
-    diagonal Q commute, so P[A, Q]P = [PAP, Q]: the restriction keeps every
-    route exact.
+    `occupation_cap` restricts the commutator to boson occupations <= the
+    cap, by the projector P of `lattice.occupation_projector_diagonal`.  P
+    and a diagonal Q commute, so P[A, Q]P = [PAP, Q]: the restriction keeps
+    every route exact.
     """
+    full_space_dim(model)  # before any full-space array, the projector's too
+    kept = None
+    if occupation_cap is not None:
+        kept = np.flatnonzero(occupation_projector_diagonal(model, occupation_cap))
     decomp = decompose(full_hamiltonian(model))
     dims = list(model.site_dims)
     p_full = embed_dense(op_p.payload, op_p.support.sites, dims)
 
-    kept = None
-    if projector_diag is not None:
-        projector_diag = np.asarray(projector_diag)
-        if projector_diag.shape != (len(p_full),) or not np.isin(
-            projector_diag, (0, 1)
-        ).all():
-            raise ValueError(
-                f"projector_diag must be a 0/1 vector of length {len(p_full)}"
-            )
-        kept = np.flatnonzero(projector_diag)
     # A(t) has a nonzero block between two sectors only where O_P has one.
     pairs = decomp.sector_pairs(p_full)
     if all(i == j for i, j in pairs):
@@ -286,7 +277,9 @@ class VelocityEstimate:
 def extract_velocity(sweep: SimulationSweep, threshold: float) -> VelocityEstimate:
     """Empirical cone velocity: fit d = v * t_star + c over the first
     threshold crossing of each observable's measured commutator norm, with d
-    its separation from O_P (crossings ordered by d, then label).
+    its separation from O_P (crossings ordered by d, then label).  An
+    observable already at or above the threshold at the grid's first time
+    crossed unseen before it, and is left out like one that never crosses.
 
     Raises ValueError unless the crossings span at least three distinct
     separations (several observables at one separation count once) and two
@@ -295,18 +288,11 @@ def extract_velocity(sweep: SimulationSweep, threshold: float) -> VelocityEstima
     crossings = []
     for d, oq in sorted(zip(sweep.separations, sweep.oq_labels)):
         ts, vals = sweep.curve(oq)
-        t_star = None
-        for k, val in enumerate(vals):
-            if val >= threshold:
-                if k == 0:
-                    t_star = ts[0]
-                else:
-                    t0, t1 = ts[k - 1], ts[k]
-                    v0, v1 = vals[k - 1], vals[k]
-                    t_star = t0 + (threshold - v0) * (t1 - t0) / (v1 - v0)
-                break
-        if t_star is not None:
-            crossings.append((d, float(t_star)))
+        k = next((k for k, val in enumerate(vals) if val >= threshold), 0)
+        if k:  # 0: never crosses, or already past the threshold at ts[0]
+            t0, t1 = ts[k - 1], ts[k]
+            v0, v1 = vals[k - 1], vals[k]
+            crossings.append((d, float(t0 + (threshold - v0) * (t1 - t0) / (v1 - v0))))
     crossed = len({d for d, _ in crossings})
     if crossed < 3:
         raise ValueError(

@@ -133,7 +133,7 @@ def region(graph: InteractionGraph, sites) -> SupportRegion:
 
 def region_distance(graph: InteractionGraph, a: SupportRegion, b: SupportRegion) -> int:
     """Minimum graph distance between two regions (0 when they overlap)."""
-    return int(min(graph.distances[i, j] for i in a.sites for j in b.sites))
+    return int(graph.distances[np.ix_(a.sites, b.sites)].min())
 
 
 def regions_overlap(a: SupportRegion, b: SupportRegion) -> bool:
@@ -194,6 +194,11 @@ class TwoFamilyHamiltonian:
         return 1 + max((t.support.diameter for t in self.terms), default=0)
 
     @property
+    def decoupled(self) -> bool:
+        """A family empty or a coupling zero: v_LR = 0, from the model alone."""
+        return not (self.family0 and self.family1 and self.h0 and self.h1)
+
+    @property
     def hilbert_dim(self) -> int:
         # math.prod on Python ints: a numpy product wraps past 2^63.
         return math.prod(int(d) for d in self.site_dims)
@@ -228,8 +233,11 @@ def occupation_projector_diagonal(
 
     The diagonal is over the product space of `sites` (default: the whole
     lattice), in site order.  `max_level=None` keeps the interior of every
-    boson site, i.e. drops its top retained Fock level.
+    boson site, i.e. drops its top retained Fock level; a negative
+    `max_level`, which would keep no state, raises ValueError.
     """
+    if max_level is not None and max_level < 0:
+        raise ValueError(f"occupation cap must be at least 0, got {max_level}")
     if sites is None:
         sites = range(model.graph.site_count)
     keep = np.ones(1)
@@ -492,13 +500,11 @@ class BoundConstants:
 
 
 def _coupling_ratio(model: TwoFamilyHamiltonian) -> float:
-    """max(|h0|/|h1|, |h1|/|h0|); signs do not enter any bound."""
-    # Degenerate families or couplings carry no cross terms; ratio defaults to 1.
-    if not model.family0 or not model.family1:
+    """max(|h0|/|h1|, |h1|/|h0|); signs do not enter any bound.  A
+    decoupled model carries no cross terms, and its ratio defaults to 1."""
+    if model.decoupled:
         return 1.0
     h0, h1 = abs(model.h0), abs(model.h1)
-    if h0 == 0.0 or h1 == 0.0:
-        return 1.0
     return max(h0 / h1, h1 / h0)
 
 
@@ -569,6 +575,10 @@ def compute_bound_constants(
     )
 
 
+ZERO_VELOCITY_REFUSAL = ("constants undefined at v_LR = 0 (a commuting system, "
+                         "K = 0, or a zero coupling)")
+
+
 @dataclass(frozen=True)
 class ObservableConditions:
     """Prefactor data (F_P, F_Q, n_P, d) for the observable-pair bound."""
@@ -596,10 +606,7 @@ def observable_conditions(
     """
     projected = adjacency.projected
     if consts.zero_velocity:
-        raise ValueError(
-            "constants undefined at v_LR = 0 (a commuting system, K = 0, or a "
-            "zero coupling)"
-        )
+        raise ValueError(ZERO_VELOCITY_REFUSAL)
     d = region_distance(model.graph, op_p.support, op_q.support)
     if d <= consts.R:
         raise ValueError(

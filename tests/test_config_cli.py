@@ -407,6 +407,9 @@ def _refuse(what):
     return refused
 
 
+ZERO_VELOCITY = (
+    "constants undefined at v_LR = 0 (a commuting system, K = 0, or a zero coupling)"
+)
 # Small versions of the refusals that the config, the model and the
 # observables decide: (config, the commands that make it, the error line).
 REFUSALS = {
@@ -440,6 +443,31 @@ REFUSALS = {
         ("verify",),
         "Hilbert dimension 65536 exceeds cap 16384",
     ),
+    # A zero coupling makes v_LR = 0, which the model alone decides.
+    "zero-coupling": (
+        {"model": {"name": "tfim", "length": 8, "g": 0},
+         "observables": {"op_site": 0, "oq_sites": [5, 7]},
+         "methods": ["observable", "bounded_reference"]},
+        ("bound", "verify"),
+        ZERO_VELOCITY,
+    ),
+    "zero-coupling-dicke": (
+        {"model": {"name": "dicke_chain", "length": 4, "truncation": 8, "h": 0},
+         "observables": {"op_site": 1, "op_pauli": "X", "oq_sites": [7],
+                         "oq_pauli": "X"},
+         "methods": ["observable"], "projected": True},
+        ("bound",),
+        ZERO_VELOCITY,
+    ),
+    # Verify refuses the same config by the full-space cap first.
+    "zero-coupling-over-the-cap": (
+        {"model": {"name": "dicke_chain", "length": 4, "truncation": 8, "h": 0},
+         "observables": {"op_site": 1, "op_pauli": "X", "oq_sites": [7],
+                         "oq_pauli": "X"},
+         "methods": ["observable"], "projected": True},
+        ("verify",),
+        "Hilbert dimension 65536 exceeds cap 16384",
+    ),
 }
 WITHIN_R = {"bound": "methods ['observable'] would write no value",
             "verify": "verify would score no point"}
@@ -468,8 +496,8 @@ def test_cli_refuses_before_any_commutator_norm(
 
 
 def test_cli_verify_records_crossings_at_one_time_as_unresolved(tmp_path):
-    # Every point of the grid is at t = 2, where every O_Q is past the
-    # threshold: there is no slope to fit.
+    # Every point of the grid is at t = 2, where every O_Q is already past
+    # the threshold: no crossing is resolved, and there is no slope to fit.
     raw = {
         "model": {"name": "tfim", "length": 10},
         "observables": {"op_site": 0, "oq_sites": [3, 4, 5, 6, 7, 8]},
@@ -480,7 +508,10 @@ def test_cli_verify_records_crossings_at_one_time_as_unresolved(tmp_path):
     argv = ["verify", "--config", str(_write(tmp_path, raw)), "--out", str(out)]
     assert cli.main(argv) == 0
     velocity = json.loads((out / "verification.json").read_text())["velocity"]
-    assert velocity["error"] == "cone not resolved: every crossing at t = 2.0"
+    assert velocity["error"] == (
+        "cone not resolved: only 0 separations crossed threshold 1e-06; "
+        "extend the time grid or lower the threshold"
+    )
     assert "v_emp" not in velocity
 
 

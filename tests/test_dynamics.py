@@ -13,6 +13,7 @@ from lemma_checks import derivative_identity_check
 from lrlab.dynamics import (
     SimulationSweep,
     SweepPoint,
+    _commutator_norm_fn,
     commutator_norm_sweep,
     exact_sweep,
     extract_velocity,
@@ -231,17 +232,15 @@ def _oracle_case(kind, rng):
 @given(
     st.sampled_from(["tfim", "commuting_ising", "dicke", "dense"]),
     st.integers(0, 2**32 - 1),
-    st.booleans(),
+    st.sampled_from([None, 0, 1, 2]),
 )
-def test_structured_sweep_matches_dense_oracle(kind, seed, projected):
+def test_structured_sweep_matches_dense_oracle(kind, seed, cap):
     rng = np.random.default_rng(seed)
     model, op, oqs, n_sectors = _oracle_case(kind, rng)
     assert len(decompose(full_hamiltonian(model)).sectors) == n_sectors
-    keep = None
-    if projected:
-        keep = (rng.random(model.hilbert_dim) < 0.7).astype(float)
+    keep = None if cap is None else occupation_projector_diagonal(model, cap)
     times = (0.0, 0.37, 1.3)
-    sweep = commutator_norm_sweep(model, op, oqs, times, projector_diag=keep)
+    sweep = commutator_norm_sweep(model, op, oqs, times, occupation_cap=cap)
     oracle = _dense_sweep_oracle(model, op, oqs, times, keep)
     for point, expected in zip(sweep.points, oracle):
         oq = next(o for o in oqs if o.label == point.oq)
@@ -255,10 +254,12 @@ def test_two_valued_route_reads_half_blocks_per_sector_against_dense_oracle():
     # A quadrature on mode 1 (site 2) of the Dicke chain stays inside H's
     # four spin sectors, and the 0/1 projector on that mode is a two-valued
     # O_Q, so the norm is read from the half blocks P1 A P2 of each sector.
-    # The projector_diag removes the states with one boson on that mode from
+    # The kept indices leave out the states with one boson on that mode from
     # sector 0 and every state with q = 0 from sector 2.  The sectors are
     # alike, so the cut block of sector 0 reads lower than the full ones, and
-    # the largest norm is not the first block's.
+    # the largest norm is not the first block's.  No occupation cap keeps a
+    # set that differs between sectors, so the norm kernel is called itself,
+    # with the groups and kept indices that the sweep would hand it.
     model = build_dicke_chain(2, truncation=3)  # site dims (3, 2, 3, 2)
     dims = list(model.site_dims)
     op = observable_from_sites(model, (2,), mode_quadratures(3)[0], "x@mode1")
@@ -280,14 +281,17 @@ def test_two_valued_route_reads_half_blocks_per_sector_against_dense_oracle():
     # Half blocks of two shapes, and one empty block that is skipped.
     assert shapes == [(3, 3), (3, 6), (0, 6), (3, 6)]
 
+    kept = np.flatnonzero(keep)
+    groups = [np.intersect1d(g, kept, assume_unique=True) for g in sec]
+    norm = _commutator_norm_fn(oq, dims, groups, kept)
     times = (0.0, 0.37, 1.3)
-    sweep = commutator_norm_sweep(model, op, [oq], times, projector_diag=keep)
+    got = [norm(a_t) for a_t in heisenberg_evolve(p_full, dec, times)]
     oracle = _dense_sweep_oracle(model, op, [oq], times, keep)
     assert min(oracle) > 0.1  # the comparison is not between zeros
     scale = spectral_norm(op.payload) * spectral_norm(oq.payload)
-    for point, expected in zip(sweep.points, oracle, strict=True):
-        assert point.value >= expected - 1e-12
-        assert abs(point.value - expected) <= 1e-11 * scale
+    for value, expected in zip(got, oracle, strict=True):
+        assert value >= expected - 1e-12
+        assert abs(value - expected) <= 1e-11 * scale
 
 
 def _z(model, site):
@@ -351,8 +355,7 @@ def test_exact_sweep_is_the_full_space_sweep_off_the_free_fermion_route(cap):
     ]
     times = (0.0, 0.3, 0.6)
     got = exact_sweep(model, op, oqs, times, occupation_cap=cap)
-    proj = None if cap is None else occupation_projector_diagonal(model, cap)
-    want = commutator_norm_sweep(model, op, oqs, times, projector_diag=proj)
+    want = commutator_norm_sweep(model, op, oqs, times, occupation_cap=cap)
     assert got.points == want.points
     assert got == want
 
@@ -378,13 +381,30 @@ def test_free_fermion_velocity_at_128_sites(j, g):
     assert v_emp < consts.v_lr
 
 
-def test_sweep_rejects_a_projector_that_is_not_zero_one():
-    model = build_tfim(3)
-    op = observable_from_sites(model, (0,), PAULI_Z, "Z@0")
-    oq = observable_from_sites(model, (2,), PAULI_Z, "Z@2")
-    for bad in (np.full(8, 0.5), np.ones(7)):
-        with pytest.raises(ValueError, match="projector_diag"):
-            commutator_norm_sweep(model, op, [oq], [0.9], projector_diag=bad)
+def test_a_negative_occupation_cap_is_refused(monkeypatch):
+    # A cap of -1 keeps no state, so every norm would read 0 and any bound
+    # would pass.  It is refused by the projector builder, before the
+    # decomposition, on every route that takes a cap.
+    from lrlab import dynamics
+
+    def refused(*args, **kwargs):
+        raise AssertionError("decompose was called")
+
+    monkeypatch.setattr(dynamics, "decompose", refused)
+    message = "occupation cap must be at least 0, got -1"
+    model = build_dicke_chain(2, truncation=3)
+    op = observable_from_sites(model, (1,), PAULI_X, "X@spin0")
+    oq = observable_from_sites(model, (3,), PAULI_X, "X@spin1")
+    with pytest.raises(ValueError, match=message):
+        occupation_projector_diagonal(model, -1)
+    for sweep in (exact_sweep, commutator_norm_sweep):
+        with pytest.raises(ValueError, match=message):
+            sweep(model, op, [oq], (0.0, 0.5, 1.0), occupation_cap=-1)
+    tfim = build_tfim(3)  # no boson site to cap, and still refused
+    with pytest.raises(ValueError, match=message):
+        commutator_norm_sweep(
+            tfim, _z(tfim, 0), [_z(tfim, 2)], (0.9,), occupation_cap=-1
+        )
 
 
 def test_sweep_at_zero_time_is_static_commutator(tfim5_sweep):
@@ -443,15 +463,6 @@ def test_dicke_cross_layer_commutator_vanishes():
     assert max(far_vals) <= 1e-12
 
 
-def test_projector_restricts_commutator():
-    model = build_tfim(3)
-    op = observable_from_sites(model, (0,), PAULI_Z, "Z@0")
-    oq = observable_from_sites(model, (2,), PAULI_Z, "Z@2")
-    keep = np.zeros(8)
-    sweep = commutator_norm_sweep(model, op, [oq], [0.9], projector_diag=keep)
-    assert sweep.points[0].value == 0.0
-
-
 def _synthetic_sweep(v_true, ds, times):
     labels = [f"B{d}.{k}" for k, d in enumerate(ds)]
     points = []
@@ -493,11 +504,41 @@ def test_extract_velocity_counts_distinct_separations():
 
 
 def test_extract_velocity_needs_two_crossing_times():
-    # Three separations cross, but all at the grid's first time: a fit
+    # Three separations cross, but all at one interpolated time: a fit
     # through one t has no slope, and polyfit would return one anyway.
-    sweep = _synthetic_sweep(10.0, (3, 4, 5), [2.0, 2.0, 2.0])
-    with pytest.raises(ValueError, match="cone not resolved: every crossing at t = 2.0"):
-        extract_velocity(sweep, threshold=1e-6)
+    ds = (3, 4, 5)
+    points = tuple(
+        SweepPoint(d=d, t=t, value=v, oq=f"B{d}")
+        for d in ds
+        for t, v in ((0.0, 0.0), (1.0, 0.25), (2.0, 0.5))
+    )
+    sweep = SimulationSweep(
+        op_label="A",
+        oq_labels=tuple(f"B{d}" for d in ds),
+        separations=ds,
+        times=(0.0, 1.0, 2.0),
+        points=points,
+        hilbert_dim=0,
+    )
+    with pytest.raises(ValueError, match="cone not resolved: every crossing at t = 1.5"):
+        extract_velocity(sweep, threshold=0.375)
+
+
+def test_extract_velocity_leaves_out_observables_already_past_the_threshold():
+    # Z@0 against Z at 3..8 on a 10-site TFIM.  From t = 0 every O_Q crosses
+    # inside the grid.  From t = 1, five of them are already past the
+    # threshold at the first time; they crossed at some unseen earlier time,
+    # and only Z@8's crossing is resolved.
+    model = build_tfim(10)
+    oqs = [_z(model, s) for s in range(3, 9)]
+    full = free_fermion_sweep(model, _z(model, 0), oqs, np.linspace(0.0, 3.0, 41))
+    est = extract_velocity(full, threshold=1e-6)
+    assert [d for d, _ in est.crossings] == [3, 4, 5, 6, 7, 8]
+    assert est.v_emp == pytest.approx(4.1068, abs=1e-4)
+    late = free_fermion_sweep(model, _z(model, 0), oqs, np.linspace(1.0, 3.0, 41))
+    assert sum(late.curve(oq.label)[1][0] >= 1e-6 for oq in oqs) == 5
+    with pytest.raises(ValueError, match="only 1 separations crossed threshold 1e-06"):
+        extract_velocity(late, threshold=1e-6)
 
 
 def test_verify_bound_margins_and_exclusion():

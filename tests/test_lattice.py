@@ -309,6 +309,24 @@ def test_locality_radius_is_the_constants_r(model, R, projected):
     assert model.locality_radius == compute_bound_constants(model, adj).R == R
 
 
+@pytest.mark.parametrize(
+    "model,decoupled",
+    [(build_tfim(6), False), (build_tfim(6, j=-0.5, g=2.0), False),
+     (build_tfim(6, g=0.0), True), (build_tfim(6, j=-0.0), True),
+     (build_commuting_ising(5), True), (build_dicke_chain(2, h=0.0), True),
+     (build_dicke_chain(2, truncation=3), False)],
+    ids=["tfim", "tfim-signed", "tfim-g0", "tfim-j-0", "commuting_ising",
+         "dicke-h0", "dicke"],
+)
+def test_a_decoupled_model_has_zero_velocity(model, decoupled):
+    # The model decides v_LR = 0 from its families and couplings alone,
+    # before any norm; a decoupled model's coupling ratio is 1.
+    assert model.decoupled is decoupled
+    assert _constants(model).zero_velocity is decoupled
+    if decoupled:
+        assert lattice._coupling_ratio(model) == 1.0
+
+
 def test_velocity_scales_as_sqrt_h0_h1():
     # v_LR is a rate, 2 (gamma/xi) e sqrt(|h0 h1| K) with K bare: one
     # coupling per order of t.
