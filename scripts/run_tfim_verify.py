@@ -11,7 +11,9 @@ Usage:
 The observables are single-site Z, so the sweep is the free-fermion one and
 needs no full Hamiltonian.  At 128 sites (124 observables, 61 times) the
 run takes about 1.6 s on 2 cores with LRLAB_THREADS=1, about half of it the
-series bound's chain tables; the sweep takes a tenth of a second.
+series bound's chain tables; the sweep takes a tenth of a second.  At 512
+sites it takes 6-8 s with a peak RSS of 126 MB, and at 1024 sites about
+18 s and 401 MB, of which the sweep takes 7 s.
 """
 
 from __future__ import annotations

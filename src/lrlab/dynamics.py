@@ -3,8 +3,10 @@
 Two sweeps give the same `SimulationSweep`; `check_sweep` picks one, and
 `exact_sweep` runs it.  `free_fermion_sweep` takes single-site Z observables on the TFIM
 through its free-fermion form: under Jordan-Wigner, Z_j and X_j X_{j+1} are
-Majorana bilinears, so each norm is a 4x4 eigenproblem after one eigh of a
-2L x 2L single-particle matrix, and the chain can have hundreds of sites.
+Majorana bilinears, so after one eigh of a 2L x 2L single-particle matrix
+each norm is read from the two principal angles between a pair of rows of
+the single-particle rotation and a pair of unit vectors, and the chain can
+have a thousand sites.
 `commutator_norm_sweep` takes any model and observables on the full Hilbert
 space, and is the free-fermion sweep's test oracle.
 
@@ -39,6 +41,7 @@ import numpy as np
 from .lattice import (
     Observable,
     TwoFamilyHamiltonian,
+    check_occupation_cap,
     occupation_projector_diagonal,
     region_distance,
 )
@@ -91,7 +94,9 @@ def check_sweep(model, observables) -> bool:
 def exact_sweep(model, op_p, oq_list, times, occupation_cap=None) -> SimulationSweep:
     """The sweep by the route `check_sweep` picks: free-fermion if it can
     (the TFIM has no boson sites to cap), else full-space, its size checked
-    first, with boson occupations <= `occupation_cap` when given."""
+    first, with boson occupations <= `occupation_cap` when given.  A
+    negative cap raises ValueError on either route."""
+    check_occupation_cap(occupation_cap)
     if check_sweep(model, (op_p, *oq_list)):
         return free_fermion_sweep(model, op_p, oq_list, times)
     return commutator_norm_sweep(model, op_p, oq_list, times, occupation_cap)
@@ -201,13 +206,6 @@ def _sweep(model, op_p, oq_list, ts, values) -> SimulationSweep:
     )
 
 
-def _majorana_pair(x, y):
-    """-2 (x y^T - y x^T) for stacks of vectors x, y: the W of the bilinear
-    -i (x.c)(y.c) = (i/4) c^T W c, for x orthogonal to y."""
-    outer = x[..., :, None] * y[..., None, :]
-    return -2.0 * (outer - np.swapaxes(outer, -1, -2))
-
-
 def _free_fermion_refusal(model, observables) -> str | None:
     """Why `free_fermion_sweep` cannot take `observables` on `model`, or None."""
     if model.name != "tfim":
@@ -226,17 +224,27 @@ def free_fermion_sweep(
 
     With the Majorana operators c_{2j} = (prod_{k<j} Z_k) X_j and
     c_{2j+1} = (prod_{k<j} Z_k) Y_j, Z_j = -i c_{2j} c_{2j+1} and
-    X_j X_{j+1} = -i c_{2j+1} c_{2j+2}: every operator here is a bilinear
-    (i/4) c^T W c with W real antisymmetric.  H has h_{2j,2j+1} = -2g and
-    h_{2j+1,2j+2} = -2J, so c(t) = R(t) c with R(t) = e^{ht}, and Z_p(t) has
-    W_P(t) = R^T W_P R.  [Z_p(t), Z_q] is the bilinear of i[W_P(t), W_Q], and
-    its norm is a quarter of the sum of the absolute eigenvalues of
-    i[W_P(t), W_Q].  That matrix lives in the span of rows 2p and 2p+1 of R
-    and of e_{2q}, e_{2q+1}, so each point is a 4x4 eigenproblem in the
-    coordinates of these four vectors in an orthonormal basis of their span,
-    the triangular factor of their QR.  The cost is one eigh of the 2L x 2L
-    matrix ih, O(L^2) per time and O(L) per point, with no full Hamiltonian,
-    so chains of hundreds of sites are cheap.
+    X_j X_{j+1} = -i c_{2j+1} c_{2j+2}: every operator here is a Majorana
+    bilinear.  H has h_{2j,2j+1} = -2g and h_{2j+1,2j+2} = -2J, so
+    c(t) = R(t) c with R(t) = e^{(h - h^T)t} orthogonal, and Z_p(t) is the
+    bilinear of rows u0, u1 of R at 2p and 2p+1.  With theta_1, theta_2 the
+    principal angles between span(u0, u1) and span(e_{2q}, e_{2q+1}),
+    ||[Z_p(t), Z_q]|| = 2 sin(theta_1 + theta_2)
+    = 2 (cos theta_1 sin theta_2 + cos theta_2 sin theta_1).
+
+    Each point reads both from the triangular factor r of the QR of the
+    columns (u0, u1, e_{2q}, e_{2q+1}): the singular values of r[:2, 2:] are
+    the cosines, those of r[2:, 2:] the sines.  Both come in descending
+    order, the cosines with theta ascending and the sines with theta
+    descending, so the sum of their products pairs each cosine with the
+    other angle's sine.  The sines are the size of what the QR leaves of
+    e_{2q}, e_{2q+1} outside span(u0, u1), so their error stays at rounding
+    near theta = 0, where sqrt(1 - cos^2) would lose half the digits and a
+    norm of 0 could read 1e-8.
+
+    The cost is one eigh of the 2L x 2L matrix ih, then O(L^2) per time for
+    the two rows and O(L) per point; only one time's (n_Q, 2L, 4) stack is
+    held at once, O(n_Q L) memory, so chains of a thousand sites fit.
 
     Raises ValueError off the TFIM, or for an observable not single-site Pauli Z.
     """
@@ -247,21 +255,20 @@ def free_fermion_sweep(
     # h_{2j,2j+1} = -2g (fields), h_{2j+1,2j+2} = -2J (bonds).
     h = np.diag(-2.0 * np.where(np.arange(modes - 1) % 2, model.h0, model.h1), 1)
     lam, u = np.linalg.eigh(1j * (h - h.T))
+    u_p = u[2 * op_p.support.sites[0] + np.arange(2)].conj()
     ts = tuple(float(t) for t in times)
-    p = op_p.support.sites[0]
-    # Rows 2p, 2p+1 of R(t) = Re(U e^{-i lam t} U^dag), for every t: (T, 2, 2L).
-    phases = np.exp(-1j * np.multiply.outer(ts, lam))[:, None, :]
-    rows = ((u[2 * p : 2 * p + 2] * phases) @ u.conj().T).real
-    q_sites = np.array([oq.support.sites[0] for oq in oq_list], dtype=int)
-    e_q = np.eye(modes)[2 * q_sites[:, None] + [0, 1]]  # (n_Q, 2, 2L)
-    # (T, n_Q, 2L, 4): columns R[2p], R[2p+1], e_{2q}, e_{2q+1}.
-    basis = np.concatenate(
-        np.broadcast_arrays(rows[:, None], e_q[None]), axis=2
-    ).swapaxes(-1, -2)
-    r = np.linalg.qr(basis, mode="r")
-    w_p = _majorana_pair(r[..., :, 0], r[..., :, 1])
-    w_q = _majorana_pair(r[..., :, 2], r[..., :, 3])
-    values = 0.25 * np.abs(np.linalg.eigvalsh(1j * (w_p @ w_q - w_q @ w_p))).sum(-1)
+    # Columns (u0, u1, e_{2q}, e_{2q+1}) for each O_Q; u0, u1 change with t.
+    basis = np.zeros((len(oq_list), modes, 4))
+    for i, oq in enumerate(oq_list):
+        basis[i, 2 * oq.support.sites[0] + np.arange(2), [2, 3]] = 1.0
+    values = []
+    for t in ts:
+        # Rows 2p, 2p+1 of R(t) = Re(conj(U) e^{i lam t} U^T), with no copy of U.
+        basis[..., :2] = ((u_p * np.exp(1j * lam * t)) @ u.T).real.T
+        r = np.linalg.qr(basis, mode="r")
+        cos = np.linalg.svd(r[:, :2, 2:], compute_uv=False)
+        sin = np.linalg.svd(r[:, 2:, 2:], compute_uv=False)
+        values.append(2.0 * (cos * sin).sum(-1))
     return _sweep(model, op_p, oq_list, ts, values)
 
 

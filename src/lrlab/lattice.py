@@ -226,6 +226,12 @@ def observable_from_sites(
     return Observable(support=support, payload=payload, label=label)
 
 
+def check_occupation_cap(max_level: int | None) -> None:
+    """ValueError for a negative occupation cap, which would keep no state."""
+    if max_level is not None and max_level < 0:
+        raise ValueError(f"occupation cap must be at least 0, got {max_level}")
+
+
 def occupation_projector_diagonal(
     model: TwoFamilyHamiltonian, max_level: int | None = None, sites=None
 ) -> np.ndarray:
@@ -234,10 +240,9 @@ def occupation_projector_diagonal(
     The diagonal is over the product space of `sites` (default: the whole
     lattice), in site order.  `max_level=None` keeps the interior of every
     boson site, i.e. drops its top retained Fock level; a negative
-    `max_level`, which would keep no state, raises ValueError.
+    `max_level` raises ValueError (`check_occupation_cap`).
     """
-    if max_level is not None and max_level < 0:
-        raise ValueError(f"occupation cap must be at least 0, got {max_level}")
+    check_occupation_cap(max_level)
     if sites is None:
         sites = range(model.graph.site_count)
     keep = np.ones(1)

@@ -23,7 +23,6 @@ from .operators import embed_dense
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-ID2 = np.eye(2)
 
 FULL_HAMILTONIAN_DIM_CAP = 2**14
 
@@ -135,32 +134,6 @@ def build_dicke_chain(
         boson_sites=frozenset(range(0, site_count, 2)),
         name="dicke_chain",
     )
-
-
-def dicke_commuting_terms(model: TwoFamilyHamiltonian) -> tuple:
-    """The rewriting h~_n = b_n (sigma^z_n - i sigma^z_{n-1}) + h.c.
-
-    The h~_n commute pairwise exactly (each touches a single mode and only
-    sigma^z spins) and sum to the same Hamiltonian as the h_n.
-    """
-    if model.name != "dicke_chain":
-        raise ValueError("commuting rewriting defined for dicke_chain only")
-    length = model.graph.site_count // 2
-    m = model.site_dims[0]
-    p_op, q_op = mode_quadratures(m)
-    out = []
-    for n in range(length):
-        if n == 0:
-            sites = (0, 1)
-            payload = np.kron(p_op, PAULI_Z)
-        else:
-            # Support (spin_{n-1}, mode_n, spin_n).
-            sites = (2 * n - 1, 2 * n, 2 * n + 1)
-            payload = np.kron(PAULI_Z, np.kron(q_op, ID2)) + np.kron(
-                np.eye(2), np.kron(p_op, PAULI_Z)
-            )
-        out.append(LocalTerm(0, n, region(model.graph, sites), payload))
-    return tuple(out)
 
 
 def build_model(name: str, length: int, **kwargs) -> TwoFamilyHamiltonian:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dicke_rewriting import dicke_commuting_terms
 from lambda_optimum import optimize_lambda
 from lemma_checks import bounded_term_check, derivative_identity_check
 from lrlab import cli
@@ -45,7 +46,6 @@ from lrlab.models import (
     build_commuting_ising,
     build_dicke_chain,
     build_tfim,
-    dicke_commuting_terms,
     full_hamiltonian,
     mode_quadratures,
 )

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 from lemma_checks import derivative_identity_check
 from lrlab.dynamics import (
     SimulationSweep,
     SweepPoint,
     _commutator_norm_fn,
+    check_sweep,
     commutator_norm_sweep,
     exact_sweep,
     extract_velocity,
@@ -368,6 +371,78 @@ def test_exact_sweep_takes_the_free_fermion_route_for_tfim_z():
     assert got == free_fermion_sweep(model, _z(model, 2), oqs, times)
 
 
+def _majorana_pair(x, y):
+    """-2 (x y^T - y x^T) for stacks of vectors x, y: the W of the bilinear
+    -i (x.c)(y.c) = (i/4) c^T W c, for x orthogonal to y."""
+    outer = x[..., :, None] * y[..., None, :]
+    return -2.0 * (outer - np.swapaxes(outer, -1, -2))
+
+
+def _majorana_norms(rows, q_sites):
+    """||[Z_p(t), Z_q]|| for each q in `q_sites`, from `rows`, rows 2p and
+    2p+1 of the single-particle rotation R(t), by a 4x4 eigenproblem.
+
+    Z_p(t) and Z_q are the bilinears (i/4) c^T W c of W_P(t) = R^T W_P R
+    and W_Q, and [Z_p(t), Z_q] is that of i[W_P(t), W_Q], whose norm is a
+    quarter of the sum of its absolute eigenvalues.  Both live in the span
+    of the two rows and e_{2q}, e_{2q+1}, so they are taken in the
+    coordinates of these four vectors in an orthonormal basis of their span,
+    the triangular factor of their QR.
+    """
+    e_q = np.eye(rows.shape[1])[2 * np.asarray(q_sites)[:, None] + [0, 1]]
+    # (n_Q, 2L, 4): columns rows[0], rows[1], e_{2q}, e_{2q+1}.
+    basis = np.concatenate(np.broadcast_arrays(rows, e_q), axis=1).swapaxes(-1, -2)
+    r = np.linalg.qr(basis, mode="r")
+    w_p = _majorana_pair(r[..., :, 0], r[..., :, 1])
+    w_q = _majorana_pair(r[..., :, 2], r[..., :, 3])
+    return 0.25 * np.abs(np.linalg.eigvalsh(1j * (w_p @ w_q - w_q @ w_p))).sum(-1)
+
+
+def _bessel_rows(length, s, p, t):
+    """Rows 2p, 2p+1 of R(t) on the TFIM at J = g = s, in closed form: near
+    the open left end, R(t)_jk = J_{k-j}(-4st) + (-1)^j J_{k+j+2}(-4st),
+    the second term the image of the first in the end."""
+    j = 2 * p + np.arange(2)[:, None]
+    k = np.arange(2 * length)
+    x = -4.0 * s * t
+    return jv(k - j, x) + (-1.0) ** j * jv(k + j + 2, x)
+
+
+@pytest.mark.parametrize("s", [1.0, 0.6])
+def test_free_fermion_sweep_matches_bessel_rows_at_128_sites(s):
+    # Far beyond the full-space cap.  At t <= 6 the right end, about 245
+    # modes away, adds nothing to the rows, so the closed form holds on all
+    # of them.
+    length = 128
+    model = build_tfim(length, j=s, g=s)
+    times = np.linspace(0.0, 6.0, 13)
+    for p in (0, 1, 4):
+        q_sites = range(p + 61)
+        sweep = free_fermion_sweep(
+            model, _z(model, p), [_z(model, q) for q in q_sites], times
+        )
+        got = np.array([pt.value for pt in sweep.points]).reshape(len(times), -1)
+        want = [_majorana_norms(_bessel_rows(length, s, p, t), q_sites) for t in times]
+        assert got.max() > 1.0  # the comparison is not between zeros
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_free_fermion_sweep_holds_one_time_at_once():
+    # 124 O_Q and 61 times at 128 sites: an all-times (T, n_Q, 2L, 4) stack
+    # would take 62 MB on its own.
+    model = build_tfim(128)
+    op = _z(model, 0)
+    oqs = [_z(model, q) for q in range(3, 127)]
+    times = np.linspace(0.0, 6.0, 61)
+    tracemalloc.start()
+    try:
+        free_fermion_sweep(model, op, oqs, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("j,g", [(1.0, 1.0), (1.0, 0.6)])
 def test_free_fermion_velocity_at_128_sites(j, g):
     # The fastest quasiparticle of the TFIM moves at 2 min(J, g).
@@ -405,6 +480,17 @@ def test_a_negative_occupation_cap_is_refused(monkeypatch):
         commutator_norm_sweep(
             tfim, _z(tfim, 0), [_z(tfim, 2)], (0.9,), occupation_cap=-1
         )
+
+
+@pytest.mark.parametrize("route", ["free_fermion", "full_space"])
+def test_exact_sweep_refuses_a_negative_occupation_cap_on_both_routes(route):
+    # The TFIM has no boson site to cap; the cap is refused all the same.
+    model = build_tfim(6)
+    pauli = PAULI_Z if route == "free_fermion" else PAULI_X
+    op, oq = (observable_from_sites(model, (s,), pauli, f"P@{s}") for s in (0, 3))
+    assert check_sweep(model, (op, oq)) == (route == "free_fermion")
+    with pytest.raises(ValueError, match="occupation cap must be at least 0, got -1"):
+        exact_sweep(model, op, [oq], (0.0, 1.0), occupation_cap=-1)
 
 
 def test_sweep_at_zero_time_is_static_commutator(tfim5_sweep):

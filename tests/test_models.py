@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from dicke_rewriting import dicke_commuting_terms
 from lrlab.lattice import (
     occupation_projector_diagonal,
     pair_commutator_norm,
@@ -18,7 +19,6 @@ from lrlab.models import (
     build_dicke_chain,
     build_model,
     build_tfim,
-    dicke_commuting_terms,
     full_hamiltonian,
     ladder_lower,
     mode_quadratures,
