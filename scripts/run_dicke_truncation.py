@@ -91,7 +91,7 @@ def main() -> int:
         ap.error(f"--out {out}: {e.strerror}")
 
     rows = []
-    capped_curves = {}
+    capped_finals = {}
     last_mode = 2 * (args.length - 1)
     for m in args.truncations:
         model = build_dicke_chain(args.length, h=args.h, truncation=m)
@@ -123,7 +123,7 @@ def main() -> int:
             )
             spin_p, spin_q = spins(model)
             sweep = exact_sweep(model, spin_p, [spin_q], times, args.occupation_cap)
-            capped_curves[m] = [p.value for p in sweep.points]
+            capped_finals[m] = float(sweep.values[-1, 0])
 
     write_csv(
         out / "truncation.csv",
@@ -139,8 +139,8 @@ def main() -> int:
         "observable_bounds": [r[5] for r in rows],
         "reference_prefactors": [r[6] for r in rows],
     }
-    if capped_curves:
-        finals = [capped_curves[m][-1] for m in args.truncations]
+    if capped_finals:
+        finals = [capped_finals[m] for m in args.truncations]
         diffs = [abs(b - a) for a, b in zip(finals, finals[1:])]
         summary["occupation_cap"] = args.occupation_cap
         summary["capped_final_values"] = {

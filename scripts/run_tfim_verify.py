@@ -9,11 +9,11 @@ Usage:
   python scripts/run_tfim_verify.py --length 128 --t-max 6 --out out/tfim128
 
 The observables are single-site Z, so the sweep is the free-fermion one and
-needs no full Hamiltonian.  At 128 sites (124 observables, 61 times) the
-run takes about 1.6 s on 2 cores with LRLAB_THREADS=1, about half of it the
-series bound's chain tables; the sweep takes a tenth of a second.  At 512
-sites it takes 6-8 s with a peak RSS of 126 MB, and at 1024 sites about
-18 s and 401 MB, of which the sweep takes 7 s.
+needs no full Hamiltonian.  With --t-max 6 on 2 cores (OpenBLAS,
+LRLAB_THREADS=1), the run takes 1.0-1.2 s at 128 sites (124 observables,
+61 times), about half of it the series bound's chain tables; 4.9-5.7 s with
+a peak RSS of 104 MB at 512 sites; and 13-17 s with 244 MB at 1024 sites,
+of which the sweep takes about 5 s and the chain tables about half.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ recovers the velocity 2 (gamma/xi) e sqrt(|h0 h1| K).  It dominates the
 series coefficient by coefficient, not value by value: the certified tail
 does not see d, so at far d and small t it can exceed the closed form (TFIM,
 L = 64, t <= 6: 25 of 3,660 rows, t = 0.1-0.4, d = 52-62, series 1e-10 to
-9e-10).  ROADMAP.md item 1 makes the tail reach-aware.
+9e-10).  ROADMAP.md item 2 makes the tail reach-aware.
 
 K and Q are bare commutator norms (see `lattice.compute_bound_constants`):
 the couplings enter every rate here once, as |h0 h1|, one coupling per order

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -268,10 +269,11 @@ def _cmd_bound(cfg: RunConfig, out: Path) -> int:
 
 
 def _write_simulation(out: Path, sweep) -> None:
+    grid = itertools.product(sweep.times, zip(sweep.separations, sweep.oq_labels))
     write_csv(
         out / "simulation.csv",
         ("d", "t", "measured", "oq"),
-        [(p.d, p.t, p.value, p.oq) for p in sweep.points],
+        ((d, t, v, oq) for (t, (d, oq)), v in zip(grid, sweep.points.tolist())),
     )
 
 
@@ -323,10 +325,7 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
     write_csv(
         out / "verification.csv",
         ("method", "d", "t", "measured", "bound", "margin", "oq"),
-        [
-            (r.method, r.d, r.t, r.measured, r.bound, r.margin, r.oq)
-            for r in report.rows
-        ],
+        report.rows(),
     )
     write_json(
         out / "verification.json",
@@ -337,15 +336,14 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
             "worst_margin": report.worst_margin(),
             "excluded_separations": list(report.excluded_separations),
             "methods": sorted(fns),
-            "row_count": len(report.rows),
+            "row_count": report.bounds.size,
             "constants": consts.as_dict(),
             "velocity": velocity,
         },
     )
-    for method in sorted(fns):
-        margins = [r.margin for r in report.rows if r.method == method]
-        worst = min(margins) if margins else float("inf")
-        print(f"{method}: {len(margins)} points, worst margin {worst:.3e}")
+    for method, margins in zip(report.methods, report.margins):
+        worst = margins.min() if margins.size else float("inf")
+        print(f"{method}: {margins.size} points, worst margin {worst:.3e}")
     if report.excluded_separations:
         print(f"excluded separations d <= R: {list(report.excluded_separations)}")
     print("PASS" if report.passed else "FAIL")

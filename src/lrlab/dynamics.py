@@ -1,14 +1,14 @@
 """Exact Heisenberg dynamics, and checking bounds against it.
 
-Two sweeps give the same `SimulationSweep`; `check_sweep` picks one, and
-`exact_sweep` runs it.  `free_fermion_sweep` takes single-site Z observables on the TFIM
-through its free-fermion form: under Jordan-Wigner, Z_j and X_j X_{j+1} are
-Majorana bilinears, so after one eigh of a 2L x 2L single-particle matrix
-each norm is read from the two principal angles between a pair of rows of
-the single-particle rotation and a pair of unit vectors, and the chain can
-have a thousand sites.
-`commutator_norm_sweep` takes any model and observables on the full Hilbert
-space, and is the free-fermion sweep's test oracle.
+A sweep is one (T, n_Q) grid of norms, a row per time and a labelled column
+per O_Q, so two observables at one separation are scored against their own
+bounds.  `check_sweep` picks one of two routes to it, `exact_sweep` runs it.
+`free_fermion_sweep` takes single-site Z observables on the TFIM: under
+Jordan-Wigner they and H are Majorana bilinears, so after one eigh of a
+2L x 2L single-particle matrix each norm is read from two principal angles,
+and the chain can have a thousand sites.  `commutator_norm_sweep` takes any
+model and observables on the full Hilbert space, and is the free-fermion
+sweep's test oracle.
 
 The full-space sweep diagonalizes H once, sector by sector
 (`operators.decompose`, which also checks each sector's reconstruction),
@@ -21,20 +21,16 @@ norm with O_Q takes one of two exact routes:
   Hermitian A, the norm of one off-diagonal block read from the largest
   eigenvalue of its Gram matrix.  It works per sector when O_P stays inside
   the sectors, since A(t) and [A(t), Q] then do too, one half block per
-  sector.  The half blocks are what keep the 10-qubit acceptance sweeps
-  inside their budgets: on a 2-core host the criterion-01 sweep took 5.3 s
-  this way and 20.3 s through the row-padded route below;
+  sector (the 10-qubit criterion-01 sweep: 5.3 s on a 2-core host, against
+  20.3 s row-padded);
 * any other O_Q is embedded sparsely and gives a sparse product, read as one
   column gather of A per slot of O_Q's row-padded embedding
   (`operators.embed_sparse`).
-
-Every point carries the label of its O_Q, so two observables at the same
-separation are scored against their own bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,26 +55,21 @@ from .operators import (
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    d: int
-    t: float
-    value: float
-    oq: str
-
-
-@dataclass(frozen=True)
 class SimulationSweep:
+    """values[k, i] = ||[O_P(times[k]), O_Q_i]||, for the O_Q labelled
+    oq_labels[i] at separations[i] from O_P; `==` skips the values."""
+
     op_label: str
     oq_labels: tuple
     separations: tuple
     times: tuple
-    points: tuple
+    values: np.ndarray = field(compare=False)
     hilbert_dim: int
 
-    def curve(self, oq: str):
-        """(times, values) of the observable labelled `oq`, time-ordered."""
-        pts = sorted((p.t, p.value) for p in self.points if p.oq == oq)
-        return tuple(t for t, _ in pts), tuple(v for _, v in pts)
+    @property
+    def points(self) -> np.ndarray:
+        """The values, flat and t-major."""
+        return self.values.reshape(-1)
 
 
 def check_sweep(model, observables) -> bool:
@@ -178,32 +169,19 @@ def commutator_norm_sweep(
         groups = [np.intersect1d(g, kept, assume_unique=True) for g in groups]
 
     norms = [_commutator_norm_fn(oq, dims, groups, kept) for oq in oq_list]
+    sweep = _sweep(model, op_p, oq_list, times)
+    for row, a_t in zip(sweep.values, heisenberg_evolve(p_full, decomp, sweep.times)):
+        row[:] = [norm(a_t) for norm in norms]
+    return sweep
+
+
+def _sweep(model, op_p, oq_list, times) -> SimulationSweep:
+    """The sweep of `oq_list` at `times`, its values still to be filled."""
     ts = tuple(float(t) for t in times)
-    values = (
-        [norm(a_t) for norm in norms]
-        for a_t in heisenberg_evolve(p_full, decomp, ts)
-    )
-    return _sweep(model, op_p, oq_list, ts, values)
-
-
-def _sweep(model, op_p, oq_list, ts, values) -> SimulationSweep:
-    """The sweep with values[k][i] = ||[O_P(ts[k]), oq_list[i]]||."""
-    seps = tuple(
-        region_distance(model.graph, op_p.support, oq.support) for oq in oq_list
-    )
-    points = tuple(
-        SweepPoint(d=d, t=t, value=float(v), oq=oq.label)
-        for t, row in zip(ts, values)
-        for v, oq, d in zip(row, oq_list, seps)
-    )
-    return SimulationSweep(
-        op_label=op_p.label,
-        oq_labels=tuple(oq.label for oq in oq_list),
-        separations=seps,
-        times=ts,
-        points=points,
-        hilbert_dim=model.hilbert_dim,
-    )
+    labels = tuple(oq.label for oq in oq_list)
+    seps = tuple(region_distance(model.graph, op_p.support, q.support) for q in oq_list)
+    values = np.zeros((len(ts), len(oq_list)))
+    return SimulationSweep(op_p.label, labels, seps, ts, values, model.hilbert_dim)
 
 
 def _free_fermion_refusal(model, observables) -> str | None:
@@ -227,9 +205,14 @@ def free_fermion_sweep(
     X_j X_{j+1} = -i c_{2j+1} c_{2j+2}: every operator here is a Majorana
     bilinear.  H has h_{2j,2j+1} = -2g and h_{2j+1,2j+2} = -2J, so
     c(t) = R(t) c with R(t) = e^{(h - h^T)t} orthogonal, and Z_p(t) is the
-    bilinear of rows u0, u1 of R at 2p and 2p+1.  With theta_1, theta_2 the
-    principal angles between span(u0, u1) and span(e_{2q}, e_{2q+1}),
-    ||[Z_p(t), Z_q]|| = 2 sin(theta_1 + theta_2)
+    bilinear of rows u0, u1 of R at 2p and 2p+1.  With D = diag(i^k),
+    i(h - h^T) = D S D* for the real symmetric S = -(h + h^T), so one real
+    eigh S = V diag(lam) V^T gives R(t) = D V e^{-i lam t} V^T D*: with
+    C = V cos(lam t) V^T and Sn = V sin(lam t) V^T, the real R(t) has
+    R_jk = Re(i^{j-k}) C_jk + Im(i^{j-k}) Sn_jk, one of the two per entry.
+
+    With theta_1, theta_2 the principal angles between span(u0, u1) and
+    span(e_{2q}, e_{2q+1}), ||[Z_p(t), Z_q]|| = 2 sin(theta_1 + theta_2)
     = 2 (cos theta_1 sin theta_2 + cos theta_2 sin theta_1).
 
     Each point reads both from the triangular factor r of the QR of the
@@ -242,7 +225,7 @@ def free_fermion_sweep(
     near theta = 0, where sqrt(1 - cos^2) would lose half the digits and a
     norm of 0 could read 1e-8.
 
-    The cost is one eigh of the 2L x 2L matrix ih, then O(L^2) per time for
+    The cost is one eigh of the 2L x 2L matrix S, then O(L^2) per time for
     the two rows and O(L) per point; only one time's (n_Q, 2L, 4) stack is
     held at once, O(n_Q L) memory, so chains of a thousand sites fit.
 
@@ -254,22 +237,26 @@ def free_fermion_sweep(
     modes = 2 * model.graph.site_count
     # h_{2j,2j+1} = -2g (fields), h_{2j+1,2j+2} = -2J (bonds).
     h = np.diag(-2.0 * np.where(np.arange(modes - 1) % 2, model.h0, model.h1), 1)
-    lam, u = np.linalg.eigh(1j * (h - h.T))
-    u_p = u[2 * op_p.support.sites[0] + np.arange(2)].conj()
-    ts = tuple(float(t) for t in times)
+    lam, v = np.linalg.eigh(-(h + h.T))
+    rows = 2 * op_p.support.sites[0] + np.arange(2)
+    # Re(i^{j-k}) and Im(i^{j-k}) for rows j = 2p, 2p+1 and columns k.
+    power = (rows[:, None] - np.arange(modes)) % 4
+    re, im = np.array([1, 0, -1, 0])[power], np.array([0, 1, 0, -1])[power]
+    sweep = _sweep(model, op_p, oq_list, times)
     # Columns (u0, u1, e_{2q}, e_{2q+1}) for each O_Q; u0, u1 change with t.
     basis = np.zeros((len(oq_list), modes, 4))
     for i, oq in enumerate(oq_list):
         basis[i, 2 * oq.support.sites[0] + np.arange(2), [2, 3]] = 1.0
-    values = []
-    for t in ts:
-        # Rows 2p, 2p+1 of R(t) = Re(conj(U) e^{i lam t} U^T), with no copy of U.
-        basis[..., :2] = ((u_p * np.exp(1j * lam * t)) @ u.T).real.T
+    for row, t in zip(sweep.values, sweep.times):
+        # Rows 2p, 2p+1 of C and Sn, with no copy of V.
+        cos_rows = (v[rows] * np.cos(lam * t)) @ v.T
+        sin_rows = (v[rows] * np.sin(lam * t)) @ v.T
+        basis[..., :2] = (re * cos_rows + im * sin_rows).T
         r = np.linalg.qr(basis, mode="r")
         cos = np.linalg.svd(r[:, :2, 2:], compute_uv=False)
         sin = np.linalg.svd(r[:, 2:, 2:], compute_uv=False)
-        values.append(2.0 * (cos * sin).sum(-1))
-    return _sweep(model, op_p, oq_list, ts, values)
+        row[:] = 2.0 * (cos * sin).sum(-1)
+    return sweep
 
 
 @dataclass(frozen=True)
@@ -283,22 +270,24 @@ class VelocityEstimate:
 
 def extract_velocity(sweep: SimulationSweep, threshold: float) -> VelocityEstimate:
     """Empirical cone velocity: fit d = v * t_star + c over the first
-    threshold crossing of each observable's measured commutator norm, with d
-    its separation from O_P (crossings ordered by d, then label).  An
-    observable already at or above the threshold at the grid's first time
-    crossed unseen before it, and is left out like one that never crosses.
+    threshold crossing of each observable's measured commutator norm (a
+    column of the grid, its times ascending), with d its separation from O_P
+    (crossings ordered by d, then label).  An observable already at or
+    above the threshold at the grid's first time crossed unseen before it,
+    and is left out like one that never crosses.
 
     Raises ValueError unless the crossings span at least three distinct
     separations (several observables at one separation count once) and two
     distinct times, without which the fit has no slope to find.
     """
+    # The first time index at or above the threshold; 0 if there is none.
+    first = np.argmax(sweep.values >= threshold, axis=0).tolist()
     crossings = []
-    for d, oq in sorted(zip(sweep.separations, sweep.oq_labels)):
-        ts, vals = sweep.curve(oq)
-        k = next((k for k, val in enumerate(vals) if val >= threshold), 0)
-        if k:  # 0: never crosses, or already past the threshold at ts[0]
-            t0, t1 = ts[k - 1], ts[k]
-            v0, v1 = vals[k - 1], vals[k]
+    for d, _, i in sorted(zip(sweep.separations, sweep.oq_labels, range(len(first)))):
+        k = first[i]
+        if k:  # 0: never crosses, or already past the threshold at the first time
+            t0, t1 = sweep.times[k - 1 : k + 1]
+            v0, v1 = sweep.values[k - 1 : k + 1, i].tolist()
             crossings.append((d, float(t0 + (threshold - v0) * (t1 - t0) / (v1 - v0))))
     crossed = len({d for d, _ in crossings})
     if crossed < 3:
@@ -308,8 +297,7 @@ def extract_velocity(sweep: SimulationSweep, threshold: float) -> VelocityEstima
         )
     if len({t for _, t in crossings}) < 2:
         raise ValueError(f"cone not resolved: every crossing at t = {crossings[0][1]}")
-    ds = np.array([c[0] for c in crossings], dtype=float)
-    tstars = np.array([c[1] for c in crossings])
+    ds, tstars = np.array(crossings, dtype=float).T
     slope, intercept = np.polyfit(tstars, ds, 1)
     resid = float(np.sqrt(np.mean((ds - (slope * tstars + intercept)) ** 2)))
     return VelocityEstimate(
@@ -322,65 +310,60 @@ def extract_velocity(sweep: SimulationSweep, threshold: float) -> VelocityEstima
 
 
 @dataclass(frozen=True)
-class VerificationRow:
-    method: str
-    d: int
-    t: float
-    measured: float
-    bound: float
-    margin: float
-    oq: str
-
-
-@dataclass(frozen=True)
 class VerificationReport:
+    """bounds[m, k, j]: the bound `methods[m]` at sweep.times[k] on the O_Q
+    of the sweep's column columns[j]; the other columns are not scored."""
+
     slack: float
-    rows: tuple
-    excluded_separations: tuple
-    passed: bool
+    sweep: SimulationSweep
+    columns: tuple
+    methods: tuple
+    bounds: np.ndarray = field(compare=False)
+
+    @property
+    def excluded_separations(self) -> tuple:
+        seps = np.delete(self.sweep.separations, self.columns).tolist()
+        return tuple(sorted(set(seps)))
+
+    @property
+    def margins(self) -> np.ndarray:
+        return self.bounds - self.sweep.values[:, self.columns]
+
+    @property
+    def passed(self) -> bool:
+        return bool((self.margins >= -self.slack).all())
 
     def worst_margin(self) -> float:
-        return min((r.margin for r in self.rows), default=float("inf"))
+        return float(self.margins.min()) if self.bounds.size else float("inf")
+
+    def rows(self):
+        """(method, d, t, measured, bound, margin, oq) per scored point:
+        by method, then t, then O_Q."""
+        sweep = self.sweep
+        cols = [(sweep.separations[i], sweep.oq_labels[i]) for i in self.columns]
+        measured = sweep.values[:, self.columns].tolist()
+        per_method = zip(self.methods, self.bounds.tolist(), self.margins.tolist())
+        for method, bounds, margins in per_method:
+            for t, vs, bs, ms in zip(sweep.times, measured, bounds, margins):
+                for (d, oq), v, b, m in zip(cols, vs, bs, ms):
+                    yield method, d, t, v, b, m, oq
 
 
 def verify_bound(
-    sweep: SimulationSweep,
-    bound_fns: dict,
-    min_separation: int = 0,
-    *,
-    slack: float,
+    sweep: SimulationSweep, bound_fns: dict, min_separation: int = 0, *, slack: float
 ) -> VerificationReport:
     """Compare measured norms against each named bound function
     (t, oq_label) -> value, so every point is scored against the bound for
-    its own observable.
+    its own observable, calling each once per point.
 
     Separations at or below `min_separation` (typically R) are excluded and
     reported rather than scored.
     """
-    excluded = tuple(
-        sorted(set(p.d for p in sweep.points if p.d <= min_separation))
-    )
-    rows = []
-    for method, fn in sorted(bound_fns.items()):
-        for p in sweep.points:
-            if p.d <= min_separation:
-                continue
-            bound = float(fn(p.t, p.oq))
-            rows.append(
-                VerificationRow(
-                    method=method,
-                    d=p.d,
-                    t=p.t,
-                    measured=p.value,
-                    bound=bound,
-                    margin=bound - p.value,
-                    oq=p.oq,
-                )
-            )
-    passed = all(r.margin >= -slack for r in rows)
-    return VerificationReport(
-        slack=slack,
-        rows=tuple(rows),
-        excluded_separations=excluded,
-        passed=passed,
-    )
+    columns = tuple(i for i, d in enumerate(sweep.separations) if d > min_separation)
+    labels = [sweep.oq_labels[i] for i in columns]
+    methods = tuple(sorted(bound_fns))
+    bounds = np.array(
+        [[[float(bound_fns[m](t, oq)) for oq in labels] for t in sweep.times]
+         for m in methods]
+    ).reshape(len(methods), len(sweep.times), len(columns))
+    return VerificationReport(slack, sweep, columns, methods, bounds)

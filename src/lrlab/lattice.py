@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -440,17 +441,31 @@ class NoncommutingAdjacency:
             return 0
         return max(len(zs) for zs in self.zmap.values())
 
+    @cached_property
+    def _index(self) -> tuple:
+        """(site -> ids of the terms on it, id -> (position in `pair_norms`,
+        pair) of each of its pairs)."""
+        on_site, pairs_of = {}, {}
+        for g, support in self.supports.items():
+            for s in support.sites:
+                on_site.setdefault(s, []).append(g)
+        for k, pair in enumerate(self.pair_norms):
+            for g in pair:
+                pairs_of.setdefault(g, []).append((k, pair))
+        return on_site, pairs_of
+
     def touching(self, support: SupportRegion) -> frozenset:
         """Ids of the terms whose support overlaps `support`."""
-        return frozenset(
-            g for g, s in self.supports.items() if regions_overlap(s, support)
-        )
+        on_site = self._index[0]
+        return frozenset(g for s in support.sites for g in on_site.get(s, ()))
 
     def pairs_meeting(self, support: SupportRegion) -> list:
         """The noncommuting pairs (i, j) whose union of supports meets
-        `support`, so that their bracket may not commute with an op there."""
-        near = self.touching(support)
-        return [(i, j) for i, j in self.pair_norms if i in near or j in near]
+        `support`, so that their bracket may not commute with an op there,
+        in the order of `pair_norms`."""
+        pairs_of = self._index[1]
+        near = {kp for g in self.touching(support) for kp in pairs_of.get(g, ())}
+        return [pair for _, pair in sorted(near)]
 
 
 def noncommuting_adjacency(
@@ -458,10 +473,13 @@ def noncommuting_adjacency(
 ) -> NoncommutingAdjacency:
     terms = model.terms
     n0 = len(model.family0)
+    supports = {gid: t.support for gid, t in enumerate(terms)}
+    # No pairs yet: only its site index is read, for the pairs that overlap.
+    scan = NoncommutingAdjacency({}, supports, {}, projected)
     staged = {gid: set() for gid in range(len(terms))}
     pair_norms = {}
     for i in range(n0):
-        for j in range(n0, len(terms)):
+        for j in sorted(g for g in scan.touching(terms[i].support) if g >= n0):
             nrm = pair_commutator_norm(model, terms[i], terms[j], projected=projected)
             if nrm > NONCOMMUTING_TOL:
                 pair_norms[(i, j)] = nrm
@@ -469,7 +487,7 @@ def noncommuting_adjacency(
                 staged[j].add(i)
     return NoncommutingAdjacency(
         zmap={gid: frozenset(s) for gid, s in staged.items()},
-        supports={gid: t.support for gid, t in enumerate(terms)},
+        supports=supports,
         pair_norms=pair_norms,
         projected=projected,
     )

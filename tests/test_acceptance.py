@@ -83,7 +83,7 @@ def test_criterion_01_commuting_model_stays_flat():
     t0 = time.perf_counter()
     sweep = commutator_norm_sweep(model, op, [oq], times)
     elapsed = time.perf_counter() - t0
-    worst = max(p.value for p in sweep.points)
+    worst = sweep.values.max()
     _report(
         1,
         worst <= 1e-10 and elapsed < 30.0,
@@ -120,7 +120,7 @@ def test_criterion_02_tfim_margins(tfim10_sweep):
     _report(
         2,
         report.passed and elapsed < 300.0,
-        f"worst margin {worst:.3e} over {len(report.rows)} points "
+        f"worst margin {worst:.3e} over {report.bounds.size} points "
         f"(slack -1e-9), {elapsed:.1f}s (budget 300s)",
     )
 

@@ -384,6 +384,6 @@ def test_every_bound_is_covariant_under_rescaling_the_couplings(
         scaled_sweep = free_fermion_sweep(
             _scaled(model, s), op, [oq], [t / size for t in times]
         )
-        assert [p.value for p in scaled_sweep.points] == pytest.approx(
-            [p.value for p in sweep.points], abs=1e-12
+        assert scaled_sweep.points.tolist() == pytest.approx(
+            sweep.points.tolist(), abs=1e-12
         )

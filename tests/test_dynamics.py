@@ -14,7 +14,6 @@ from scipy.special import jv
 from lemma_checks import derivative_identity_check
 from lrlab.dynamics import (
     SimulationSweep,
-    SweepPoint,
     _commutator_norm_fn,
     check_sweep,
     commutator_norm_sweep,
@@ -74,7 +73,7 @@ def test_sweep_matches_direct_computation(tfim5_sweep):
         q_full = embed_dense(oq.payload, oq.support.sites, dims)
         (a_t,) = heisenberg_evolve(p_full, dec, (t,))
         expected = spectral_norm(commutator(a_t, q_full))
-        got = next(p.value for p in sweep.points if p.d == d and p.t == t)
+        got = sweep.values[sweep.times.index(t), sweep.separations.index(d)]
         assert got == pytest.approx(expected, abs=1e-11)
 
 
@@ -107,7 +106,7 @@ def test_sweep_oq_agrees_with_direct(model, op_sites, op_payload, oq_sites, oq_p
     q_full = embed_dense(oq_payload, oq_sites, dims)
     expected = spectral_norm(commutator(a_t, q_full))
     assert expected > 1e-2  # the comparison is not between two zeros
-    assert sweep.points[0].value == pytest.approx(expected, abs=1e-11)
+    assert sweep.values[0, 0] == pytest.approx(expected, abs=1e-11)
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,8 +137,8 @@ def test_sweep_dense_two_site_oq_matches_dense_oracle(kind, seed):
     ]
     scale = spectral_norm(op.payload) * spectral_norm(oq.payload)
     assert max(expected) > 1e-3 * scale  # the comparison is not between zeros
-    for point, value in zip(sweep.points, expected, strict=True):
-        assert abs(point.value - value) <= 1e-11 * scale
+    for got, value in zip(sweep.values[:, 0], expected, strict=True):
+        assert abs(got - value) <= 1e-11 * scale
 
 
 def _dense_sweep_oracle(model, op, oqs, times, projector_diag=None):
@@ -245,12 +244,14 @@ def test_structured_sweep_matches_dense_oracle(kind, seed, cap):
     times = (0.0, 0.37, 1.3)
     sweep = commutator_norm_sweep(model, op, oqs, times, occupation_cap=cap)
     oracle = _dense_sweep_oracle(model, op, oqs, times, keep)
-    for point, expected in zip(sweep.points, oracle):
-        oq = next(o for o in oqs if o.label == point.oq)
+    # The oracle's norms run t-major, like the flat view of the grid.
+    for value, oq, expected in zip(
+        sweep.points, oqs * len(times), oracle, strict=True
+    ):
         scale = spectral_norm(op.payload) * spectral_norm(oq.payload)
         # Never below the oracle: an under-estimated norm hides violations.
-        assert point.value >= expected - 1e-12
-        assert abs(point.value - expected) <= 1e-11 * scale
+        assert value >= expected - 1e-12
+        assert abs(value - expected) <= 1e-11 * scale
 
 
 def test_two_valued_route_reads_half_blocks_per_sector_against_dense_oracle():
@@ -328,10 +329,8 @@ def test_free_fermion_sweep_matches_structured_sweep(length, j, g, p, q_mask, ti
     assert fast.separations == oracle.separations
     assert fast.times == oracle.times
     assert fast.hilbert_dim == oracle.hilbert_dim
-    assert len(fast.points) == len(oracle.points)
-    for got, want in zip(fast.points, oracle.points):
-        assert (got.d, got.t, got.oq) == (want.d, want.t, want.oq)
-        assert abs(got.value - want.value) <= 1e-12
+    assert fast.values.shape == oracle.values.shape == (len(times), len(oqs))
+    assert np.abs(fast.values - oracle.values).max() <= 1e-12
 
 
 def test_free_fermion_sweep_rejects_other_models_and_observables():
@@ -359,7 +358,7 @@ def test_exact_sweep_is_the_full_space_sweep_off_the_free_fermion_route(cap):
     times = (0.0, 0.3, 0.6)
     got = exact_sweep(model, op, oqs, times, occupation_cap=cap)
     want = commutator_norm_sweep(model, op, oqs, times, occupation_cap=cap)
-    assert got.points == want.points
+    np.testing.assert_array_equal(got.values, want.values)
     assert got == want
 
 
@@ -368,7 +367,9 @@ def test_exact_sweep_takes_the_free_fermion_route_for_tfim_z():
     oqs = [_z(model, s) for s in (0, 3, 5)]
     times = (0.0, 0.5, 1.5)
     got = exact_sweep(model, _z(model, 2), oqs, times, occupation_cap=1)
-    assert got == free_fermion_sweep(model, _z(model, 2), oqs, times)
+    want = free_fermion_sweep(model, _z(model, 2), oqs, times)
+    np.testing.assert_array_equal(got.values, want.values)
+    assert got == want
 
 
 def _majorana_pair(x, y):
@@ -421,7 +422,7 @@ def test_free_fermion_sweep_matches_bessel_rows_at_128_sites(s):
         sweep = free_fermion_sweep(
             model, _z(model, p), [_z(model, q) for q in q_sites], times
         )
-        got = np.array([pt.value for pt in sweep.points]).reshape(len(times), -1)
+        got = sweep.values
         want = [_majorana_norms(_bessel_rows(length, s, p, t), q_sites) for t in times]
         assert got.max() > 1.0  # the comparison is not between zeros
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
@@ -495,37 +496,40 @@ def test_exact_sweep_refuses_a_negative_occupation_cap_on_both_routes(route):
 
 def test_sweep_at_zero_time_is_static_commutator(tfim5_sweep):
     model, op, oqs, sweep = tfim5_sweep
-    for p in sweep.points:
-        if p.t == 0.0:
-            assert p.value <= 1e-12  # disjoint supports commute
+    at_zero = sweep.values[np.equal(sweep.times, 0.0)]
+    assert at_zero.size
+    assert at_zero.max() <= 1e-12  # disjoint supports commute
 
 
 def test_sweep_decays_with_distance_before_the_front(tfim5_sweep):
     model, op, oqs, sweep = tfim5_sweep
     t = 0.5
-    vals = [next(p.value for p in sweep.points if p.d == d and p.t == t) for d in (2, 3, 4)]
+    k = sweep.times.index(t)
+    vals = [sweep.values[k, sweep.separations.index(d)] for d in (2, 3, 4)]
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_sweep_curve_accessor(tfim5_sweep):
+def test_sweep_grid_is_times_by_observables(tfim5_sweep):
     model, op, oqs, sweep = tfim5_sweep
-    ts, vals = sweep.curve("Z@3")
-    assert ts == sweep.times
-    assert len(vals) == len(ts)
+    vals = sweep.values[:, sweep.oq_labels.index("Z@3")]
+    assert sweep.values.shape == (len(sweep.times), len(oqs))
+    assert len(vals) == len(sweep.times)
     assert all(v >= 0.0 for v in vals)
 
 
 def test_curve_and_velocity_keep_observables_at_equal_separation_apart():
     # Z@1 and Z@5 both sit 2 sites from Z@3 on a 7-site chain; each has its
-    # own curve and its own cone crossing.
+    # own column of the grid and its own cone crossing.
     model = build_tfim(7)
     op = observable_from_sites(model, (3,), PAULI_Z, "Z@3")
     oqs = [observable_from_sites(model, (s,), PAULI_Z, f"Z@{s}") for s in range(7)]
-    sweep = commutator_norm_sweep(model, op, oqs, [0.25 * k for k in range(13)])
+    times = [0.25 * k for k in range(13)]
+    sweep = commutator_norm_sweep(model, op, oqs, times)
+    assert sweep.times == tuple(times)
     for label in ("Z@1", "Z@5"):
-        ts, vals = sweep.curve(label)
-        assert ts == sweep.times
-        assert vals == tuple(p.value for p in sweep.points if p.oq == label)
+        i = sweep.oq_labels.index(label)
+        # The flat t-major view holds the column at stride n_Q.
+        np.testing.assert_array_equal(sweep.points[i :: len(oqs)], sweep.values[:, i])
     est = extract_velocity(sweep, threshold=1e-3)
     assert [d for d, _ in est.crossings] == sorted(sweep.separations)
     # Z@1 and Z@5 cross together, by mirror symmetry.
@@ -543,25 +547,19 @@ def test_dicke_cross_layer_commutator_vanishes():
     near = observable_from_sites(model, (3,), PAULI_X, "X@spin1")
     far = observable_from_sites(model, (5,), PAULI_X, "X@spin2")
     sweep = commutator_norm_sweep(model, op, [near, far], (0.7, 1.9))
-    near_vals = sweep.curve("X@spin1")[1]
-    far_vals = sweep.curve("X@spin2")[1]
+    near_vals, far_vals = sweep.values.T
     assert min(near_vals) > 0.5
     assert max(far_vals) <= 1e-12
 
 
 def _synthetic_sweep(v_true, ds, times):
-    labels = [f"B{d}.{k}" for k, d in enumerate(ds)]
-    points = []
-    for d, oq in zip(ds, labels):
-        for t in times:
-            val = max(0.0, 0.1 * (t - d / v_true))
-            points.append(SweepPoint(d=d, t=t, value=val, oq=oq))
+    values = [[max(0.0, 0.1 * (t - d / v_true)) for d in ds] for t in times]
     return SimulationSweep(
         op_label="A",
-        oq_labels=tuple(labels),
+        oq_labels=tuple(f"B{d}.{k}" for k, d in enumerate(ds)),
         separations=tuple(ds),
         times=tuple(times),
-        points=tuple(points),
+        values=np.array(values).reshape(len(times), len(ds)),
         hilbert_dim=0,
     )
 
@@ -593,17 +591,12 @@ def test_extract_velocity_needs_two_crossing_times():
     # Three separations cross, but all at one interpolated time: a fit
     # through one t has no slope, and polyfit would return one anyway.
     ds = (3, 4, 5)
-    points = tuple(
-        SweepPoint(d=d, t=t, value=v, oq=f"B{d}")
-        for d in ds
-        for t, v in ((0.0, 0.0), (1.0, 0.25), (2.0, 0.5))
-    )
     sweep = SimulationSweep(
         op_label="A",
         oq_labels=tuple(f"B{d}" for d in ds),
         separations=ds,
         times=(0.0, 1.0, 2.0),
-        points=points,
+        values=np.repeat([[0.0], [0.25], [0.5]], len(ds), axis=1),
         hilbert_dim=0,
     )
     with pytest.raises(ValueError, match="cone not resolved: every crossing at t = 1.5"):
@@ -622,7 +615,7 @@ def test_extract_velocity_leaves_out_observables_already_past_the_threshold():
     assert [d for d, _ in est.crossings] == [3, 4, 5, 6, 7, 8]
     assert est.v_emp == pytest.approx(4.1068, abs=1e-4)
     late = free_fermion_sweep(model, _z(model, 0), oqs, np.linspace(1.0, 3.0, 41))
-    assert sum(late.curve(oq.label)[1][0] >= 1e-6 for oq in oqs) == 5
+    assert np.count_nonzero(late.values[0] >= 1e-6) == 5
     with pytest.raises(ValueError, match="only 1 separations crossed threshold 1e-06"):
         extract_velocity(late, threshold=1e-6)
 
@@ -634,7 +627,7 @@ def test_verify_bound_margins_and_exclusion():
         sweep, {"flat": lambda t, d: 1.0}, min_separation=1, slack=1e-9
     )
     assert report.excluded_separations == (1,)
-    assert {r.d for r in report.rows} == {2, 3}
+    assert {d for _, d, *_ in report.rows()} == {2, 3}
     assert report.passed
     assert report.worst_margin() <= 1.0
 
@@ -649,6 +642,99 @@ def test_verify_bound_fails_below_the_measured_norms():
     )
     assert honest.passed
     assert not low.passed
+
+
+def _verify_bound_per_point(sweep, bound_fns, min_separation, slack):
+    """The scoring of `verify_bound` one point at a time, as it was before
+    the grid: (rows, passed, worst margin, excluded separations), the rows
+    by method, then t, then O_Q.  An empty time grid has no points, and
+    this oracle then excludes no separation."""
+    n = len(sweep.oq_labels)
+    points = [
+        (sweep.separations[k % n], sweep.times[k // n], v, sweep.oq_labels[k % n])
+        for k, v in enumerate(sweep.points.tolist())
+    ]
+    excluded = tuple(sorted(set(d for d, *_ in points if d <= min_separation)))
+    rows = []
+    for method, fn in sorted(bound_fns.items()):
+        for d, t, value, oq in points:
+            if d <= min_separation:
+                continue
+            bound = float(fn(t, oq))
+            rows.append((method, d, t, value, bound, bound - value, oq))
+    passed = all(r[5] >= -slack for r in rows)
+    worst = min((r[5] for r in rows), default=float("inf"))
+    return rows, passed, worst, excluded
+
+
+_finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_t=st.integers(1, 4),
+    seps=st.lists(st.integers(0, 5), max_size=5),
+    data=st.data(),
+    min_separation=st.integers(-1, 6),
+    methods=st.dictionaries(
+        st.sampled_from(["closed_form", "observable", "series_exact_cn", "z"]),
+        st.tuples(_finite, _finite, st.dictionaries(st.sampled_from("abc"), _finite)),
+        max_size=3,
+    ),
+    slack=st.sampled_from([0.0, 1e-9, 0.5]),
+)
+def test_verify_bound_scores_the_grid_like_the_per_point_loop(
+    n_t, seps, data, min_separation, methods, slack
+):
+    # Labels drawn from a small alphabet repeat, and so do separations.
+    oq_labels = data.draw(
+        st.lists(st.sampled_from("abc"), min_size=len(seps), max_size=len(seps))
+    )
+    grid = data.draw(
+        st.lists(
+            st.floats(0.0, 5.0), min_size=n_t * len(seps), max_size=n_t * len(seps)
+        )
+    )
+    sweep = SimulationSweep(
+        op_label="P",
+        oq_labels=tuple(oq_labels),
+        separations=tuple(seps),
+        times=tuple(0.5 * k for k in range(n_t)),
+        values=np.array(grid).reshape(n_t, len(seps)),
+        hilbert_dim=0,
+    )
+    calls = []
+
+    def bound_fn(name, a, b, per_label):
+        def fn(t, oq):
+            calls.append((name, t, oq))
+            return a + b * t + per_label.get(oq, 0.0)
+
+        return fn
+
+    fns = {name: bound_fn(name, *spec) for name, spec in methods.items()}
+    report = verify_bound(sweep, fns, min_separation=min_separation, slack=slack)
+    got_calls = calls.copy()
+    calls.clear()
+    rows, passed, worst, excluded = _verify_bound_per_point(
+        sweep, fns, min_separation, slack
+    )
+    # One call per scored point, in the oracle's order.
+    assert got_calls == calls
+    assert list(report.rows()) == rows
+    assert report.passed is passed
+    assert report.worst_margin() == worst
+    assert report.excluded_separations == excluded
+
+
+def test_sweep_points_count_times_by_observables_on_both_routes():
+    # The benchmark's tracer counts a sweep's points as len(sweep.points).
+    model = build_tfim(6)
+    op, oqs = _z(model, 0), [_z(model, s) for s in (2, 3, 5)]
+    times = (0.0, 0.4, 0.8, 1.2)
+    for route in (free_fermion_sweep, commutator_norm_sweep):
+        sweep = route(model, op, oqs, times)
+        assert len(sweep.points) == len(times) * len(oqs) == 12
 
 
 def test_derivative_identity_tfim():

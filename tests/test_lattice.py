@@ -276,6 +276,65 @@ def test_tfim_adjacency_structure():
     assert noncommuting_adjacency(model, projected=True).projected is True
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    supports=st.lists(
+        st.sets(st.integers(0, 7), min_size=1, max_size=3), min_size=1, max_size=8
+    ),
+    pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=10),
+    query=st.sets(st.integers(0, 7), min_size=1, max_size=3),
+)
+def test_indexed_touching_and_pairs_meeting_match_a_full_scan(supports, pairs, query):
+    # Pairs in a random insertion order, ids past the last term included;
+    # pairs_meeting keeps the insertion order of pair_norms.
+    regions = {
+        g: SupportRegion(sites=tuple(sorted(s)), diameter=0)
+        for g, s in enumerate(supports)
+    }
+    adj = lattice.NoncommutingAdjacency(
+        zmap={g: frozenset() for g in regions},
+        supports=regions,
+        pair_norms=dict.fromkeys(pairs, 1.0),
+        projected=False,
+    )
+    target = SupportRegion(sites=tuple(sorted(query)), diameter=0)
+    near = frozenset(g for g, r in regions.items() if regions_overlap(r, target))
+    assert adj.touching(target) == near
+    assert adj.pairs_meeting(target) == [
+        (i, j) for i, j in adj.pair_norms if i in near or j in near
+    ]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [build_tfim(7), build_commuting_ising(5), build_dicke_chain(3, truncation=2)],
+    ids=["tfim", "commuting_ising", "dicke"],
+)
+def test_adjacency_visits_only_overlapping_pairs_and_keeps_the_full_scan(
+    model, monkeypatch
+):
+    # Every cross-family pair, in the same order, against the pairs visited.
+    terms, n0 = model.terms, len(model.family0)
+    full, overlapping = {}, 0
+    for i in range(n0):
+        for j in range(n0, len(terms)):
+            overlapping += regions_overlap(terms[i].support, terms[j].support)
+            nrm = pair_commutator_norm(model, terms[i], terms[j])
+            if nrm > lattice.NONCOMMUTING_TOL:
+                full[(i, j)] = nrm
+    visited = []
+
+    def recorded(model, a, b, projected=False):
+        visited.append(regions_overlap(a.support, b.support))
+        return pair_commutator_norm(model, a, b, projected)
+
+    monkeypatch.setattr(lattice, "pair_commutator_norm", recorded)
+    adj = noncommuting_adjacency(model)
+    assert list(adj.pair_norms.items()) == list(full.items())
+    assert all(visited)
+    assert len(visited) == overlapping
+
+
 def _constants(model, lam=None):
     return compute_bound_constants(model, noncommuting_adjacency(model), lam=lam)
 
