@@ -12,6 +12,12 @@ does not see d, so at far d and small t it can exceed the closed form (TFIM,
 L = 64, t <= 6: 25 of 3,660 rows, t = 0.1-0.4, d = 52-62, series 1e-10 to
 9e-10).  ROADMAP.md item 2 makes the tail reach-aware.
 
+`series_bound` takes a time grid and one chain table per O_Q and returns the
+(T, n_Q) grid of values: the certified order and its tail depend on t alone,
+so each is found once per time.  The closed forms stay one value per call,
+by `math.exp`, whose OverflowError is how an overflowing bound fails (exit 3
+in the CLI) and whose last bit `np.exp` does not always reproduce.
+
 K and Q are bare commutator norms (see `lattice.compute_bound_constants`):
 the couplings enter every rate here once, as |h0 h1|, one coupling per order
 of t, so bound(sH, t/s) = bound(H, t).
@@ -26,7 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .chains import ChainCountTable
+import numpy as np
+
 from .lattice import BoundConstants, ObservableConditions
 from .operators import NumericalError
 
@@ -48,13 +55,12 @@ def _tails(x: float):
 def _certified_order(consts: BoundConstants, t: float, tol: float):
     """(N, R_N): the smallest order N whose certified tail M R_N drops below
     `tol`, and R_N itself."""
-    tails = _tails(consts.gamma * _series_rate(consts) * abs(t))
-    n, tail = 0, next(tails)
-    while consts.M * tail >= tol:
-        n, tail = n + 1, next(tails)
-        if n > 10_000:
+    for n, tail in enumerate(_tails(consts.gamma * _series_rate(consts) * abs(t))):
+        # `not >=`: a NaN product (M = 0 times an infinite R_n) stops here too.
+        if not consts.M * tail >= tol:
+            return n, tail
+        if n == 10_000:
             raise NumericalError("series tail does not certify; tolerance too tight")
-    return n, tail
 
 
 def series_terms_needed(consts: BoundConstants, t: float, tol: float) -> int:
@@ -64,29 +70,41 @@ def series_terms_needed(consts: BoundConstants, t: float, tol: float) -> int:
 
 def series_bound(
     consts: BoundConstants,
-    table: ChainCountTable,
-    t: float,
+    tables,
+    times,
     tol: float,
-) -> float:
-    """Exact-coefficient partial sum plus the certified envelope tail.
+) -> np.ndarray:
+    """values[k, j]: the exact-coefficient partial sum of tables[j] at
+    times[k] plus the certified envelope tail.
 
-    Raises if the table is too short for the requested tolerance at this t,
-    naming the order that would be needed.
+    The certified order N and its tail R_N depend on t alone, so each is
+    found once per time; the partial sums of every table then grow over the
+    (T,) column one order at a time, each value by the operations of the
+    one-point sum, in its order.  Raises if a table is too short for the
+    requested tolerance at a t, naming the order that would be needed.
     """
-    n_needed, tail = _certified_order(consts, t, tol)
-    if n_needed > table.n_max:
-        raise NumericalError(
-            f"chain table covers orders <= {table.n_max}; tolerance {tol} at "
-            f"t = {t} needs orders through n = {n_needed}"
-        )
-    rate = _series_rate(consts)
-    total = 0.0
-    term = 1.0  # rate^n t^n / n!
-    for n in range(n_needed + 1):
-        if n > 0:
-            term *= rate * abs(t) / n
-        total += term * table.counts[n]
-    return consts.M * (total + tail)
+    orders, tails = np.zeros(len(times), dtype=int), np.zeros(len(times))
+    for k, t in enumerate(times):
+        orders[k], tails[k] = _certified_order(consts, t, tol)
+        for table in tables:
+            if orders[k] > table.n_max:
+                raise NumericalError(
+                    f"chain table covers orders <= {table.n_max}; tolerance "
+                    f"{tol} at t = {t} needs orders through n = {orders[k]}"
+                )
+    x = _series_rate(consts) * np.abs(np.array(times, dtype=float))
+    term = np.ones(len(times))  # rate^n t^n / n!
+    total = np.zeros((len(times), len(tables)))
+    # Python floats overflow to inf, and make NaN of inf * 0, silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(orders.max(initial=-1) + 1):
+            if n > 0:
+                term *= x / n
+            live = orders >= n
+            # Each table's c_n, as the float that `term * c_n` takes.
+            c_n = np.array([float(table.counts[n]) for table in tables])
+            total[live] += term[live, None] * c_n
+        return consts.M * (total + tails[:, None])
 
 
 def _light_cone(consts: BoundConstants, k: float, t: float, d: int) -> float:

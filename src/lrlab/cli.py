@@ -74,7 +74,7 @@ def _constants(cfg: RunConfig, model):
 
 
 def _observables(cfg: RunConfig):
-    """(model, O_P, the O_Q list, each O_Q's separation from O_P by label)."""
+    """(model, O_P, the O_Q list, each O_Q's separation from O_P)."""
     from .lattice import observable_from_sites, region_distance
     from .models import PAULI_X, PAULI_Y, PAULI_Z
 
@@ -100,9 +100,7 @@ def _observables(cfg: RunConfig):
     op = one(o.op_site, o.op_pauli, "op_site")
     oq_sites = o.oq_sites or (n - 1,)
     oqs = [one(s, o.oq_pauli, "oq_sites", i) for i, s in enumerate(oq_sites)]
-    seps = {
-        oq.label: region_distance(model.graph, op.support, oq.support) for oq in oqs
-    }
+    seps = [region_distance(model.graph, op.support, oq.support) for oq in oqs]
     return model, op, oqs, seps
 
 
@@ -110,12 +108,21 @@ def _observables(cfg: RunConfig):
 _BEYOND_R = {"observable", "bounded_reference"}
 
 
-def _check_methods(cfg: RunConfig, model, op, oqs, seps, verify: bool) -> None:
+def _check_methods(cfg: RunConfig, model, op, oqs, seps, verify: bool) -> dict:
     """Raise the refusals of a bound or verify run that its model and
-    observables decide.  Separations d <= R are not scored, and the
-    `_BEYOND_R` methods write no row there and need v_LR > 0 beyond it."""
+    observables decide, and return each method's columns: the indices of
+    the O_Q it gets bounds for.
+
+    The one rule for bound cells: a `_BEYOND_R` method covers only the O_Q
+    at d > R, where it holds (and where it needs v_LR > 0), and so does
+    every method of `verify`, which scores only there; the others cover
+    every O_Q.
+    """
     R = model.locality_radius
-    if max(seps.values()) <= R and (verify or set(cfg.methods) <= _BEYOND_R):
+    far = tuple(i for i, d in enumerate(seps) if d > R)
+    every = far if verify else tuple(range(len(oqs)))
+    columns = {m: far if m in _BEYOND_R else every for m in cfg.methods}
+    if not any(columns.values()):
         what = "verify would score no point" if verify else (
             f"methods {sorted(cfg.methods)} would write no value")
         raise invalid(("observables", "oq_sites"),
@@ -129,10 +136,11 @@ def _check_methods(cfg: RunConfig, model, op, oqs, seps, verify: bool) -> None:
         from .dynamics import check_sweep
 
         check_sweep(model, (op, *oqs))
-    if model.decoupled and _BEYOND_R & set(cfg.methods) and max(seps.values()) > R:
+    if model.decoupled and any(columns[m] for m in _BEYOND_R & columns.keys()):
         from .lattice import ZERO_VELOCITY_REFUSAL
 
         raise ValueError(ZERO_VELOCITY_REFUSAL)
+    return columns
 
 
 def _cmd_check(cfg: RunConfig) -> int:
@@ -195,76 +203,63 @@ def _cmd_chains(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _bound_functions(cfg: RunConfig, model, adj, consts, op, oqs, seps):
-    """Per-method (t, oq_label) -> bound callables for observables that
-    `_check_methods` passed; each O_Q gets its own chain table and conditions."""
-    from .bounds import (
-        bounded_reference_bound,
-        closed_form_bound,
-        observable_bound,
-        series_bound,
-        series_terms_needed,
-    )
+def _bound_grid(cfg: RunConfig, model, adj, consts, op, oqs, seps, columns):
+    """{method: values}, values[k, j] the method's bound at the k-th time on
+    oqs[columns[method][j]], for the columns `_check_methods` returned; each
+    covered O_Q gets its own chain table and conditions."""
+    import numpy as np
+
+    from . import bounds
     from .chains import count_chains_dp
     from .lattice import observable_conditions
     from .operators import spectral_norm
 
-    fns = {}
-
-    if "closed_form" in cfg.methods:
-        fns["closed_form"] = lambda t, label: closed_form_bound(consts, t, seps[label])
-
-    if "series_exact_cn" in cfg.methods:
+    times = cfg.time_grid.times()
+    if "series_exact_cn" in columns:
         start = model.term_id(op)
-        t_max = max(abs(t) for t in cfg.time_grid.times())
-        n_max = series_terms_needed(consts, t_max, cfg.series_tol)
-        tables = {
-            oq.label: count_chains_dp(adj, start, oq.support, n_max) for oq in oqs
-        }
-        fns["series_exact_cn"] = lambda t, label: series_bound(
-            consts, tables[label], t, tol=cfg.series_tol
-        )
+        n_max = bounds.series_terms_needed(consts, max(map(abs, times)), cfg.series_tol)
+        tables = [count_chains_dp(adj, start, oqs[i].support, n_max)
+                  for i in columns["series_exact_cn"]]
+    # Both `_BEYOND_R` methods cover the same O_Q, those at d > R.
+    far = columns.get("observable", columns.get("bounded_reference", ()))
+    conds = {i: observable_conditions(model, op, oqs[i], consts, adj) for i in far}
+    if "bounded_reference" in columns:
+        op_norm, *oq_norms = [spectral_norm(o.payload, structure="hermitian")
+                              for o in (op, *oqs)]
 
-    if "observable" in cfg.methods or "bounded_reference" in cfg.methods:
-        conds = {
-            oq.label: observable_conditions(model, op, oq, consts, adj)
-            for oq in oqs
-            if seps[oq.label] > consts.R
-        }
-        if "observable" in cfg.methods:
-            fns["observable"] = lambda t, label: observable_bound(
-                consts, conds[label], t
-            )
-        if "bounded_reference" in cfg.methods:
-            op_norm = spectral_norm(op.payload, structure="hermitian")
-            oq_norms = {
-                oq.label: spectral_norm(oq.payload, structure="hermitian")
-                for oq in oqs
-            }
-            fns["bounded_reference"] = lambda t, label: bounded_reference_bound(
-                consts, op_norm, oq_norms[label], conds[label].n_P, t, seps[label]
-            )
-    return fns
+    grid = {}
+    for method, cols in sorted(columns.items()):
+        if method == "series_exact_cn":
+            values = bounds.series_bound(consts, tables, times, cfg.series_tol)
+        elif method == "closed_form":
+            values = [[bounds.closed_form_bound(consts, t, seps[i]) for i in cols]
+                      for t in times]
+        elif method == "observable":
+            values = [[bounds.observable_bound(consts, conds[i], t) for i in cols]
+                      for t in times]
+        else:
+            values = [[bounds.bounded_reference_bound(
+                consts, op_norm, oq_norms[i], conds[i].n_P, t, seps[i])
+                for i in cols] for t in times]
+        grid[method] = np.array(values).reshape(len(times), len(cols))
+    return grid
 
 
 def _cmd_bound(cfg: RunConfig, out: Path) -> int:
     model, op, oqs, seps = _observables(cfg)
-    _check_methods(cfg, model, op, oqs, seps, verify=False)
+    columns = _check_methods(cfg, model, op, oqs, seps, verify=False)
     adj, consts = _constants(cfg, model)
-    fns = _bound_functions(cfg, model, adj, consts, op, oqs, seps)
+    grid = _bound_grid(cfg, model, adj, consts, op, oqs, seps, columns)
     times = cfg.time_grid.times()
     rows = []
-    for method, fn in sorted(fns.items()):
-        for oq in oqs:
-            d = seps[oq.label]
-            if method in _BEYOND_R and d <= consts.R:
-                continue
-            for t in times:
-                rows.append((method, d, float(t), float(fn(t, oq.label)), oq.label))
+    for method, values in grid.items():
+        for i, column in zip(columns[method], values.T.tolist()):
+            oq = oqs[i].label
+            rows.extend((method, seps[i], t, v, oq) for t, v in zip(times, column))
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "bounds.csv", ("method", "d", "t", "value", "oq"), rows)
     write_json(out / "constants.json", consts.as_dict())
-    print(f"wrote {len(rows)} bound values for methods {sorted(fns)}")
+    print(f"wrote {len(rows)} bound values for methods {sorted(grid)}")
     return 0
 
 
@@ -307,11 +302,12 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
     from .dynamics import exact_sweep, extract_velocity, verify_bound
 
     model, op, oqs, seps = _observables(cfg)
-    _check_methods(cfg, model, op, oqs, seps, verify=True)
+    columns = _check_methods(cfg, model, op, oqs, seps, verify=True)
     adj, consts = _constants(cfg, model)
-    fns = _bound_functions(cfg, model, adj, consts, op, oqs, seps)
+    grid = _bound_grid(cfg, model, adj, consts, op, oqs, seps, columns)
     sweep = exact_sweep(model, op, oqs, cfg.time_grid.times(), cfg.occupation_cap)
-    report = verify_bound(sweep, fns, min_separation=consts.R, slack=cfg.slack)
+    (scored,) = set(columns.values())  # the O_Q at d > R, for every method
+    report = verify_bound(sweep, scored, grid, slack=cfg.slack)
 
     try:
         vel = extract_velocity(sweep, threshold=cfg.threshold)
@@ -335,7 +331,7 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
             "slack": report.slack,
             "worst_margin": report.worst_margin(),
             "excluded_separations": list(report.excluded_separations),
-            "methods": sorted(fns),
+            "methods": sorted(grid),
             "row_count": report.bounds.size,
             "constants": consts.as_dict(),
             "velocity": velocity,

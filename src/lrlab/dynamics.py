@@ -8,7 +8,9 @@ Jordan-Wigner they and H are Majorana bilinears, so after one eigh of a
 2L x 2L single-particle matrix each norm is read from two principal angles,
 and the chain can have a thousand sites.  `commutator_norm_sweep` takes any
 model and observables on the full Hilbert space, and is the free-fermion
-sweep's test oracle.
+sweep's test oracle.  `verify_bound` scores the columns it is given (those
+at d > R in a `verify` run, picked by `cli._bound_grid`) against one (T, n)
+bound array per method.
 
 The full-space sweep diagonalizes H once, sector by sector
 (`operators.decompose`, which also checks each sector's reconstruction),
@@ -350,20 +352,17 @@ class VerificationReport:
 
 
 def verify_bound(
-    sweep: SimulationSweep, bound_fns: dict, min_separation: int = 0, *, slack: float
+    sweep: SimulationSweep, columns, bounds: dict, *, slack: float
 ) -> VerificationReport:
-    """Compare measured norms against each named bound function
-    (t, oq_label) -> value, so every point is scored against the bound for
-    its own observable, calling each once per point.
-
-    Separations at or below `min_separation` (typically R) are excluded and
-    reported rather than scored.
-    """
-    columns = tuple(i for i, d in enumerate(sweep.separations) if d > min_separation)
-    labels = [sweep.oq_labels[i] for i in columns]
-    methods = tuple(sorted(bound_fns))
-    bounds = np.array(
-        [[[float(bound_fns[m](t, oq)) for oq in labels] for t in sweep.times]
-         for m in methods]
-    ).reshape(len(methods), len(sweep.times), len(columns))
-    return VerificationReport(slack, sweep, columns, methods, bounds)
+    """Score the sweep's `columns` against each method's bounds,
+    bounds[method][k, j] at sweep.times[k] on the O_Q of column columns[j],
+    so every point is scored against the bound for its own observable.  The
+    other columns (typically those at d <= R) are reported as excluded."""
+    columns, methods = tuple(columns), tuple(sorted(bounds))
+    shape = (len(sweep.times), len(columns))
+    if any(np.shape(bounds[m]) != shape for m in methods):
+        raise ValueError(f"each method's bounds must have the grid's shape {shape}")
+    values = np.array([bounds[m] for m in methods], dtype=float)
+    return VerificationReport(
+        slack, sweep, columns, methods, values.reshape(len(methods), *shape)
+    )

@@ -102,19 +102,17 @@ def test_criterion_02_tfim_margins(tfim10_sweep):
     start = len(model.family0)  # field on site 0
     t_max = max(sweep.times)
     n_max = series_terms_needed(consts, t_max, 1e-9)
-    # O_Q = Z@d sits at separation d from O_P = Z@0.
-    seps = {f"Z@{d}": d for d in range(3, 9)}
-    tables = {
-        oq: count_chains_dp(adj, start, region(model.graph, (d,)), n_max)
-        for oq, d in seps.items()
+    # O_Q = Z@d sits at separation d from O_P = Z@0, every d > R.
+    ds = range(3, 9)
+    assert sweep.separations == tuple(ds) and min(ds) > consts.R
+    tables = [count_chains_dp(adj, start, region(model.graph, (d,)), n_max)
+              for d in ds]
+    bounds = {
+        "closed_form": [[closed_form_bound(consts, t, d) for d in ds]
+                        for t in sweep.times],
+        "series_exact_cn": series_bound(consts, tables, sweep.times, tol=1e-9),
     }
-    fns = {
-        "closed_form": lambda t, oq: closed_form_bound(consts, t, seps[oq]),
-        "series_exact_cn": lambda t, oq: series_bound(
-            consts, tables[oq], t, tol=1e-9
-        ),
-    }
-    report = verify_bound(sweep, fns, min_separation=consts.R, slack=1e-9)
+    report = verify_bound(sweep, range(len(ds)), bounds, slack=1e-9)
     elapsed = sweep_elapsed + (time.perf_counter() - t0)
     worst = report.worst_margin()
     _report(

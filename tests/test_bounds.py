@@ -145,6 +145,29 @@ def test_one_pass_tails_match_their_definition(x, n_last):
     assert list(map(repr, got)) == list(map(repr, want))
 
 
+def _series_outcome(consts, tables, times, tol):
+    # The grid's values by repr, or the error it raised.
+    try:
+        values = series_bound(consts, tables, times, tol)
+    except NumericalError as e:
+        return "error", str(e)
+    return "value", [list(map(repr, row)) for row in values.tolist()]
+
+
+def _series_outcome_by_definition(consts, tables, times, tol):
+    # One point at a time, t-major as `verify` scores: the first point that
+    # raises decides the error.
+    rows = []
+    for t in times:
+        row = [_outcome(_series_by_definition, consts, table, t, tol)
+               for table in tables]
+        for kind, text in row:
+            if kind == "error":
+                return kind, text
+        rows.append([text for _, text in row])
+    return "value", rows
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     k=st.floats(0.0, 4.0),
@@ -152,35 +175,48 @@ def test_one_pass_tails_match_their_definition(x, n_last):
     h0=st.floats(0.1, 2.0),
     h1=st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0)),
     m=st.floats(0.0, 10.0),
-    t=st.floats(-3.0, 3.0),
+    times=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
     tol=st.floats(1e-14, 1e-2),
-    counts=st.lists(st.integers(0, 10**6), min_size=1, max_size=160),
+    tables=st.lists(
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=160),
+        min_size=1,
+        max_size=3,
+    ),
 )
-@example(k=2.0, gamma=2.0, h0=1.0, h1=1.0, m=2.0, t=1e6, tol=1e-9, counts=[1])
-@example(k=2.0, gamma=2.0, h0=1.0, h1=1.0, m=2.0, t=0.0, tol=1e-9, counts=[3])
-def test_one_pass_series_matches_its_definition(k, gamma, h0, h1, m, t, tol, counts):
+@example(k=2.0, gamma=2.0, h0=1.0, h1=1.0, m=2.0, times=[0.5, 1e6, 0.0], tol=1e-9,
+         tables=[[1]])
+@example(k=2.0, gamma=2.0, h0=1.0, h1=1.0, m=2.0, times=[0.0], tol=1e-9,
+         tables=[[3]])
+@example(k=2.0, gamma=2.0, h0=1.0, h1=1.0, m=2.0, times=[0.0, 0.3, -1.1, 0.0],
+         tol=1e-9, tables=[list(range(40)), [0] * 30 + [5] * 10, [7] * 60])
+def test_one_pass_series_matches_its_definition(
+    k, gamma, h0, h1, m, times, tol, tables
+):
     consts = _consts(K=k, gamma=gamma, h0=h0, h1=h1, M=m)
-    table = _table(dict(enumerate(counts)))
-    assert _outcome(series_terms_needed, consts, t, tol) == _outcome(
-        _terms_needed_by_definition, consts, t, tol
-    )
-    assert _outcome(series_bound, consts, table, t, tol) == _outcome(
-        _series_by_definition, consts, table, t, tol
+    tables = [_table(dict(enumerate(counts))) for counts in tables]
+    for t in times:
+        assert _outcome(series_terms_needed, consts, t, tol) == _outcome(
+            _terms_needed_by_definition, consts, t, tol
+        )
+    assert _series_outcome(consts, tables, times, tol) == (
+        _series_outcome_by_definition(consts, tables, times, tol)
     )
 
 
 def test_series_at_time_zero_is_m_times_c0():
     consts = _consts()
     one, zero = _table({0: 1, 1: 0, 2: 0}), _table({0: 0, 1: 0, 2: 0})
-    assert series_bound(consts, one, 0.0, tol=1e-9) == pytest.approx(consts.M)
-    assert series_bound(consts, zero, 0.0, tol=1e-9) == 0.0
+    values = series_bound(consts, [one, zero], [0.0], tol=1e-9)
+    assert values.shape == (1, 2)
+    assert values[0, 0] == pytest.approx(consts.M)
+    assert values[0, 1] == 0.0
 
 
 def test_series_needs_enough_orders():
     consts = _consts()
     short = _table({n: 0 for n in range(4)})
-    with pytest.raises(ValueError, match=r"needs orders through n = \d+"):
-        series_bound(consts, short, 3.0, tol=1e-9)
+    with pytest.raises(ValueError, match=r"at t = 3.0 needs orders through n = \d+"):
+        series_bound(consts, [short], [0.0, 3.0], tol=1e-9)
 
 
 def test_uncertifiable_series_is_a_numerical_error():
@@ -188,7 +224,7 @@ def test_uncertifiable_series_is_a_numerical_error():
     with pytest.raises(NumericalError, match="does not certify"):
         series_terms_needed(consts, 1e6, 1e-9)
     with pytest.raises(NumericalError, match="does not certify"):
-        series_bound(consts, _table({0: 1}), 1e6, tol=1e-9)
+        series_bound(consts, [_table({0: 1})], [0.0, 1e6], tol=1e-9)
 
 
 def test_series_terms_needed_grows_with_time():
@@ -205,8 +241,9 @@ def test_series_dominated_by_closed_form_tfim():
     consts = compute_bound_constants(model, adj)
     d = 4
     table = count_chains_dp(adj, len(model.family0), region(model.graph, (d,)), 60)
-    for t in (0.1, 0.5, 1.0, 2.0):
-        s = series_bound(consts, table, t, tol=1e-12)
+    times = (0.1, 0.5, 1.0, 2.0)
+    series = series_bound(consts, [table], times, tol=1e-12)[:, 0].tolist()
+    for t, s in zip(times, series):
         c = closed_form_bound(consts, t, d)
         assert s <= c * (1.0 + 1e-12)
 
@@ -332,13 +369,14 @@ def _every_bound(model, projected, op, oq, times):
     oq_norm = spectral_norm(oq.payload, structure="hermitian")
     methods = {
         "closed_form": lambda t: closed_form_bound(consts, t, d),
-        "series_exact_cn": lambda t: series_bound(consts, table, t, tol=1e-9),
         "observable": lambda t: observable_bound(consts, cond, t),
         "bounded_reference": lambda t: bounded_reference_bound(
             consts, op_norm, oq_norm, cond.n_P, t, d
         ),
     }
     values = {name: [fn(t) for t in times] for name, fn in methods.items()}
+    series = series_bound(consts, [table], times, 1e-9)
+    values["series_exact_cn"] = series[:, 0].tolist()
     return consts, values
 
 

@@ -328,6 +328,41 @@ def test_cli_runs_the_observable_methods_beyond_r(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "excluded separations d <= R: [2]" in lines
     assert lines[-1] == "PASS"
+    # verify scores the very bytes that bound writes, cell by cell.
+    written = {(r["method"], r["t"], r["oq"]): r["value"] for r in rows}
+    with open(out / "verification.csv", newline="") as f:
+        scored = list(csv.DictReader(f))
+    assert len(scored) == 6 * (4 * 2)
+    for r in scored:
+        assert r["bound"] == written[r["method"], r["t"], r["oq"]]
+
+
+def test_cli_verify_certifies_each_series_order_once_per_time(
+    tmp_path, monkeypatch, capsys
+):
+    # The certified order depends on t alone: verify finds it once per time
+    # for every O_Q, and once more at the largest |t| to size the tables.
+    from lrlab import bounds
+
+    certify = bounds._certified_order
+    calls = []
+
+    def counted(consts, t, tol):
+        calls.append(t)
+        return certify(consts, t, tol)
+
+    monkeypatch.setattr(bounds, "_certified_order", counted)
+    raw = {
+        "model": {"name": "tfim", "length": 12},
+        "observables": {"op_site": 0, "oq_sites": list(range(3, 12))},
+        "time_grid": {"start": 0.0, "stop": 2.0, "points": 21},
+        "methods": ["closed_form", "series_exact_cn"],
+    }
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+    assert 0 < len(calls) <= 21 + 1
 
 
 def test_cli_bound_scores_each_observable_at_equal_separation(tmp_path):
@@ -363,9 +398,9 @@ def test_cli_bound_scores_each_observable_at_equal_separation(tmp_path):
         assert table.counts[10] == {1: 230, 9: 218}[site]
         mine = [r for r in rows if r["oq"] == f"Z@{site}"]
         assert [float(r["t"]) for r in mine] == [0.0, 0.5, 1.0]
-        for r in mine:
-            expected = series_bound(consts, table, float(r["t"]), tol=1e-9)
-            assert float(r["value"]) == pytest.approx(expected, rel=1e-12)
+        times = [float(r["t"]) for r in mine]
+        expected = series_bound(consts, [table], times, tol=1e-9)[:, 0].tolist()
+        assert [float(r["value"]) for r in mine] == pytest.approx(expected, rel=1e-12)
         got[site] = float(mine[-1]["value"])
     assert got[1] > got[9]
 

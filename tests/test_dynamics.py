@@ -623,9 +623,7 @@ def test_extract_velocity_leaves_out_observables_already_past_the_threshold():
 def test_verify_bound_margins_and_exclusion():
     times = [0.5, 1.0]
     sweep = _synthetic_sweep(2.0, (1, 2, 3), times)
-    report = verify_bound(
-        sweep, {"flat": lambda t, d: 1.0}, min_separation=1, slack=1e-9
-    )
+    report = verify_bound(sweep, (1, 2), {"flat": np.ones((2, 2))}, slack=1e-9)
     assert report.excluded_separations == (1,)
     assert {d for _, d, *_ in report.rows()} == {2, 3}
     assert report.passed
@@ -634,14 +632,20 @@ def test_verify_bound_margins_and_exclusion():
 
 def test_verify_bound_fails_below_the_measured_norms():
     sweep = _synthetic_sweep(1.0, (2, 3, 4), [5.0])
-    honest = verify_bound(
-        sweep, {"flat": lambda t, d: 1.0}, min_separation=0, slack=1e-9
-    )
+    honest = verify_bound(sweep, (0, 1, 2), {"flat": np.ones((1, 3))}, slack=1e-9)
     low = verify_bound(
-        sweep, {"flat": lambda t, d: 1e-6}, min_separation=0, slack=1e-9
+        sweep, (0, 1, 2), {"flat": np.full((1, 3), 1e-6)}, slack=1e-9
     )
     assert honest.passed
     assert not low.passed
+
+
+def test_verify_bound_refuses_a_grid_of_another_shape():
+    # Three times by two scored columns: a (2, 3) grid, its transpose, fits
+    # the size but not the shape.
+    sweep = _synthetic_sweep(1.0, (2, 3, 4), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"shape \(3, 2\)"):
+        verify_bound(sweep, (0, 1), {"flat": np.ones((2, 3))}, slack=1e-9)
 
 
 def _verify_bound_per_point(sweep, bound_fns, min_separation, slack):
@@ -703,24 +707,23 @@ def test_verify_bound_scores_the_grid_like_the_per_point_loop(
         values=np.array(grid).reshape(n_t, len(seps)),
         hilbert_dim=0,
     )
-    calls = []
 
-    def bound_fn(name, a, b, per_label):
-        def fn(t, oq):
-            calls.append((name, t, oq))
-            return a + b * t + per_label.get(oq, 0.0)
+    def bound_fn(a, b, per_label):
+        return lambda t, oq: a + b * t + per_label.get(oq, 0.0)
 
-        return fn
-
-    fns = {name: bound_fn(name, *spec) for name, spec in methods.items()}
-    report = verify_bound(sweep, fns, min_separation=min_separation, slack=slack)
-    got_calls = calls.copy()
-    calls.clear()
+    fns = {name: bound_fn(*spec) for name, spec in methods.items()}
+    # The scored columns, and each method's bounds on them, as arrays.
+    columns = tuple(i for i, d in enumerate(seps) if d > min_separation)
+    arrays = {
+        name: np.array(
+            [[fn(t, oq_labels[i]) for i in columns] for t in sweep.times]
+        ).reshape(n_t, len(columns))
+        for name, fn in fns.items()
+    }
+    report = verify_bound(sweep, columns, arrays, slack=slack)
     rows, passed, worst, excluded = _verify_bound_per_point(
         sweep, fns, min_separation, slack
     )
-    # One call per scored point, in the oracle's order.
-    assert got_calls == calls
     assert list(report.rows()) == rows
     assert report.passed is passed
     assert report.worst_margin() == worst
