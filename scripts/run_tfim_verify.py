@@ -11,9 +11,9 @@ Usage:
 The observables are single-site Z, so the sweep is the free-fermion one and
 needs no full Hamiltonian.  With --t-max 6 on 2 cores (OpenBLAS,
 LRLAB_THREADS=1), the run takes about 1.0 s at 128 sites (124 observables,
-61 times), about half of it the series bound's chain tables; 4.1-6.0 s with
-a peak RSS of 90 MB at 512 sites; and 12-14 s with 248 MB at 1024 sites,
-of which the sweep takes about 5 s and the chain tables about half.  The
+61 times), about half of it the series bound's chain tables; 3.9-4.0 s with
+a peak RSS of 86 MB at 512 sites; and 11.4-12.4 s with 240 MB at 1024
+sites, of which the sweep takes about 5 s and the chain tables about half.  The
 series values themselves are one pass over the time grid: 0.05 s at 1024
 sites under cProfile.
 """

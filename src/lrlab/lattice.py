@@ -13,10 +13,13 @@ prefactor M, so flipping a coupling's sign changes no bound.
 
 Each value has one owner.  This module owns the overlap and distance rules
 for support regions (`regions_overlap`, `region_distance`), which `chains`
-and `dynamics` call rather than repeat.  The adjacency records whether it was
-built from interior-projected norms, and the constants and observable
-conditions take that flag from the adjacency they are handed.  The decay
-rate lambda lives in `BoundConstants.lam`, which must be positive and finite.
+and `dynamics` call rather than repeat.  The graph stores neighbours, not
+distances: one early-exit breadth-first search (`_shells`) gives a
+separation d, the connectivity check and the term diameters behind R, when
+they are read.  The adjacency records whether it was built from
+interior-projected norms, and the constants and observable conditions take
+that flag from the adjacency they are handed.  The decay rate lambda lives
+in `BoundConstants.lam`, which must be positive and finite.
 
 All commutator norms are evaluated on the union of the supports involved,
 embedded locally; the full Hilbert space is never materialized here.  Small
@@ -66,15 +69,29 @@ DENSE_UNION_MAX_DIM = 36
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Connected interaction graph with precomputed all-pairs distances."""
+    """Connected interaction graph; `neighbours[s]` is the tuple of sites
+    adjacent to site s.  Distances are taken by breadth-first search when
+    read (`region_distance`), and nothing all-pairs is stored."""
 
     site_count: int
     edges: frozenset
-    distances: np.ndarray = field(repr=False, compare=False)
+    neighbours: tuple = field(repr=False, compare=False)
+
+
+def _shells(graph: InteractionGraph, sources):
+    """The breadth-first shells around `sources`: the set of sites at
+    distance 0 (the sources), then 1, 2, ..., up to the last one reached.
+    A reader stops at the shell it needs."""
+    neighbours, shell = graph.neighbours, set(sources)
+    seen = set(shell)
+    while shell:
+        yield shell
+        shell = {v for u in shell for v in neighbours[u]} - seen
+        seen |= shell
 
 
 def build_graph(site_count: int, edges) -> InteractionGraph:
-    """Validate an edge list and precompute BFS distances.
+    """Validate an edge list and index each site's neighbours.
 
     Single-site graphs may have no edges; anything larger must be connected.
     """
@@ -95,31 +112,17 @@ def build_graph(site_count: int, edges) -> InteractionGraph:
     for a, b in norm_edges:
         adj[a].append(b)
         adj[b].append(a)
-    dist = np.full((site_count, site_count), -1, dtype=np.int64)
-    for src in range(site_count):
-        dist[src, src] = 0
-        queue = [src]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in adj[u]:
-                    if dist[src, v] < 0:
-                        dist[src, v] = dist[src, u] + 1
-                        nxt.append(v)
-            queue = nxt
-    if (dist < 0).any():
+    graph = InteractionGraph(site_count, frozenset(norm_edges), tuple(map(tuple, adj)))
+    if sum(map(len, _shells(graph, (0,)))) < site_count:
         raise ValueError("interaction graph is not connected")
-    return InteractionGraph(
-        site_count=site_count, edges=frozenset(norm_edges), distances=dist
-    )
+    return graph
 
 
 @dataclass(frozen=True)
 class SupportRegion:
-    """A set of sites with its graph diameter."""
+    """A nonempty set of sites, sorted."""
 
     sites: tuple
-    diameter: int
 
 
 def region(graph: InteractionGraph, sites) -> SupportRegion:
@@ -128,13 +131,20 @@ def region(graph: InteractionGraph, sites) -> SupportRegion:
         raise ValueError("support region must be nonempty")
     if sites[0] < 0 or sites[-1] >= graph.site_count:
         raise ValueError(f"sites {sites} outside graph")
-    diam = int(graph.distances[np.ix_(sites, sites)].max())
-    return SupportRegion(sites=sites, diameter=diam)
+    return SupportRegion(sites=sites)
 
 
 def region_distance(graph: InteractionGraph, a: SupportRegion, b: SupportRegion) -> int:
-    """Minimum graph distance between two regions (0 when they overlap)."""
-    return int(graph.distances[np.ix_(a.sites, b.sites)].min())
+    """Minimum graph distance between two regions (0 when they overlap): the
+    first shell around `a` that meets `b`."""
+    return next(d for d, shell in enumerate(_shells(graph, a.sites))
+                if not shell.isdisjoint(b.sites))
+
+
+def _diameter(graph: InteractionGraph, sites) -> int:
+    """Largest graph distance between two of `sites`."""
+    return max(region_distance(graph, SupportRegion((s,)), SupportRegion((t,)))
+               for s in sites for t in sites)
 
 
 def regions_overlap(a: SupportRegion, b: SupportRegion) -> bool:
@@ -179,20 +189,25 @@ class TwoFamilyHamiltonian:
     def coupling(self, family: int) -> float:
         return self.h0 if family == 0 else self.h1
 
+    @cached_property
+    def _terms_on(self) -> dict:
+        """Support sites -> [(global id, payload)] of the terms on them."""
+        on = {}
+        for gid, term in enumerate(self.terms):
+            on.setdefault(term.support.sites, []).append((gid, term.payload))
+        return on
+
     def term_id(self, obs) -> int | None:
         """The global id of the term that is `obs` exactly, or None."""
-        for gid, term in enumerate(self.terms):
-            if term.support.sites == obs.support.sites and np.array_equal(
-                term.payload, obs.payload
-            ):
-                return gid
-        return None
+        return next((gid for gid, payload in self._terms_on.get(obs.support.sites, ())
+                     if np.array_equal(payload, obs.payload)), None)
 
-    @property
+    @cached_property
     def locality_radius(self) -> int:
         """R = 1 + the largest term diameter, from the supports alone: the
         bounds hold at separations d > R (the paper's condition (i))."""
-        return 1 + max((t.support.diameter for t in self.terms), default=0)
+        return 1 + max((_diameter(self.graph, sites) for sites in self._terms_on),
+                       default=0)
 
     @property
     def decoupled(self) -> bool:
@@ -365,11 +380,6 @@ def triple_commutator_norm(model, a, b, c, projected: bool = False) -> float:
 class ValidationReport:
     passed: bool
     failures: tuple
-
-    def __str__(self) -> str:
-        if self.passed:
-            return "structure OK"
-        return "; ".join(self.failures)
 
 
 def validate_two_family(model: TwoFamilyHamiltonian) -> ValidationReport:

@@ -40,6 +40,7 @@ from lrlab.lattice import (
     observable_from_sites,
     pair_commutator_norm,
     region,
+    region_distance,
 )
 from lrlab.models import (
     PAULI_Z,
@@ -220,10 +221,7 @@ def test_criterion_06_chain_counts_dual_route():
             dp = count_chains_dp(adj, start, target, 8)
             bf = count_chains_bruteforce(adj, start, target, 8)
             ok = ok and dp.counts == bf.counts
-            d = min(
-                int(model.graph.distances[a, site])
-                for a in adj.supports[start].sites
-            )
+            d = region_distance(model.graph, adj.supports[start], target)
             for n in range(9):
                 if consts.R * n < d:
                     ok = ok and dp.counts[n] == 0

@@ -67,7 +67,7 @@ def _table(counts, start=0, n_max=None):
     n_max = max(counts) if n_max is None else n_max
     return ChainCountTable(
         start=start,
-        target=SupportRegion(sites=(9,), diameter=0),
+        target=SupportRegion(sites=(9,)),
         n_max=n_max,
         counts=dict(counts),
     )

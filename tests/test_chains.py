@@ -110,7 +110,7 @@ def _random_adjacency(rng):
     supports = {}
     for i in range(total):
         sites = tuple(sorted(rng.choice(6, size=int(rng.integers(1, 3)), replace=False)))
-        supports[i] = SupportRegion(sites=sites, diameter=0)
+        supports[i] = SupportRegion(sites=sites)
     zsets = {i: set() for i in range(total)}
     pair_norms = {}
     for i in range(n0):
@@ -134,9 +134,7 @@ def test_dp_equals_bruteforce_random_structures(seed):
 
     rng = np.random.default_rng(seed)
     adj = _random_adjacency(rng)
-    target = SupportRegion(
-        sites=tuple(sorted(rng.choice(6, size=2, replace=False))), diameter=0
-    )
+    target = SupportRegion(sites=tuple(sorted(rng.choice(6, size=2, replace=False))))
     nu = adj.nu
     for start in adj.zmap:
         dp = count_chains_dp(adj, start, target, 5)
@@ -151,11 +149,11 @@ def test_dp_equals_bruteforce_where_neighbourhoods_overlap():
     # sequence step must count once (a two-family adjacency never shows this).
     adj = NoncommutingAdjacency(
         zmap={i: frozenset({0, 1, 2} - {i}) for i in range(3)},
-        supports={i: SupportRegion(sites=(i,), diameter=0) for i in range(3)},
+        supports={i: SupportRegion(sites=(i,)) for i in range(3)},
         pair_norms={(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0},
         projected=False,
     )
     for site in range(3):
-        target = SupportRegion(sites=(site,), diameter=0)
+        target = SupportRegion(sites=(site,))
         dp = count_chains_dp(adj, 0, target, 7)
         assert dp.counts == count_chains_bruteforce(adj, 0, target, 7).counts

@@ -145,9 +145,10 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["check", "--config", str(tmp_path / "missing.json")]) == 2
 
 
-def test_cli_check_commuting_model(tmp_path):
+def test_cli_check_commuting_model(tmp_path, capsys):
     cfg = _write(tmp_path, {"model": {"name": "commuting_ising", "length": 5}})
     assert cli.main(["check", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "structure OK"
 
 
 def test_cli_constants_writes_json(tmp_path):

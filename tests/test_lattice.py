@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,11 +48,19 @@ from lrlab.operators import (
 )
 
 
+def _site_distance(g, a, b):
+    return region_distance(g, region(g, (a,)), region(g, (b,)))
+
+
 def test_build_graph_path_distances():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert g.distances[0, 3] == 3
-    assert g.distances[2, 2] == 0
-    assert (g.distances == g.distances.T).all()
+    assert _site_distance(g, 0, 3) == 3
+    assert _site_distance(g, 2, 2) == 0
+    assert all(
+        _site_distance(g, a, b) == _site_distance(g, b, a)
+        for a in range(4)
+        for b in range(4)
+    )
 
 
 def test_build_graph_rejects_disconnected():
@@ -66,7 +76,7 @@ def test_build_graph_rejects_self_loop():
 def test_build_graph_single_site_allows_no_edges():
     g = build_graph(1, [])
     assert g.site_count == 1
-    assert g.distances[0, 0] == 0
+    assert _site_distance(g, 0, 0) == 0
 
 
 def test_build_graph_multi_site_requires_edges():
@@ -77,16 +87,114 @@ def test_build_graph_multi_site_requires_edges():
 def test_region_diameter_and_distance():
     g = build_graph(5, [(i, i + 1) for i in range(4)])
     r = region(g, (1, 3))
-    assert r.diameter == 2
+    # The diameter 2 of a term on r gives R = 3.
+    term = LocalTerm(0, 0, r, np.eye(4))
+    model = TwoFamilyHamiltonian(g, (2,) * 5, (term,), (), 1.0, 0.0)
+    assert model.locality_radius == 2 + 1
     assert region_distance(g, r, region(g, (4,))) == 1
     assert region_distance(g, r, region(g, (3, 4))) == 0
 
 
+def _all_pairs_distances(n, edges) -> dict:
+    """Oracle: a breadth-first search from every site; (s, t) -> distance,
+    with no entry where t cannot be reached from s."""
+    adj = {s: set() for s in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    dist = {}
+    for src in range(n):
+        dist[src, src] = 0
+        queue = collections.deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if (src, v) not in dist:
+                    dist[src, v] = dist[src, u] + 1
+                    queue.append(v)
+    return dist
+
+
+@st.composite
+def _connected_graphs(draw):
+    """(site count, edges) of a path, cycle, 2 x k ladder or random tree of
+    at most 12 sites, its sites relabelled at random."""
+    kind = draw(st.sampled_from(["path", "cycle", "ladder", "tree"]))
+    if kind == "ladder":
+        k = draw(st.integers(1, 6))
+        n = 2 * k
+        edges = [(i, i + k) for i in range(k)]
+        edges += [(i + r, i + r + 1) for r in (0, k) for i in range(k - 1)]
+    else:
+        n = draw(st.integers(3 if kind == "cycle" else 1, 12))
+        if kind == "path":
+            edges = [(i, i + 1) for i in range(n - 1)]
+        elif kind == "cycle":
+            edges = [(i, (i + 1) % n) for i in range(n)]
+        else:
+            edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    return n, [(perm[a], perm[b]) for a, b in edges]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=_connected_graphs(), data=st.data())
+def test_distances_and_radius_match_an_all_pairs_bfs(graph, data):
+    n, edges = graph
+    g = build_graph(n, edges)
+    dist = _all_pairs_distances(n, edges)
+    for s in range(n):
+        for t in range(n):
+            assert _site_distance(g, s, t) == dist[s, t]
+    sites = st.sets(st.integers(0, n - 1), min_size=1, max_size=4)
+    a, b = data.draw(sites), data.draw(sites)
+    assert region_distance(g, region(g, a), region(g, b)) == min(
+        dist[s, t] for s in a for t in b
+    )
+    supports = data.draw(st.lists(sites, min_size=1, max_size=4))
+    terms = tuple(
+        LocalTerm(0, i, region(g, sup), np.eye(2 ** len(sup)))
+        for i, sup in enumerate(supports)
+    )
+    model = TwoFamilyHamiltonian(g, (2,) * n, terms, (), 1.0, 0.0)
+    assert model.locality_radius == 1 + max(
+        dist[s, t] for sup in supports for s in sup for t in sup
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=_connected_graphs(), data=st.data())
+def test_build_graph_refuses_exactly_the_disconnected_graphs(graph, data):
+    # Any subset of a connected graph's edges, connected or not.
+    n, edges = graph
+    keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    kept = [e for e, k in zip(edges, keep) if k]
+    dist = _all_pairs_distances(n, kept)
+    if all((0, t) in dist for t in range(n)):
+        assert build_graph(n, kept).site_count == n
+    else:
+        with pytest.raises(ValueError, match="not connected" if kept else "empty"):
+            build_graph(n, kept)
+
+
+def test_build_tfim_holds_no_all_pairs_array():
+    # The graph keeps each site's neighbours; an L x L int64 distance
+    # matrix alone would hold 8.4 MB at L = 1024.
+    tracemalloc.start()
+    try:
+        model = build_tfim(1024)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.graph.site_count == 1024
+    assert held < 4_000_000
+
+
 def test_regions_overlap():
-    a = SupportRegion(sites=(1, 2), diameter=1)
-    assert regions_overlap(a, SupportRegion(sites=(2, 5), diameter=3))
-    assert not regions_overlap(a, SupportRegion(sites=(4, 5), diameter=1))
-    assert regions_overlap(a, SupportRegion(sites=(2,), diameter=0))
+    a = SupportRegion(sites=(1, 2))
+    assert regions_overlap(a, SupportRegion(sites=(2, 5)))
+    assert not regions_overlap(a, SupportRegion(sites=(4, 5)))
+    assert regions_overlap(a, SupportRegion(sites=(2,)))
 
 
 def test_observable_from_sites_rejects_non_hermitian_payload():
@@ -113,7 +221,6 @@ def test_validate_tfim_passes():
     report = validate_two_family(build_tfim(5))
     assert report.passed
     assert report.failures == ()
-    assert str(report) == "structure OK"
 
 
 def test_validate_reports_noncommuting_family_without_raising():
@@ -288,7 +395,7 @@ def test_indexed_touching_and_pairs_meeting_match_a_full_scan(supports, pairs, q
     # Pairs in a random insertion order, ids past the last term included;
     # pairs_meeting keeps the insertion order of pair_norms.
     regions = {
-        g: SupportRegion(sites=tuple(sorted(s)), diameter=0)
+        g: SupportRegion(sites=tuple(sorted(s)))
         for g, s in enumerate(supports)
     }
     adj = lattice.NoncommutingAdjacency(
@@ -297,7 +404,7 @@ def test_indexed_touching_and_pairs_meeting_match_a_full_scan(supports, pairs, q
         pair_norms=dict.fromkeys(pairs, 1.0),
         projected=False,
     )
-    target = SupportRegion(sites=tuple(sorted(query)), diameter=0)
+    target = SupportRegion(sites=tuple(sorted(query)))
     near = frozenset(g for g, r in regions.items() if regions_overlap(r, target))
     assert adj.touching(target) == near
     assert adj.pairs_meeting(target) == [
