@@ -6,7 +6,7 @@ them with `diff -r`.  The runs use the checkout's own `src/` and
 LRLAB_THREADS=1, one at a time:
 
 * check, constants, chains, bound, simulate and verify on every
-  configs/*.json, and on the nine WRITTEN_CONFIGS, written into OUT/configs:
+  configs/*.json, and on the ten WRITTEN_CONFIGS, written into OUT/configs:
   a TFIM with X observables (the structured sweep) and the same with an
   occupation cap (a cap without bosons, on the full-space route); a
   projected Dicke chain with an occupation cap, and the same at 8 spins and
@@ -14,15 +14,17 @@ LRLAB_THREADS=1, one at a time:
   TFIM with all four bound methods, and the same at "lambda": 0.8; a
   12-site TFIM at "chain_order": 60 (sequence counts at depth); a 10-site
   TFIM whose time grid starts at t = 1, where most O_Q are already past the
-  threshold (the velocity fit); and a 10-site TFIM at "g": 0 with the two
-  methods that need v_LR > 0 (bound and verify exit 2);
+  threshold (the velocity fit); a 10-site TFIM at "g": 0 with the two
+  methods that need v_LR > 0 (bound and verify exit 2); and a 96-site TFIM
+  with O_Q from d = 3 to d = 94 (term overlaps and separations at a size
+  where an index and one search differ most from all-pairs scans);
 * the two study scripts in the SCRIPT_RUNS settings: their defaults, union
   norms whose blocks come in many sizes (--truncations 12 16), a capped
   sweep, 60 O_Q at L = 64 (series values and chain tables at depth),
   couplings away from 1 (one negative), four argument errors and a config
   error (each exit 2).
 
-That is 93 runs: 6 commands on 13 configs, and 15 script runs.
+That is 99 runs: 6 commands on 14 configs, and 15 script runs.
 
 OUT/<run>/ holds the run's artifacts (out/), stdout, stderr and exit_code.
 Every path a run sees is relative to its own directory, so two checkouts
@@ -107,6 +109,11 @@ WRITTEN_CONFIGS["tfim_zero_coupling"] = {
     "observables": {"op_site": 0, "oq_sites": [5, 7]},
     "time_grid": {"start": 0.0, "stop": 1.0, "points": 6},
     "methods": ["observable", "bounded_reference"],
+}
+WRITTEN_CONFIGS["tfim_96"] = {
+    "model": {"name": "tfim", "length": 96},
+    "observables": {"op_site": 0, "oq_sites": [3, 10, 30, 60, 94]},
+    "time_grid": {"start": 0.0, "stop": 3.0, "points": 31},
 }
 SCRIPT_RUNS = {
     "dicke_truncation-defaults": ("run_dicke_truncation.py",),

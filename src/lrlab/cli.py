@@ -75,7 +75,7 @@ def _constants(cfg: RunConfig, model):
 
 def _observables(cfg: RunConfig):
     """(model, O_P, the O_Q list, each O_Q's separation from O_P)."""
-    from .lattice import observable_from_sites, region_distance
+    from .lattice import observable_from_sites, region_distances
     from .models import PAULI_X, PAULI_Y, PAULI_Z
 
     model = _model(cfg)
@@ -100,7 +100,7 @@ def _observables(cfg: RunConfig):
     op = one(o.op_site, o.op_pauli, "op_site")
     oq_sites = o.oq_sites or (n - 1,)
     oqs = [one(s, o.oq_pauli, "oq_sites", i) for i, s in enumerate(oq_sites)]
-    seps = [region_distance(model.graph, op.support, oq.support) for oq in oqs]
+    seps = region_distances(model.graph, op.support, [oq.support for oq in oqs])
     return model, op, oqs, seps
 
 
@@ -182,7 +182,7 @@ def _cmd_chains(cfg: RunConfig, out: Path) -> int:
     target = region(model.graph, [s for oq in oqs for s in oq.support.sites])
     table = count_chains_dp(adj, start, target, cfg.chain_order)
     out.mkdir(parents=True, exist_ok=True)
-    d0 = region_distance(model.graph, adj.supports[start], target)
+    d0 = region_distance(model.graph, model.terms[start].support, target)
     rows = [
         (n, table.counts[n], closed_form_chain_bound(consts, n, d0))
         for n in range(cfg.chain_order + 1)

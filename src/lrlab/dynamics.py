@@ -41,7 +41,7 @@ from .lattice import (
     TwoFamilyHamiltonian,
     check_occupation_cap,
     occupation_projector_diagonal,
-    region_distance,
+    region_distances,
 )
 from .models import PAULI_Z, full_hamiltonian, full_space_dim
 # Unused here, but perfbench/tracer.py wraps `commutator` under this name too.
@@ -181,7 +181,7 @@ def _sweep(model, op_p, oq_list, times) -> SimulationSweep:
     """The sweep of `oq_list` at `times`, its values still to be filled."""
     ts = tuple(float(t) for t in times)
     labels = tuple(oq.label for oq in oq_list)
-    seps = tuple(region_distance(model.graph, op_p.support, q.support) for q in oq_list)
+    seps = region_distances(model.graph, op_p.support, [q.support for q in oq_list])
     values = np.zeros((len(ts), len(oq_list)))
     return SimulationSweep(op_p.label, labels, seps, ts, values, model.hilbert_dim)
 

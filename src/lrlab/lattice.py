@@ -11,15 +11,20 @@ Q and the observable conditions carry no coupling.  The couplings enter the
 bounds once, as |h0*h1| in the rates and as the imbalance r in the
 prefactor M, so flipping a coupling's sign changes no bound.
 
-Each value has one owner.  This module owns the overlap and distance rules
-for support regions (`regions_overlap`, `region_distance`), which `chains`
-and `dynamics` call rather than repeat.  The graph stores neighbours, not
-distances: one early-exit breadth-first search (`_shells`) gives a
-separation d, the connectivity check and the term diameters behind R, when
-they are read.  The adjacency records whether it was built from
-interior-projected norms, and the constants and observable conditions take
-that flag from the adjacency they are handed.  The decay rate lambda lives
-in `BoundConstants.lam`, which must be positive and finite.
+Each value has one owner.  The model owns the one site -> term-ids index
+(`TwoFamilyHamiltonian.on_site`), and every "which terms meet here" query
+reads it: `term_id`, the structural check, which visits only overlapping
+same-family pairs, and the adjacency, which visits only overlapping
+cross-family pairs and lends the index to `chains` through its own
+`touching`.  This module owns the distance rule (`region_distance`,
+`region_distances`), which `cli` and `dynamics` call rather than repeat.
+The graph stores neighbours, not distances: one breadth-first search
+(`_shells`) gives a separation d, or every O_Q's separation at once, the
+connectivity check and the term diameters behind R, when they are read.
+The adjacency records whether it was built from interior-projected norms,
+and the constants and observable conditions take that flag from the
+adjacency they are handed.  The decay rate lambda lives in
+`BoundConstants.lam`, which must be positive and finite.
 
 All commutator norms are evaluated on the union of the supports involved,
 embedded locally; the full Hilbert space is never materialized here.  Small
@@ -141,14 +146,17 @@ def region_distance(graph: InteractionGraph, a: SupportRegion, b: SupportRegion)
                 if not shell.isdisjoint(b.sites))
 
 
+def region_distances(graph: InteractionGraph, a: SupportRegion, regions) -> tuple:
+    """`region_distance` from `a` to each of `regions`, read off one
+    breadth-first search from `a`'s sites."""
+    depth = {s: d for d, shell in enumerate(_shells(graph, a.sites)) for s in shell}
+    return tuple(min(depth[s] for s in r.sites) for r in regions)
+
+
 def _diameter(graph: InteractionGraph, sites) -> int:
     """Largest graph distance between two of `sites`."""
     return max(region_distance(graph, SupportRegion((s,)), SupportRegion((t,)))
                for s in sites for t in sites)
-
-
-def regions_overlap(a: SupportRegion, b: SupportRegion) -> bool:
-    return not set(a.sites).isdisjoint(b.sites)
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,7 @@ class TwoFamilyHamiltonian:
     boson_sites: frozenset = frozenset()
     name: str = ""
 
-    @property
+    @cached_property
     def terms(self) -> tuple:
         """All terms, family 0 first; the position is the global term id."""
         return self.family0 + self.family1
@@ -190,24 +198,31 @@ class TwoFamilyHamiltonian:
         return self.h0 if family == 0 else self.h1
 
     @cached_property
-    def _terms_on(self) -> dict:
-        """Support sites -> [(global id, payload)] of the terms on them."""
+    def on_site(self) -> dict:
+        """Site -> ids of the terms whose support holds it, ascending: the
+        one index every term-overlap query reads."""
         on = {}
         for gid, term in enumerate(self.terms):
-            on.setdefault(term.support.sites, []).append((gid, term.payload))
+            for s in term.support.sites:
+                on.setdefault(s, []).append(gid)
         return on
+
+    def touching(self, support: SupportRegion) -> frozenset:
+        """Ids of the terms whose support overlaps `support`."""
+        return frozenset(g for s in support.sites for g in self.on_site.get(s, ()))
 
     def term_id(self, obs) -> int | None:
         """The global id of the term that is `obs` exactly, or None."""
-        return next((gid for gid, payload in self._terms_on.get(obs.support.sites, ())
-                     if np.array_equal(payload, obs.payload)), None)
+        return next((g for g in self.on_site.get(obs.support.sites[0], ())
+                     if self.terms[g].support == obs.support
+                     and np.array_equal(self.terms[g].payload, obs.payload)), None)
 
     @cached_property
     def locality_radius(self) -> int:
         """R = 1 + the largest term diameter, from the supports alone: the
         bounds hold at separations d > R (the paper's condition (i))."""
-        return 1 + max((_diameter(self.graph, sites) for sites in self._terms_on),
-                       default=0)
+        supports = {t.support.sites for t in self.terms}
+        return 1 + max((_diameter(self.graph, sites) for sites in supports), default=0)
 
     @property
     def decoupled(self) -> bool:
@@ -367,8 +382,6 @@ def _block_norm(model, ops, keep, structure) -> float:
 
 
 def pair_commutator_norm(model, a, b, projected: bool = False) -> float:
-    if not regions_overlap(a.support, b.support):
-        return 0.0
     return operator_norm_on_union(model, (a, b), projected=projected)
 
 
@@ -385,48 +398,52 @@ class ValidationReport:
 def validate_two_family(model: TwoFamilyHamiltonian) -> ValidationReport:
     """Check the structural contract; collects failures instead of aborting.
 
-    The intra-family commutator norms embed each payload on its support and
-    take the anti-Hermitian hint, which holds only for Hermitian terms, so an
-    overlapping pair that includes a term whose payload shape does not match
-    its support, or a non-Hermitian term, is reported as not checked rather
-    than measured.
+    Only terms whose supports overlap can fail to commute, so each
+    overlapping same-family pair is visited once, through the model's site
+    index, in the order of the family's terms.  The intra-family commutator
+    norms embed each payload on its support and take the anti-Hermitian
+    hint, which holds only for Hermitian terms, so a pair that includes a
+    term whose payload shape does not match its support, or a non-Hermitian
+    term, is reported as not checked rather than measured.
     """
     failures = []
-    unchecked = {}  # id(term) -> why its pairs are not measured
-    for fam, terms in ((0, model.family0), (1, model.family1)):
-        for term in terms:
-            if term.family != fam:
-                failures.append(f"term {fam}:{term.index} carries family {term.family}")
-            d = math.prod(int(model.site_dims[s]) for s in term.support.sites)
-            if term.payload.shape != (d, d):
+    unchecked = {}  # global id -> why its pairs are not measured
+    terms, n0 = model.terms, len(model.family0)
+    for gid, term in enumerate(terms):
+        fam = int(gid >= n0)
+        if term.family != fam:
+            failures.append(f"term {fam}:{term.index} carries family {term.family}")
+        d = math.prod(int(model.site_dims[s]) for s in term.support.sites)
+        if term.payload.shape != (d, d):
+            failures.append(
+                f"term {fam}:{term.index} payload shape {term.payload.shape} "
+                f"!= support dim {d}"
+            )
+            unchecked[gid] = "payload shape"
+            continue
+        dev = hermiticity_defect(term.payload)
+        if dev is not None:
+            failures.append(
+                f"term {fam}:{term.index} payload not Hermitian (dev {dev:.3e})"
+            )
+            unchecked[gid] = "term not Hermitian"
+    for ga, a in enumerate(terms):
+        fam, end = (0, n0) if ga < n0 else (1, len(terms))
+        for gb in sorted(g for g in model.touching(a.support) if ga < g < end):
+            b = terms[gb]
+            why = unchecked.get(ga) or unchecked.get(gb)
+            if why:
                 failures.append(
-                    f"term {fam}:{term.index} payload shape {term.payload.shape} "
-                    f"!= support dim {d}"
+                    f"family {fam} terms {a.index},{b.index}: commutation "
+                    f"not checked: {why}"
                 )
-                unchecked[id(term)] = "payload shape"
                 continue
-            dev = hermiticity_defect(term.payload)
-            if dev is not None:
+            nrm = pair_commutator_norm(model, a, b)
+            if nrm > INTRA_FAMILY_TOL:
                 failures.append(
-                    f"term {fam}:{term.index} payload not Hermitian (dev {dev:.3e})"
+                    f"family {fam} terms {a.index},{b.index} do not commute "
+                    f"(norm {nrm:.3e})"
                 )
-                unchecked[id(term)] = "term not Hermitian"
-    for fam, terms in ((0, model.family0), (1, model.family1)):
-        for i, a in enumerate(terms):
-            for b in terms[i + 1 :]:
-                why = unchecked.get(id(a)) or unchecked.get(id(b))
-                if why and regions_overlap(a.support, b.support):
-                    failures.append(
-                        f"family {fam} terms {a.index},{b.index}: commutation "
-                        f"not checked: {why}"
-                    )
-                    continue
-                nrm = pair_commutator_norm(model, a, b)
-                if nrm > INTRA_FAMILY_TOL:
-                    failures.append(
-                        f"family {fam} terms {a.index},{b.index} do not commute "
-                        f"(norm {nrm:.3e})"
-                    )
     return ValidationReport(passed=not failures, failures=tuple(failures))
 
 
@@ -435,13 +452,15 @@ class NoncommutingAdjacency:
     """Z_i map: for each global term id, the opposite-family ids it fails to
     commute with (commutator norm above NONCOMMUTING_TOL).
 
-    `projected` says whether the pair norms are interior-projected; the
-    constants and observable conditions built on this adjacency use the same
-    setting for every norm they compute.
+    `on_site` is the model's site -> term-ids index, lent so that `chains`
+    and the observable conditions can ask which terms meet a region without
+    the model.  `projected` says whether the pair norms are
+    interior-projected; the constants and observable conditions built on
+    this adjacency use the same setting for every norm they compute.
     """
 
     zmap: dict
-    supports: dict
+    on_site: dict
     pair_norms: dict  # (i, j) with i < j -> ||[Phi_i, Phi_j]||
     projected: bool
 
@@ -452,28 +471,22 @@ class NoncommutingAdjacency:
         return max(len(zs) for zs in self.zmap.values())
 
     @cached_property
-    def _index(self) -> tuple:
-        """(site -> ids of the terms on it, id -> (position in `pair_norms`,
-        pair) of each of its pairs)."""
-        on_site, pairs_of = {}, {}
-        for g, support in self.supports.items():
-            for s in support.sites:
-                on_site.setdefault(s, []).append(g)
+    def _pairs_of(self) -> dict:
+        """id -> (position in `pair_norms`, pair) of each of its pairs."""
+        pairs_of = {}
         for k, pair in enumerate(self.pair_norms):
             for g in pair:
                 pairs_of.setdefault(g, []).append((k, pair))
-        return on_site, pairs_of
+        return pairs_of
 
-    def touching(self, support: SupportRegion) -> frozenset:
-        """Ids of the terms whose support overlaps `support`."""
-        on_site = self._index[0]
-        return frozenset(g for s in support.sites for g in on_site.get(s, ()))
+    # The model's own query, read from the lent index.
+    touching = TwoFamilyHamiltonian.touching
 
     def pairs_meeting(self, support: SupportRegion) -> list:
         """The noncommuting pairs (i, j) whose union of supports meets
         `support`, so that their bracket may not commute with an op there,
         in the order of `pair_norms`."""
-        pairs_of = self._index[1]
+        pairs_of = self._pairs_of
         near = {kp for g in self.touching(support) for kp in pairs_of.get(g, ())}
         return [pair for _, pair in sorted(near)]
 
@@ -483,13 +496,10 @@ def noncommuting_adjacency(
 ) -> NoncommutingAdjacency:
     terms = model.terms
     n0 = len(model.family0)
-    supports = {gid: t.support for gid, t in enumerate(terms)}
-    # No pairs yet: only its site index is read, for the pairs that overlap.
-    scan = NoncommutingAdjacency({}, supports, {}, projected)
     staged = {gid: set() for gid in range(len(terms))}
     pair_norms = {}
     for i in range(n0):
-        for j in sorted(g for g in scan.touching(terms[i].support) if g >= n0):
+        for j in sorted(g for g in model.touching(terms[i].support) if g >= n0):
             nrm = pair_commutator_norm(model, terms[i], terms[j], projected=projected)
             if nrm > NONCOMMUTING_TOL:
                 pair_norms[(i, j)] = nrm
@@ -497,7 +507,7 @@ def noncommuting_adjacency(
                 staged[j].add(i)
     return NoncommutingAdjacency(
         zmap={gid: frozenset(s) for gid, s in staged.items()},
-        supports=supports,
+        on_site=model.on_site,
         pair_norms=pair_norms,
         projected=projected,
     )

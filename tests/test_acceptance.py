@@ -221,7 +221,7 @@ def test_criterion_06_chain_counts_dual_route():
             dp = count_chains_dp(adj, start, target, 8)
             bf = count_chains_bruteforce(adj, start, target, 8)
             ok = ok and dp.counts == bf.counts
-            d = region_distance(model.graph, adj.supports[start], target)
+            d = region_distance(model.graph, model.terms[start].support, target)
             for n in range(9):
                 if consts.R * n < d:
                     ok = ok and dp.counts[n] == 0

@@ -107,10 +107,10 @@ def _random_adjacency(rng):
     n0 = int(rng.integers(1, 4))
     n1 = int(rng.integers(1, 4))
     total = n0 + n1
-    supports = {}
+    on_site = {}  # site -> ids of the terms on it
     for i in range(total):
-        sites = tuple(sorted(rng.choice(6, size=int(rng.integers(1, 3)), replace=False)))
-        supports[i] = SupportRegion(sites=sites)
+        for s in rng.choice(6, size=int(rng.integers(1, 3)), replace=False):
+            on_site.setdefault(int(s), []).append(i)
     zsets = {i: set() for i in range(total)}
     pair_norms = {}
     for i in range(n0):
@@ -121,7 +121,7 @@ def _random_adjacency(rng):
                 pair_norms[(i, j)] = 1.0
     return NoncommutingAdjacency(
         zmap={i: frozenset(z) for i, z in zsets.items()},
-        supports=supports,
+        on_site=on_site,
         pair_norms=pair_norms,
         projected=False,
     )
@@ -149,7 +149,7 @@ def test_dp_equals_bruteforce_where_neighbourhoods_overlap():
     # sequence step must count once (a two-family adjacency never shows this).
     adj = NoncommutingAdjacency(
         zmap={i: frozenset({0, 1, 2} - {i}) for i in range(3)},
-        supports={i: SupportRegion(sites=(i,)) for i in range(3)},
+        on_site={i: [i] for i in range(3)},
         pair_norms={(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0},
         projected=False,
     )

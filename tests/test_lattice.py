@@ -27,7 +27,7 @@ from lrlab.lattice import (
     pair_commutator_norm,
     region,
     region_distance,
-    regions_overlap,
+    region_distances,
     validate_two_family,
 )
 from lrlab.models import (
@@ -44,8 +44,13 @@ from lrlab.operators import (
     commutator,
     decompose,
     embed_dense,
+    hermiticity_defect,
     spectral_norm,
 )
+
+
+def _overlap(a: SupportRegion, b: SupportRegion) -> bool:
+    return not set(a.sites).isdisjoint(b.sites)
 
 
 def _site_distance(g, a, b):
@@ -151,6 +156,11 @@ def test_distances_and_radius_match_an_all_pairs_bfs(graph, data):
     assert region_distance(g, region(g, a), region(g, b)) == min(
         dist[s, t] for s in a for t in b
     )
+    # One search from a serves every region: the same integers, in order.
+    many = [region(g, r) for r in data.draw(st.lists(sites, max_size=5))]
+    assert region_distances(g, region(g, a), many) == tuple(
+        region_distance(g, region(g, a), r) for r in many
+    )
     supports = data.draw(st.lists(sites, min_size=1, max_size=4))
     terms = tuple(
         LocalTerm(0, i, region(g, sup), np.eye(2 ** len(sup)))
@@ -188,13 +198,6 @@ def test_build_tfim_holds_no_all_pairs_array():
         tracemalloc.stop()
     assert model.graph.site_count == 1024
     assert held < 4_000_000
-
-
-def test_regions_overlap():
-    a = SupportRegion(sites=(1, 2))
-    assert regions_overlap(a, SupportRegion(sites=(2, 5)))
-    assert not regions_overlap(a, SupportRegion(sites=(4, 5)))
-    assert regions_overlap(a, SupportRegion(sites=(2,)))
 
 
 def test_observable_from_sites_rejects_non_hermitian_payload():
@@ -353,6 +356,103 @@ def test_validate_reports_a_misshapen_term_instead_of_raising():
     )
 
 
+def _all_pairs_validate(model) -> tuple:
+    """Oracle: the structural check over every same-family pair, the
+    disjoint ones included (they commute and report nothing); the failures
+    in the order `validate_two_family` gives them."""
+    failures = []
+    unchecked = {}  # id(term) -> why its pairs are not measured
+    for fam, terms in ((0, model.family0), (1, model.family1)):
+        for term in terms:
+            if term.family != fam:
+                failures.append(f"term {fam}:{term.index} carries family {term.family}")
+            d = math.prod(int(model.site_dims[s]) for s in term.support.sites)
+            if term.payload.shape != (d, d):
+                failures.append(
+                    f"term {fam}:{term.index} payload shape {term.payload.shape} "
+                    f"!= support dim {d}"
+                )
+                unchecked[id(term)] = "payload shape"
+                continue
+            dev = hermiticity_defect(term.payload)
+            if dev is not None:
+                failures.append(
+                    f"term {fam}:{term.index} payload not Hermitian (dev {dev:.3e})"
+                )
+                unchecked[id(term)] = "term not Hermitian"
+    for fam, terms in ((0, model.family0), (1, model.family1)):
+        for i, a in enumerate(terms):
+            for b in terms[i + 1 :]:
+                overlap = _overlap(a.support, b.support)
+                why = unchecked.get(id(a)) or unchecked.get(id(b))
+                if why and overlap:
+                    failures.append(
+                        f"family {fam} terms {a.index},{b.index}: commutation "
+                        f"not checked: {why}"
+                    )
+                    continue
+                nrm = operator_norm_on_union(model, (a, b)) if overlap else 0.0
+                if nrm > lattice.INTRA_FAMILY_TOL:
+                    failures.append(
+                        f"family {fam} terms {a.index},{b.index} do not commute "
+                        f"(norm {nrm:.3e})"
+                    )
+    return tuple(failures)
+
+
+_RAISING = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@st.composite
+def _structural_models(draw):
+    """A two-family model of up to 7 terms on a small graph: Pauli products
+    on one to three sites, which may fail to commute within a family, a few
+    of them carrying the other family's label, a payload of the wrong shape
+    or a non-Hermitian factor."""
+    n, edges = draw(_connected_graphs())
+    g = build_graph(n, edges)
+    families = ([], [])
+    for index in range(draw(st.integers(0, 7))):
+        sites = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+        factors = [draw(st.sampled_from([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z]))
+                   for _ in sites]
+        kind = draw(st.sampled_from(["pauli"] * 6 + ["misshapen", "non-hermitian"]))
+        if kind == "non-hermitian":
+            factors[0] = _RAISING
+        payload = factors[0]
+        for f in factors[1:]:
+            payload = np.kron(payload, f)
+        if kind == "misshapen":
+            payload = np.eye(2 ** len(sites) + 1)
+        fam = draw(st.integers(0, 1))
+        label = 1 - fam if draw(st.integers(0, 9)) == 0 else fam
+        families[fam].append(LocalTerm(label, index, region(g, sites), payload))
+    return TwoFamilyHamiltonian(g, (2,) * n, tuple(families[0]), tuple(families[1]),
+                                1.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_structural_models())
+def test_validate_visits_overlapping_pairs_and_keeps_the_all_pairs_failures(model):
+    report = validate_two_family(model)
+    assert report.failures == _all_pairs_validate(model)
+    assert report.passed == (not report.failures)
+
+
+def test_validate_measures_only_overlapping_pairs(monkeypatch):
+    # A 1024-site TFIM: 1,022 overlapping pairs of neighbouring bonds; the
+    # fields are disjoint, and so are bonds further apart.
+    calls = []
+
+    def counted(model, a, b, projected=False):
+        calls.append((a.index, b.index))
+        return operator_norm_on_union(model, (a, b), projected=projected)
+
+    monkeypatch.setattr(lattice, "pair_commutator_norm", counted)
+    assert validate_two_family(build_tfim(1024)).passed
+    assert calls == [(i, i + 1) for i in range(1022)]
+
+
 def test_term_id_finds_each_term_by_its_own_payload_only():
     model = build_tfim(5)
     for gid, term in enumerate(model.terms):
@@ -392,20 +492,24 @@ def test_tfim_adjacency_structure():
     query=st.sets(st.integers(0, 7), min_size=1, max_size=3),
 )
 def test_indexed_touching_and_pairs_meeting_match_a_full_scan(supports, pairs, query):
-    # Pairs in a random insertion order, ids past the last term included;
-    # pairs_meeting keeps the insertion order of pair_norms.
-    regions = {
-        g: SupportRegion(sites=tuple(sorted(s)))
-        for g, s in enumerate(supports)
-    }
+    # The model's index, and the adjacency it is lent to.  Pairs in a random
+    # insertion order, ids past the last term included; pairs_meeting keeps
+    # the insertion order of pair_norms.
+    g = build_graph(8, [(i, i + 1) for i in range(7)])
+    terms = tuple(
+        LocalTerm(0, i, region(g, s), np.eye(2 ** len(s)))
+        for i, s in enumerate(supports)
+    )
+    model = TwoFamilyHamiltonian(g, (2,) * 8, terms, (), 1.0, 0.0)
     adj = lattice.NoncommutingAdjacency(
-        zmap={g: frozenset() for g in regions},
-        supports=regions,
+        zmap={gid: frozenset() for gid in range(len(terms))},
+        on_site=model.on_site,
         pair_norms=dict.fromkeys(pairs, 1.0),
         projected=False,
     )
     target = SupportRegion(sites=tuple(sorted(query)))
-    near = frozenset(g for g, r in regions.items() if regions_overlap(r, target))
+    near = frozenset(gid for gid, t in enumerate(terms) if _overlap(t.support, target))
+    assert model.touching(target) == near
     assert adj.touching(target) == near
     assert adj.pairs_meeting(target) == [
         (i, j) for i, j in adj.pair_norms if i in near or j in near
@@ -425,14 +529,14 @@ def test_adjacency_visits_only_overlapping_pairs_and_keeps_the_full_scan(
     full, overlapping = {}, 0
     for i in range(n0):
         for j in range(n0, len(terms)):
-            overlapping += regions_overlap(terms[i].support, terms[j].support)
+            overlapping += _overlap(terms[i].support, terms[j].support)
             nrm = pair_commutator_norm(model, terms[i], terms[j])
             if nrm > lattice.NONCOMMUTING_TOL:
                 full[(i, j)] = nrm
     visited = []
 
     def recorded(model, a, b, projected=False):
-        visited.append(regions_overlap(a.support, b.support))
+        visited.append(_overlap(a.support, b.support))
         return pair_commutator_norm(model, a, b, projected)
 
     monkeypatch.setattr(lattice, "pair_commutator_norm", recorded)
