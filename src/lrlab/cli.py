@@ -147,15 +147,15 @@ def _cmd_check(cfg: RunConfig) -> int:
     from .lattice import validate_two_family
 
     model = _model(cfg)
-    report = validate_two_family(model)
+    failures = validate_two_family(model)
     print(
         f"{model.name}: {len(model.family0)} family-0 terms, "
         f"{len(model.family1)} family-1 terms, dim {model.hilbert_dim}"
     )
-    if report.passed:
+    if not failures:
         print("structure OK")
         return 0
-    for line in report.failures:
+    for line in failures:
         print(f"FAIL {line}")
     return 1
 

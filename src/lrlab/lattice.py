@@ -74,13 +74,15 @@ DENSE_UNION_MAX_DIM = 36
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Connected interaction graph; `neighbours[s]` is the tuple of sites
-    adjacent to site s.  Distances are taken by breadth-first search when
-    read (`region_distance`), and nothing all-pairs is stored."""
+    """Connected interaction graph, stored as `neighbours[s]`, the sorted
+    tuple of sites adjacent to site s, and nothing else: distances are
+    taken by breadth-first search when read (`region_distance`)."""
 
-    site_count: int
-    edges: frozenset
-    neighbours: tuple = field(repr=False, compare=False)
+    neighbours: tuple
+
+    @property
+    def site_count(self) -> int:
+        return len(self.neighbours)
 
 
 def _shells(graph: InteractionGraph, sources):
@@ -102,22 +104,19 @@ def build_graph(site_count: int, edges) -> InteractionGraph:
     """
     if site_count < 1:
         raise ValueError(f"site_count must be positive, got {site_count}")
-    norm_edges = set()
+    adj = [set() for _ in range(site_count)]
     for e in edges:
         a, b = int(e[0]), int(e[1])
         if a == b:
             raise ValueError(f"self loop at site {a}")
         if not (0 <= a < site_count and 0 <= b < site_count):
             raise ValueError(f"edge {(a, b)} outside 0..{site_count - 1}")
-        norm_edges.add((min(a, b), max(a, b)))
-    if not norm_edges and site_count > 1:
+        adj[a].add(b)
+        adj[b].add(a)
+    if site_count > 1 and not any(adj):
         raise ValueError("edge list is empty for a multi-site graph")
 
-    adj = [[] for _ in range(site_count)]
-    for a, b in norm_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    graph = InteractionGraph(site_count, frozenset(norm_edges), tuple(map(tuple, adj)))
+    graph = InteractionGraph(tuple(tuple(sorted(n)) for n in adj))
     if sum(map(len, _shells(graph, (0,)))) < site_count:
         raise ValueError("interaction graph is not connected")
     return graph
@@ -161,9 +160,9 @@ def _diameter(graph: InteractionGraph, sites) -> int:
 
 @dataclass(frozen=True)
 class LocalTerm:
-    """One local interaction term Phi_family^index with Hermitian payload."""
+    """One local interaction term Phi^index with Hermitian payload; its
+    family is the tuple of the model that holds it."""
 
-    family: int
     index: int
     support: SupportRegion
     payload: np.ndarray = field(repr=False, compare=False)
@@ -193,9 +192,6 @@ class TwoFamilyHamiltonian:
     def terms(self) -> tuple:
         """All terms, family 0 first; the position is the global term id."""
         return self.family0 + self.family1
-
-    def coupling(self, family: int) -> float:
-        return self.h0 if family == 0 else self.h1
 
     @cached_property
     def on_site(self) -> dict:
@@ -389,14 +385,9 @@ def triple_commutator_norm(model, a, b, c, projected: bool = False) -> float:
     return operator_norm_on_union(model, (a, b, c), projected=projected)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    failures: tuple
-
-
-def validate_two_family(model: TwoFamilyHamiltonian) -> ValidationReport:
-    """Check the structural contract; collects failures instead of aborting.
+def validate_two_family(model: TwoFamilyHamiltonian) -> tuple:
+    """Check the structural contract: the failures found, none when it
+    holds.  Collects failures instead of aborting.
 
     Only terms whose supports overlap can fail to commute, so each
     overlapping same-family pair is visited once, through the model's site
@@ -411,8 +402,6 @@ def validate_two_family(model: TwoFamilyHamiltonian) -> ValidationReport:
     terms, n0 = model.terms, len(model.family0)
     for gid, term in enumerate(terms):
         fam = int(gid >= n0)
-        if term.family != fam:
-            failures.append(f"term {fam}:{term.index} carries family {term.family}")
         d = math.prod(int(model.site_dims[s]) for s in term.support.sites)
         if term.payload.shape != (d, d):
             failures.append(
@@ -444,7 +433,7 @@ def validate_two_family(model: TwoFamilyHamiltonian) -> ValidationReport:
                     f"family {fam} terms {a.index},{b.index} do not commute "
                     f"(norm {nrm:.3e})"
                 )
-    return ValidationReport(passed=not failures, failures=tuple(failures))
+    return tuple(failures)
 
 
 @dataclass(frozen=True)
@@ -470,25 +459,17 @@ class NoncommutingAdjacency:
             return 0
         return max(len(zs) for zs in self.zmap.values())
 
-    @cached_property
-    def _pairs_of(self) -> dict:
-        """id -> (position in `pair_norms`, pair) of each of its pairs."""
-        pairs_of = {}
-        for k, pair in enumerate(self.pair_norms):
-            for g in pair:
-                pairs_of.setdefault(g, []).append((k, pair))
-        return pairs_of
-
     # The model's own query, read from the lent index.
     touching = TwoFamilyHamiltonian.touching
 
     def pairs_meeting(self, support: SupportRegion) -> list:
         """The noncommuting pairs (i, j) whose union of supports meets
         `support`, so that their bracket may not commute with an op there,
-        in the order of `pair_norms`."""
-        pairs_of = self._pairs_of
-        near = {kp for g in self.touching(support) for kp in pairs_of.get(g, ())}
-        return [pair for _, pair in sorted(near)]
+        in the order of `pair_norms`.  One pass over `pair_norms`, of the
+        same order as the separation search that each O_Q's conditions
+        take anyway."""
+        near = self.touching(support)
+        return [pair for pair in self.pair_norms if not near.isdisjoint(pair)]
 
 
 def noncommuting_adjacency(
@@ -577,10 +558,11 @@ def compute_bound_constants(
     K = max(adjacency.pair_norms.values(), default=0.0)
 
     Q = 0.0
-    for c in terms:
-        for i, j in adjacency.pairs_meeting(c.support):
-            a, b = terms[i], terms[j]
-            nrm = triple_commutator_norm(model, a, b, c, projected=adjacency.projected)
+    for i, j in adjacency.pair_norms:
+        a, b = terms[i], terms[j]
+        for g in adjacency.touching(a.support) | adjacency.touching(b.support):
+            nrm = triple_commutator_norm(model, a, b, terms[g],
+                                         projected=adjacency.projected)
             if nrm > NONCOMMUTING_TOL:
                 Q = max(Q, nrm)
 

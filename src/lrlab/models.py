@@ -49,7 +49,7 @@ def _xx_bonds(graph):
     """Family 0 of the Ising chains: the X_i X_{i+1} bonds of a path graph."""
     xx = np.kron(PAULI_X, PAULI_X)
     return tuple(
-        LocalTerm(0, i, region(graph, (i, i + 1)), xx)
+        LocalTerm(i, region(graph, (i, i + 1)), xx)
         for i in range(graph.site_count - 1)
     )
 
@@ -59,7 +59,7 @@ def build_tfim(length: int, j: float = 1.0, g: float = 1.0) -> TwoFamilyHamilton
         raise ValueError("tfim needs at least 2 sites")
     graph = _path_graph(length)
     fields = tuple(
-        LocalTerm(1, i, region(graph, (i,)), PAULI_Z.copy()) for i in range(length)
+        LocalTerm(i, region(graph, (i,)), PAULI_Z.copy()) for i in range(length)
     )
     return TwoFamilyHamiltonian(
         graph=graph,
@@ -112,23 +112,13 @@ def build_dicke_chain(
             # Open boundary: the last spin couples only to its own mode.
             sites = (2 * n, 2 * n + 1)
             payload = np.kron(p_op, PAULI_Z)
-        terms.append((n, sites, payload))
+        terms.append(LocalTerm(n, region(graph, sites), payload))
 
-    family0 = tuple(
-        LocalTerm(0, n, region(graph, sites), payload)
-        for n, sites, payload in terms
-        if n % 2 == 0
-    )
-    family1 = tuple(
-        LocalTerm(1, n, region(graph, sites), payload)
-        for n, sites, payload in terms
-        if n % 2 == 1
-    )
     return TwoFamilyHamiltonian(
         graph=graph,
         site_dims=dims,
-        family0=family0,
-        family1=family1,
+        family0=tuple(terms[0::2]),
+        family1=tuple(terms[1::2]),
         h0=float(h),
         h1=float(h),
         boson_sites=frozenset(range(0, site_count, 2)),
@@ -165,9 +155,8 @@ def full_hamiltonian(model: TwoFamilyHamiltonian) -> np.ndarray:
     real = all(np.isrealobj(t.payload) for t in model.terms)
     h = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
     dims = list(model.site_dims)
-    for term in model.terms:
-        h += model.coupling(term.family) * embed_dense(
-            term.payload, term.support.sites, dims
-        )
+    for coupling, family in ((model.h0, model.family0), (model.h1, model.family1)):
+        for term in family:
+            h += coupling * embed_dense(term.payload, term.support.sites, dims)
     return h
 

@@ -35,5 +35,5 @@ def dicke_commuting_terms(model: TwoFamilyHamiltonian) -> tuple:
             payload = np.kron(PAULI_Z, np.kron(q_op, np.eye(2))) + np.kron(
                 np.eye(2), np.kron(p_op, PAULI_Z)
             )
-        out.append(LocalTerm(0, n, region(model.graph, sites), payload))
+        out.append(LocalTerm(n, region(model.graph, sites), payload))
     return tuple(out)

@@ -45,9 +45,10 @@ def bounded_term_check(model) -> dict:
 
 
 def _global_id(model: TwoFamilyHamiltonian, family: int, index: int) -> int:
-    for gid, term in enumerate(model.terms):
-        if term.family == family and term.index == index:
-            return gid
+    offset = len(model.family0) if family else 0
+    for k, term in enumerate((model.family0, model.family1)[family]):
+        if term.index == index:
+            return offset + k
     raise ValueError(f"no term with family {family}, index {index}")
 
 
@@ -77,7 +78,7 @@ def derivative_identity_check(
     terms = model.terms
     a_full = embed_dense(terms[gid_a].payload, terms[gid_a].support.sites, dims)
     b_full = embed_dense(terms[gid_b].payload, terms[gid_b].support.sites, dims)
-    h_opp = model.coupling(1 - family_a)
+    h_opp = (model.h0, model.h1)[1 - family_a]
 
     a_plus, a_minus, a_t = heisenberg_evolve(
         a_full, decomp, (t + step, t - step, t)

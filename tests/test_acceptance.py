@@ -288,8 +288,8 @@ def _random_bounded_model(rng):
     return TwoFamilyHamiltonian(
         graph=graph,
         site_dims=(dim,),
-        family0=(LocalTerm(0, 0, sup, herm()),),
-        family1=(LocalTerm(1, 0, sup, herm()),),
+        family0=(LocalTerm(0, sup, herm()),),
+        family1=(LocalTerm(0, sup, herm()),),
         h0=float(rng.uniform(0.2, 2.0)),
         h1=float(rng.uniform(0.2, 2.0)),
         name="random_bounded",

@@ -10,6 +10,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lrlab
@@ -151,6 +152,37 @@ def test_cli_check_commuting_model(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "structure OK"
 
 
+def test_cli_check_fails_with_one_line_per_failure(tmp_path, capsys, monkeypatch):
+    # Same-family terms that do not commute, and a misshapen term whose
+    # overlapping pairs are reported as not checked.
+    from lrlab.lattice import LocalTerm, TwoFamilyHamiltonian, build_graph, region
+    from lrlab.models import PAULI_X, PAULI_Y, PAULI_Z
+
+    g = build_graph(2, [(0, 1)])
+    bad = TwoFamilyHamiltonian(
+        graph=g,
+        site_dims=(2, 2),
+        family0=(LocalTerm(0, region(g, (0,)), PAULI_Z),
+                 LocalTerm(1, region(g, (0,)), PAULI_X)),
+        family1=(LocalTerm(0, region(g, (1,)), PAULI_X),
+                 LocalTerm(1, region(g, (1,)), PAULI_Y),
+                 LocalTerm(2, region(g, (0, 1)), np.eye(3))),
+        h0=1.0,
+        h1=1.0,
+        name="bad",
+    )
+    monkeypatch.setattr(cli, "_model", lambda cfg: bad)
+    assert cli.main(["check", "--config", str(_write(tmp_path, GOOD))]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "bad: 2 family-0 terms, 3 family-1 terms, dim 4",
+        "FAIL term 1:2 payload shape (3, 3) != support dim 4",
+        "FAIL family 0 terms 0,1 do not commute (norm 2.000e+00)",
+        "FAIL family 1 terms 0,1 do not commute (norm 2.000e+00)",
+        "FAIL family 1 terms 0,2: commutation not checked: payload shape",
+        "FAIL family 1 terms 1,2: commutation not checked: payload shape",
+    ]
+
+
 def test_cli_constants_writes_json(tmp_path):
     cfg = _write(tmp_path, {"model": {"name": "tfim", "length": 4}})
     out = tmp_path / "o"
@@ -262,6 +294,43 @@ def test_cli_chains_csv_schema(tmp_path):
     extra = json.loads((out / "chains.json").read_text())
     assert set(extra) == {"counts", "n_max", "start", "target_sites"}
     assert set(extra["counts"]) == {str(n) for n in range(7)}
+
+
+def test_cli_chains_start_an_off_term_op_at_the_first_term_meeting_it(tmp_path):
+    # X@0 is no TFIM term: the chains start at term 0, the bond X0 X1, the
+    # lowest id meeting O_P, and the envelope is measured from that bond's
+    # support, at d = 2 from the target where O_P's own site is at d = 3.
+    from lrlab.chains import closed_form_chain_bound, count_chains_dp
+    from lrlab.lattice import (
+        compute_bound_constants,
+        noncommuting_adjacency,
+        region,
+        region_distance,
+    )
+    from lrlab.models import build_tfim
+    from lrlab.reporting import fmt17
+
+    raw = dict(GOOD, chain_order=8)
+    raw["observables"] = dict(GOOD["observables"], op_pauli="X")
+    out = tmp_path / "o"
+    assert cli.main(["chains", "--config", str(_write(tmp_path, raw)),
+                     "--out", str(out)]) == 0
+    model = build_tfim(5)
+    adj = noncommuting_adjacency(model)
+    consts = compute_bound_constants(model, adj)
+    target = region(model.graph, GOOD["observables"]["oq_sites"])
+    d0 = region_distance(model.graph, model.terms[0].support, target)
+    assert d0 == 2 < region_distance(model.graph, region(model.graph, (0,)), target)
+    table = count_chains_dp(adj, 0, target, 8)
+    extra = json.loads((out / "chains.json").read_text())
+    assert extra["start"] == 0
+    assert extra["counts"] == {str(n): c for n, c in table.counts.items()}
+    with open(out / "chains.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert rows == [
+        [str(n), str(table.counts[n]), fmt17(closed_form_chain_bound(consts, n, d0))]
+        for n in range(9)
+    ]
 
 
 def test_cli_bound_and_simulate(tmp_path):
@@ -794,6 +863,28 @@ def test_cli_repeated_key_exits_2(tmp_path, capsys, key, text):
         assert cli.main(_argv(command, cfg, out)) == 2, command
         assert f"key {key!r} is repeated" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[]", "config root must be a JSON object"),
+        (
+            json.dumps(dict(GOOD, time_grid={"start": 1.0, "stop": 0.5, "points": 6})),
+            "config invalid at 'time_grid': stop precedes start",
+        ),
+    ],
+    ids=["root-array", "stop-before-start"],
+)
+def test_cli_config_without_a_run_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert cli.main(_argv(command, cfg, out)) == 2, command
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_model_key_of_another_model_rejected(tmp_path, capsys):

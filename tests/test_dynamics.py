@@ -171,14 +171,14 @@ def _random_dense_model(rng):
     # conserved, so H is a single sector.
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     terms = [
-        LocalTerm(i % 2, i // 2, region(graph, (i, i + 1)), _random_hermitian(rng, 4))
+        LocalTerm(i // 2, region(graph, (i, i + 1)), _random_hermitian(rng, 4))
         for i in range(3)
     ]
     return TwoFamilyHamiltonian(
         graph=graph,
         site_dims=(2,) * 4,
-        family0=tuple(t for t in terms if t.family == 0),
-        family1=tuple(t for t in terms if t.family == 1),
+        family0=tuple(terms[0::2]),
+        family1=tuple(terms[1::2]),
         h0=1.0,
         h1=1.0,
     )
@@ -550,6 +550,18 @@ def test_dicke_cross_layer_commutator_vanishes():
     near_vals, far_vals = sweep.values.T
     assert min(near_vals) > 0.5
     assert max(far_vals) <= 1e-12
+
+
+def test_sweep_reads_zero_for_a_zero_oq():
+    # A zero O_Q keeps no entry in its row-padded embedding, so there is no
+    # column to gather: its norm is 0 at every time.
+    model = build_tfim(4)
+    op = observable_from_sites(model, (0,), PAULI_X, "X@0")
+    zero = observable_from_sites(model, (1,), np.zeros((2, 2)), "0@1")
+    z = observable_from_sites(model, (1,), PAULI_Z, "Z@1")
+    sweep = commutator_norm_sweep(model, op, [zero, z], (0.0, 0.6, 1.3))
+    assert sweep.values[:, 0].tolist() == [0.0, 0.0, 0.0]
+    assert min(sweep.values[1:, 1]) > 1e-2  # the same sweep, on a nonzero O_Q
 
 
 def _synthetic_sweep(v_true, ds, times):

@@ -12,11 +12,16 @@ NaN study as a success, and `run_tfim_verify.py` left a rejected config in
 --out.  `run_dicke_truncation.py` also died with exit 1 on an --out that is a
 file, and on an occupation cap whose sweep needs a Hamiltonian above the
 dense cap, after making an empty --out.
+
+The artifact matrix's docstring counts its runs; the count is checked
+against the run table, in process.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,3 +117,26 @@ def test_tfim_verify_exits_2_on_a_config_error(tmp_path):
             assert (out / "config.json").read_bytes() == config
         else:
             assert not out.exists()
+
+
+def test_artifact_matrix_docstring_counts_its_distinct_runs(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "artifact_matrix", SCRIPTS / "artifact_matrix.py")
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    said = re.search(
+        r"That is (\d+) runs: (\d+) commands on (\d+) configs, and (\d+) script runs\.",
+        " ".join(matrix.__doc__.split()),
+    )
+    total, commands, configs, scripts = map(int, said.groups())
+    shipped = [p.stem for p in (SCRIPTS.parent / "configs").glob("*.json")]
+    assert len(matrix.COMMANDS) == commands
+    assert len(shipped) + len(matrix.WRITTEN_CONFIGS) == configs
+    assert len(matrix.SCRIPT_RUNS) == scripts
+    assert len(matrix.COMMANDS) * configs + scripts == total
+    # The run names, as `runs` gives them for the configs it would write.
+    (tmp_path / "configs").mkdir()
+    for name in (*shipped, *matrix.WRITTEN_CONFIGS):
+        (tmp_path / "configs" / f"{name}.json").write_text("{}")
+    names = [name for name, _ in matrix.runs(tmp_path)]
+    assert len(set(names)) == len(names) == total
