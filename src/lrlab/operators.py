@@ -224,7 +224,8 @@ def spectral_norm(a, structure: str = "general") -> float:
     s = max|a|; an SVD costs more and runs slower on two BLAS threads than
     on one.  The scaling keeps G's entries from under- or overflowing:
     without it, entries below about 1e-154 square to 0 and the norm reads
-    low.  After scaling lambda_max(G) >= 1, so eigvalsh's rounding error is
+    low.  A complex `a` is scaled part by part, so a subnormal s scales it
+    too.  After scaling lambda_max(G) >= 1, so eigvalsh's rounding error is
     small relative to it; the clamp at 0 only guards the square root.
     """
     if structure not in ("general", "hermitian", "antihermitian"):
@@ -237,7 +238,16 @@ def spectral_norm(a, structure: str = "general") -> float:
     if structure == "antihermitian":
         return float(np.abs(np.linalg.eigvalsh(1j * m)).max())
     s = float(np.abs(m).max())
-    m = m / s
+    if np.iscomplexobj(m):
+        # numpy divides a complex array by s through 1/s, which overflows
+        # for a subnormal s and turns the zeros into NaN; each part divides
+        # on its own exactly.
+        scaled = np.empty(m.shape, m.dtype)
+        np.divide(m.real, s, out=scaled.real)
+        np.divide(m.imag, s, out=scaled.imag)
+        m = scaled
+    else:
+        m = m / s
     mh = m.conj().swapaxes(-1, -2)
     gram = m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m
     return s * math.sqrt(max(float(np.linalg.eigvalsh(gram).max()), 0.0))

@@ -316,6 +316,7 @@ def _z(model, site):
 @example(length=7, j=0.0, g=1.7, p=3, q_mask=0b1010101, times=[1.0, 4.0])
 @example(length=7, j=-2.3, g=0.0, p=3, q_mask=0b1010101, times=[1.0, 4.0])
 @example(length=10, j=0.8, g=-3.1, p=4, q_mask=2**10 - 1, times=[0.5, 4.0])
+@example(length=2, j=1e-12, g=1.0, p=0, q_mask=0, times=[0.0, 2.225073858507e-311])
 def test_free_fermion_sweep_matches_structured_sweep(length, j, g, p, q_mask, times):
     model = build_tfim(length, j=j, g=g)
     p %= length

@@ -383,6 +383,18 @@ def test_spectral_norm_hints_on_scaled_stacks_match_svd(
         assert spectral_norm(m) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+def test_spectral_norm_of_subnormal_complex_input():
+    # max|a| is subnormal, so 1/max|a| overflows; the scaled matrix must
+    # still hold its zeros as zeros, not NaN, and its largest entry as 1.
+    for tiny in (5e-320, 2.225073858507e-311, 4e-323):
+        m = np.zeros((3, 3), dtype=complex)
+        m[0, 1] = 1j * tiny
+        m[2, 0] = 0.5 * tiny
+        assert spectral_norm(m) == abs(m[0, 1])
+        assert spectral_norm(m[None]) == abs(m[0, 1])
+        assert spectral_norm(m.real) == abs(m[2, 0])
+
+
 def test_spectral_norm_rejects_unknown_structure():
     with pytest.raises(ValueError, match="structure"):
         spectral_norm(np.eye(2), structure="unitary")
