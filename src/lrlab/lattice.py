@@ -17,7 +17,10 @@ reads it: `term_id`, the structural check, which visits only overlapping
 same-family pairs, and the adjacency, which visits only overlapping
 cross-family pairs and lends the index to `chains` through its own
 `touching`.  This module owns the distance rule (`region_distance`,
-`region_distances`), which `cli` and `dynamics` call rather than repeat.
+`region_distances`), which `cli` and `dynamics` call rather than repeat,
+and the payload contract (`_payload_failure`): a term or an observable is
+a Hermitian matrix of its support's dimension, checked when the model or
+the observable is built, so every norm here may take a structure hint.
 The graph stores neighbours, not distances: one breadth-first search
 (`_shells`) gives a separation d, or every O_Q's separation at once, the
 connectivity check and the term diameters behind R, when they are read.
@@ -177,8 +180,28 @@ class Observable:
     label: str = ""
 
 
+def _payload_failure(site_dims, sites, payload) -> str | None:
+    """Why `payload` is not a Hermitian matrix of the dimension of `sites`,
+    or None: the contract of every term and observable.  Every norm in this
+    module hands `spectral_norm` a structure hint that holds only for
+    Hermitian ops, and `embed_dense` needs the support's dimension."""
+    d = math.prod(int(site_dims[s]) for s in sites)
+    if payload.shape != (d, d):
+        return f"payload shape {payload.shape} != support dim {d}"
+    dev = hermiticity_defect(payload)
+    return None if dev is None else f"payload not Hermitian (dev {dev:.3e})"
+
+
 @dataclass(frozen=True)
 class TwoFamilyHamiltonian:
+    """H = h0 * sum(family0) + h1 * sum(family1).
+
+    Raises ValueError, naming every offending term, unless each term's
+    payload is a Hermitian matrix of its support's dimension
+    (`_payload_failure`); building one takes no commutator norm.  Whether
+    each family commutes is measured by `validate_two_family`.
+    """
+
     graph: InteractionGraph
     site_dims: tuple
     family0: tuple
@@ -187,6 +210,17 @@ class TwoFamilyHamiltonian:
     h1: float
     boson_sites: frozenset = frozenset()
     name: str = ""
+
+    def __post_init__(self):
+        failures = [
+            f"term {fam}:{term.index} {why}"
+            for fam, family in enumerate((self.family0, self.family1))
+            for term in family
+            if (why := _payload_failure(self.site_dims, term.support.sites,
+                                        term.payload))
+        ]
+        if failures:
+            raise ValueError("; ".join(failures))
 
     @cached_property
     def terms(self) -> tuple:
@@ -237,19 +271,15 @@ def observable_from_sites(
     """An observable with `payload` on `sites`.
 
     Raises ValueError unless the payload is a Hermitian matrix of the
-    support's dimension: the commutator norms taken with an observable
-    (`operator_norm_on_union`, `dynamics.commutator_norm_sweep`) rely on it.
+    support's dimension, the contract a term keeps (`_payload_failure`):
+    the commutator norms taken with an observable (`operator_norm_on_union`,
+    `dynamics.commutator_norm_sweep`) rely on it.
     """
     support = region(model.graph, sites)
     payload = np.asarray(payload)
-    d = math.prod(model.site_dims[s] for s in support.sites)
-    if payload.shape != (d, d):
-        raise ValueError(
-            f"observable payload shape {payload.shape} != support dim {d}"
-        )
-    dev = hermiticity_defect(payload)
-    if dev is not None:
-        raise ValueError(f"observable payload is not Hermitian (dev {dev:.3e})")
+    why = _payload_failure(model.site_dims, support.sites, payload)
+    if why:
+        raise ValueError(f"observable {why}")
     return Observable(support=support, payload=payload, label=label)
 
 
@@ -386,47 +416,22 @@ def triple_commutator_norm(model, a, b, c, projected: bool = False) -> float:
 
 
 def validate_two_family(model: TwoFamilyHamiltonian) -> tuple:
-    """Check the structural contract: the failures found, none when it
-    holds.  Collects failures instead of aborting.
+    """The same-family pairs that do not commute, as failure lines: none
+    when the structural contract holds.  Collects failures instead of
+    aborting.
 
     Only terms whose supports overlap can fail to commute, so each
     overlapping same-family pair is visited once, through the model's site
-    index, in the order of the family's terms.  The intra-family commutator
-    norms embed each payload on its support and take the anti-Hermitian
-    hint, which holds only for Hermitian terms, so a pair that includes a
-    term whose payload shape does not match its support, or a non-Hermitian
-    term, is reported as not checked rather than measured.
+    index, in the order of the family's terms.  Every term is Hermitian and
+    of its support's dimension, which the model checked when it was built,
+    so each pair's norm takes the anti-Hermitian hint.
     """
     failures = []
-    unchecked = {}  # global id -> why its pairs are not measured
     terms, n0 = model.terms, len(model.family0)
-    for gid, term in enumerate(terms):
-        fam = int(gid >= n0)
-        d = math.prod(int(model.site_dims[s]) for s in term.support.sites)
-        if term.payload.shape != (d, d):
-            failures.append(
-                f"term {fam}:{term.index} payload shape {term.payload.shape} "
-                f"!= support dim {d}"
-            )
-            unchecked[gid] = "payload shape"
-            continue
-        dev = hermiticity_defect(term.payload)
-        if dev is not None:
-            failures.append(
-                f"term {fam}:{term.index} payload not Hermitian (dev {dev:.3e})"
-            )
-            unchecked[gid] = "term not Hermitian"
     for ga, a in enumerate(terms):
         fam, end = (0, n0) if ga < n0 else (1, len(terms))
         for gb in sorted(g for g in model.touching(a.support) if ga < g < end):
             b = terms[gb]
-            why = unchecked.get(ga) or unchecked.get(gb)
-            if why:
-                failures.append(
-                    f"family {fam} terms {a.index},{b.index}: commutation "
-                    f"not checked: {why}"
-                )
-                continue
             nrm = pair_commutator_norm(model, a, b)
             if nrm > INTRA_FAMILY_TOL:
                 failures.append(

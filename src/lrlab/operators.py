@@ -216,8 +216,11 @@ def spectral_norm(a, structure: str = "general") -> float:
 
     `structure` is what the caller knows about `a` by construction:
     "hermitian" or "antihermitian" (a commutator of Hermitian matrices) take
-    the eigenvalues of `a` itself.  The hint is trusted, not checked:
-    eigvalsh reads one triangle of its input.
+    the eigenvalues of `a` itself.  eigvalsh reads one triangle of its
+    input, so the hint is trusted, never tested: every term and observable
+    is a Hermitian matrix by construction (`lattice.TwoFamilyHamiltonian`
+    and `lattice.observable_from_sites` refuse any other), and so is each
+    bracket of them, up to a factor i.
 
     "general" reads the norm as s sqrt(lambda_max(G)) from one eigvalsh of
     the Gram matrix G = (a/s)(a/s)^dagger over the smaller side, with

@@ -100,6 +100,8 @@ def test_unknown_start_rejected(tfim6):
     model, adj = tfim6
     with pytest.raises(ValueError, match="start"):
         count_chains_dp(adj, 99, region(model.graph, (3,)), 4)
+    with pytest.raises(ValueError, match="start term id 99 not in adjacency"):
+        count_chains_bruteforce(adj, 99, region(model.graph, (3,)), 4)
 
 
 def _random_adjacency(rng):

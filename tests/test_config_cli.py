@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import errno
 import json
 import math
@@ -17,6 +18,7 @@ import lrlab
 from lrlab import cli
 from lrlab.config import ConfigError, parse_config
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 COMMANDS = ("check", "constants", "chains", "bound", "simulate", "verify")
 
 GOOD = {
@@ -75,6 +77,29 @@ def test_bad_model_name_rejected(tmp_path):
     raw = {"model": {"name": "heisenberg", "length": 4}}
     with pytest.raises(ConfigError, match="model/name"):
         parse_config(_write(tmp_path, raw))
+
+
+def test_schema_and_dataclasses_state_the_same_keys():
+    # A key stated in only one of the two would pass validation and then
+    # crash RunConfig(**kwargs) with a TypeError, or never be settable.
+    from lrlab import config
+
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    props = config.load_schema()["properties"]
+    assert {"lam" if key == "lambda" else key for key in props} == fields(
+        config.RunConfig
+    )
+    for key, cls in (
+        ("model", config.ModelConfig),
+        ("observables", config.ObservableConfig),
+        ("time_grid", config.TimeGridConfig),
+    ):
+        assert set(props[key]["properties"]) == fields(cls), key
+    model = props["model"]["properties"]
+    assert set(model["name"]["enum"]) == set(config.MODEL_PARAMS)
+    assert {p for params in config.MODEL_PARAMS.values() for p in params} <= set(model)
 
 
 def test_missing_file_and_bad_json(tmp_path):
@@ -153,33 +178,41 @@ def test_cli_check_commuting_model(tmp_path, capsys):
 
 
 def test_cli_check_fails_with_one_line_per_failure(tmp_path, capsys, monkeypatch):
-    # Same-family terms that do not commute, and a misshapen term whose
-    # overlapping pairs are reported as not checked.
+    # Same-family terms that do not commute are measured and reported; a
+    # misshapen term is refused when the model is built, before any norm.
     from lrlab.lattice import LocalTerm, TwoFamilyHamiltonian, build_graph, region
     from lrlab.models import PAULI_X, PAULI_Y, PAULI_Z
 
     g = build_graph(2, [(0, 1)])
-    bad = TwoFamilyHamiltonian(
-        graph=g,
-        site_dims=(2, 2),
-        family0=(LocalTerm(0, region(g, (0,)), PAULI_Z),
-                 LocalTerm(1, region(g, (0,)), PAULI_X)),
-        family1=(LocalTerm(0, region(g, (1,)), PAULI_X),
-                 LocalTerm(1, region(g, (1,)), PAULI_Y),
-                 LocalTerm(2, region(g, (0, 1)), np.eye(3))),
-        h0=1.0,
-        h1=1.0,
-        name="bad",
+
+    def model(last):
+        return TwoFamilyHamiltonian(
+            graph=g,
+            site_dims=(2, 2),
+            family0=(LocalTerm(0, region(g, (0,)), PAULI_Z),
+                     LocalTerm(1, region(g, (0,)), PAULI_X)),
+            family1=(LocalTerm(0, region(g, (1,)), PAULI_X),
+                     LocalTerm(1, region(g, (1,)), PAULI_Y),
+                     LocalTerm(2, region(g, (0, 1)), last)),
+            h0=1.0,
+            h1=1.0,
+            name="bad",
+        )
+
+    argv = ["check", "--config", str(_write(tmp_path, GOOD))]
+    monkeypatch.setattr(cli, "_model", lambda cfg: model(np.eye(3)))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: term 1:2 payload shape (3, 3) != support dim 4\n"
     )
-    monkeypatch.setattr(cli, "_model", lambda cfg: bad)
-    assert cli.main(["check", "--config", str(_write(tmp_path, GOOD))]) == 1
+    monkeypatch.setattr(cli, "_model", lambda cfg: model(np.kron(PAULI_Z, PAULI_Z)))
+    assert cli.main(argv) == 1
     assert capsys.readouterr().out.splitlines() == [
         "bad: 2 family-0 terms, 3 family-1 terms, dim 4",
-        "FAIL term 1:2 payload shape (3, 3) != support dim 4",
         "FAIL family 0 terms 0,1 do not commute (norm 2.000e+00)",
         "FAIL family 1 terms 0,1 do not commute (norm 2.000e+00)",
-        "FAIL family 1 terms 0,2: commutation not checked: payload shape",
-        "FAIL family 1 terms 1,2: commutation not checked: payload shape",
+        "FAIL family 1 terms 0,2 do not commute (norm 2.000e+00)",
+        "FAIL family 1 terms 1,2 do not commute (norm 2.000e+00)",
     ]
 
 
@@ -280,6 +313,24 @@ def test_cli_overflowing_bound_exits_3(tmp_path, capsys):
     argv = ["bound", "--config", str(cfg), "--out", str(tmp_path)]
     assert cli.main(argv) == 3
     assert "math range error" in capsys.readouterr().err
+
+
+def test_cli_simulate_with_an_eigenbasis_that_does_not_reconstruct_exits_3(
+    tmp_path, capsys, monkeypatch
+):
+    # The full-space sweep checks each sector's eigendecomposition; one that
+    # does not give H back is a numerical failure, and nothing is written.
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.linalg.eigvalsh(a),
+                                                      np.eye(len(a))))
+    out = tmp_path / "o"
+    argv = ["simulate", "--config", str(CONFIGS / "commuting_ising.json"),
+            "--out", str(out)]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eigendecomposition reconstruction off by ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_chains_csv_schema(tmp_path):
@@ -873,8 +924,11 @@ def test_cli_repeated_key_exits_2(tmp_path, capsys, key, text):
             json.dumps(dict(GOOD, time_grid={"start": 1.0, "stop": 0.5, "points": 6})),
             "config invalid at 'time_grid': stop precedes start",
         ),
+        # The schema allows length 1; the TFIM needs a bond.
+        (json.dumps({"model": {"name": "tfim", "length": 1}}),
+         "tfim needs at least 2 sites"),
     ],
-    ids=["root-array", "stop-before-start"],
+    ids=["root-array", "stop-before-start", "tfim-one-site"],
 )
 def test_cli_config_without_a_run_exits_2(tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"

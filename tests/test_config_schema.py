@@ -164,6 +164,13 @@ def test_walker_matches_jsonschema(raw):
         # An unknown key is reported at its object, which sorts first.
         ({"model": {"name": "tfim", "length": -1}, "bogus": 1}, "<root>"),
         ({"model": {"name": "tfim"}}, "model"),
+        # Objects compare by their members under the same equality.
+        ({"model": {"name": "tfim", "length": 4},
+          "methods": [{"a": 1}, {"a": 1}]}, "methods"),
+        ({"model": {"name": "tfim", "length": 4},
+          "methods": [{"a": [1, {"b": 2}]}, {"a": [1.0, {"b": 2}]}]}, "methods"),
+        ({"model": {"name": "tfim", "length": 4},
+          "methods": [{"a": 1}, {"a": True}]}, "methods/0"),
     ],
 )
 def test_walker_edge_cases(raw, path):

@@ -89,6 +89,29 @@ def test_build_graph_multi_site_requires_edges():
         build_graph(3, [])
 
 
+def test_build_graph_and_region_refuse_sites_outside_the_graph():
+    with pytest.raises(ValueError, match="site_count must be positive, got 0"):
+        build_graph(0, [])
+    with pytest.raises(ValueError, match=r"edge \(1, 3\) outside 0..2"):
+        build_graph(3, [(0, 1), (1, 3)])
+    with pytest.raises(ValueError, match=r"edge \(-1, 0\) outside 0..2"):
+        build_graph(3, [(-1, 0)])
+    g = build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="support region must be nonempty"):
+        region(g, ())
+    with pytest.raises(ValueError, match=r"sites \(1, 3\) outside graph"):
+        region(g, (3, 1))
+    with pytest.raises(ValueError, match=r"sites \(-1,\) outside graph"):
+        region(g, (-1,))
+
+
+def test_a_model_with_no_terms_has_branching_number_zero():
+    g = build_graph(2, [(0, 1)])
+    adj = noncommuting_adjacency(TwoFamilyHamiltonian(g, (2, 2), (), (), 1.0, 1.0))
+    assert adj.zmap == {} and adj.pair_norms == {}
+    assert adj.nu == 0
+
+
 def test_region_diameter_and_distance():
     g = build_graph(5, [(i, i + 1) for i in range(4)])
     r = region(g, (1, 3))
@@ -270,17 +293,17 @@ def test_validate_reports_noncommuting_family_without_raising():
     assert any("do not commute" in f for f in validate_two_family(bad))
 
 
-def test_validate_reports_non_hermitian_payload():
+def test_model_refuses_a_non_hermitian_payload():
     g = build_graph(2, [(0, 1)])
-    bad = TwoFamilyHamiltonian(
-        graph=g,
-        site_dims=(2, 2),
-        family0=(LocalTerm(0, region(g, (0,)), np.array([[0.0, 1.0], [0.0, 0.0]])),),
-        family1=(),
-        h0=1.0,
-        h1=0.0,
-    )
-    assert any("not Hermitian" in f for f in validate_two_family(bad))
+    with pytest.raises(ValueError, match="term 0:0 payload not Hermitian"):
+        TwoFamilyHamiltonian(
+            graph=g,
+            site_dims=(2, 2),
+            family0=(LocalTerm(0, region(g, (0,)), np.array([[0.0, 1.0], [0.0, 0.0]])),),
+            family1=(),
+            h0=1.0,
+            h1=0.0,
+        )
 
 
 def _off_hermitian(scale, factor):
@@ -303,27 +326,31 @@ def _off_hermitian(scale, factor):
     ids=["under@0.5", "over@0.5", "under@5", "over@5", "nan"],
 )
 def test_hermiticity_entry_points_agree_at_the_tolerance(payload, hermitian):
-    # The observable check, the structural check of a term and the
+    # The observable check, the model's check of a term and the
     # eigendecomposition share one test, max|A - A^dagger| against
     # HERMITICITY_TOL * max(1, max|A|): just under it all three accept, just
     # over it all three reject.
     g = build_graph(1, [])
-    model = TwoFamilyHamiltonian(
-        graph=g,
-        site_dims=(2,),
-        family0=(LocalTerm(0, region(g, (0,)), payload),),
-        family1=(),
-        h0=1.0,
-        h1=0.0,
-    )
     verdicts = []
     try:
-        observable_from_sites(model, (0,), payload)
+        TwoFamilyHamiltonian(
+            graph=g,
+            site_dims=(2,),
+            family0=(LocalTerm(0, region(g, (0,)), payload),),
+            family1=(),
+            h0=1.0,
+            h1=0.0,
+        )
+        verdicts.append(True)
+    except ValueError as e:
+        assert "term 0:0 payload not Hermitian" in str(e)
+        verdicts.append(False)
+    try:
+        observable_from_sites(build_tfim(2), (0,), payload)
         verdicts.append(True)
     except ValueError as e:
         assert "not Hermitian" in str(e)
         verdicts.append(False)
-    verdicts.append(validate_two_family(model) == ())
     try:
         decompose(payload)
         verdicts.append(True)
@@ -333,49 +360,84 @@ def test_hermiticity_entry_points_agree_at_the_tolerance(payload, hermitian):
     assert verdicts == [hermitian] * 3
 
 
-def test_validate_does_not_trust_a_non_hermitian_term_to_commute():
+_RAISING = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def _refuse_norms(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a commutator norm was taken")
+
+    for name in ("operator_norm_on_union", "pair_commutator_norm"):
+        monkeypatch.setattr(lattice, name, refused)
+
+
+def test_model_refuses_a_non_hermitian_term_instead_of_trusting_it_to_commute(
+    monkeypatch,
+):
     # sigma^+ on site 1 and Z1 Z2 do not commute: their bracket is
     # -2 sigma^+_1 Z_2, which has entries above the diagonal only, so a norm
     # that trusted the anti-Hermitian hint would read it from the empty lower
-    # triangle as 0 and call the pair commuting.
+    # triangle as 0 and call the pair commuting.  No such model is built,
+    # and refusing it takes no norm.
+    _refuse_norms(monkeypatch)
     g = build_graph(3, [(0, 1), (1, 2)])
-    raising = np.array([[0.0, 1.0], [0.0, 0.0]])
-    bad = TwoFamilyHamiltonian(
-        graph=g,
-        site_dims=(2, 2, 2),
-        family0=(
-            LocalTerm(0, region(g, (0, 1)), np.kron(np.eye(2), raising)),
-            LocalTerm(1, region(g, (1, 2)), np.kron(PAULI_Z, PAULI_Z)),
-        ),
-        family1=(),
-        h0=1.0,
-        h1=0.0,
-    )
-    assert validate_two_family(bad) == (
-        "term 0:0 payload not Hermitian (dev 1.000e+00)",
-        "family 0 terms 0,1: commutation not checked: term not Hermitian",
-    )
+    with pytest.raises(ValueError) as exc:
+        TwoFamilyHamiltonian(
+            graph=g,
+            site_dims=(2, 2, 2),
+            family0=(
+                LocalTerm(0, region(g, (0, 1)), np.kron(np.eye(2), _RAISING)),
+                LocalTerm(1, region(g, (1, 2)), np.kron(PAULI_Z, PAULI_Z)),
+            ),
+            family1=(),
+            h0=1.0,
+            h1=0.0,
+        )
+    assert str(exc.value) == "term 0:0 payload not Hermitian (dev 1.000e+00)"
 
 
-def test_validate_reports_a_misshapen_term_instead_of_raising():
-    # A 3x3 payload on one qubit cannot be embedded, so its pair with the
-    # overlapping Z Z of its own family is reported, not measured.
+def test_model_refuses_a_misshapen_term(monkeypatch):
+    # A 3x3 payload on one qubit cannot be embedded.  The refusal names
+    # every offending term, of both families, and takes no norm.
+    _refuse_norms(monkeypatch)
     g = build_graph(2, [(0, 1)])
-    bad = TwoFamilyHamiltonian(
-        graph=g,
-        site_dims=(2, 2),
-        family0=(
-            LocalTerm(0, region(g, (0,)), np.eye(3)),
-            LocalTerm(1, region(g, (0, 1)), np.kron(PAULI_Z, PAULI_Z)),
-        ),
-        family1=(),
-        h0=1.0,
-        h1=0.0,
+    with pytest.raises(ValueError) as exc:
+        TwoFamilyHamiltonian(
+            graph=g,
+            site_dims=(2, 2),
+            family0=(
+                LocalTerm(0, region(g, (0,)), np.eye(3)),
+                LocalTerm(1, region(g, (0, 1)), np.kron(PAULI_Z, PAULI_Z)),
+            ),
+            family1=(LocalTerm(0, region(g, (1,)), _RAISING),),
+            h0=1.0,
+            h1=0.0,
+        )
+    assert str(exc.value) == (
+        "term 0:0 payload shape (3, 3) != support dim 2; "
+        "term 1:0 payload not Hermitian (dev 1.000e+00)"
     )
-    assert validate_two_family(bad) == (
-        "term 0:0 payload shape (3, 3) != support dim 2",
-        "family 0 terms 0,1: commutation not checked: payload shape",
-    )
+
+
+def _payload_failures(site_dims, families) -> tuple:
+    """Oracle: the shape and Hermiticity failures of a model's terms, built
+    or not, family 0 first."""
+    failures = []
+    for fam, terms in enumerate(families):
+        for term in terms:
+            d = math.prod(int(site_dims[s]) for s in term.support.sites)
+            if term.payload.shape != (d, d):
+                failures.append(
+                    f"term {fam}:{term.index} payload shape {term.payload.shape} "
+                    f"!= support dim {d}"
+                )
+                continue
+            dev = hermiticity_defect(term.payload)
+            if dev is not None:
+                failures.append(
+                    f"term {fam}:{term.index} payload not Hermitian (dev {dev:.3e})"
+                )
+    return tuple(failures)
 
 
 def _all_pairs_validate(model) -> tuple:
@@ -383,34 +445,10 @@ def _all_pairs_validate(model) -> tuple:
     disjoint ones included (they commute and report nothing); the failures
     in the order `validate_two_family` gives them."""
     failures = []
-    unchecked = {}  # id(term) -> why its pairs are not measured
-    for fam, terms in ((0, model.family0), (1, model.family1)):
-        for term in terms:
-            d = math.prod(int(model.site_dims[s]) for s in term.support.sites)
-            if term.payload.shape != (d, d):
-                failures.append(
-                    f"term {fam}:{term.index} payload shape {term.payload.shape} "
-                    f"!= support dim {d}"
-                )
-                unchecked[id(term)] = "payload shape"
-                continue
-            dev = hermiticity_defect(term.payload)
-            if dev is not None:
-                failures.append(
-                    f"term {fam}:{term.index} payload not Hermitian (dev {dev:.3e})"
-                )
-                unchecked[id(term)] = "term not Hermitian"
     for fam, terms in ((0, model.family0), (1, model.family1)):
         for i, a in enumerate(terms):
             for b in terms[i + 1 :]:
                 overlap = _overlap(a.support, b.support)
-                why = unchecked.get(id(a)) or unchecked.get(id(b))
-                if why and overlap:
-                    failures.append(
-                        f"family {fam} terms {a.index},{b.index}: commutation "
-                        f"not checked: {why}"
-                    )
-                    continue
                 nrm = operator_norm_on_union(model, (a, b)) if overlap else 0.0
                 if nrm > lattice.INTRA_FAMILY_TOL:
                     failures.append(
@@ -420,14 +458,12 @@ def _all_pairs_validate(model) -> tuple:
     return tuple(failures)
 
 
-_RAISING = np.array([[0.0, 1.0], [0.0, 0.0]])
-
-
 @st.composite
 def _structural_models(draw):
-    """A two-family model of up to 7 terms on a small graph: Pauli products
-    on one to three sites, which may fail to commute within a family, a
-    payload of the wrong shape or a non-Hermitian factor."""
+    """The data of a two-family model of up to 7 terms on a small graph,
+    (graph, site dims, (family0, family1)): Pauli products on one to three
+    sites, which may fail to commute within a family, a payload of the
+    wrong shape or a non-Hermitian factor."""
     n, edges = draw(_connected_graphs())
     g = build_graph(n, edges)
     families = ([], [])
@@ -445,14 +481,24 @@ def _structural_models(draw):
             payload = np.eye(2 ** len(sites) + 1)
         fam = draw(st.integers(0, 1))
         families[fam].append(LocalTerm(index, region(g, sites), payload))
-    return TwoFamilyHamiltonian(g, (2,) * n, tuple(families[0]), tuple(families[1]),
-                                1.0, 1.0)
+    return g, (2,) * n, (tuple(families[0]), tuple(families[1]))
 
 
 @settings(max_examples=150, deadline=None)
-@given(model=_structural_models())
-def test_validate_visits_overlapping_pairs_and_keeps_the_all_pairs_failures(model):
-    assert validate_two_family(model) == _all_pairs_validate(model)
+@given(data=_structural_models())
+def test_validate_visits_overlapping_pairs_and_keeps_the_all_pairs_failures(data):
+    # The model refuses exactly the data with a shape or Hermiticity
+    # failure, naming each; on the rest the walk over overlapping pairs
+    # finds the all-pairs commutation failures.
+    graph, site_dims, families = data
+    refused = _payload_failures(site_dims, families)
+    if refused:
+        with pytest.raises(ValueError) as exc:
+            TwoFamilyHamiltonian(graph, site_dims, *families, 1.0, 1.0)
+        assert str(exc.value) == "; ".join(refused)
+    else:
+        model = TwoFamilyHamiltonian(graph, site_dims, *families, 1.0, 1.0)
+        assert validate_two_family(model) == _all_pairs_validate(model)
 
 
 def test_validate_measures_only_overlapping_pairs(monkeypatch):

@@ -75,6 +75,22 @@ def test_commuting_ising_has_empty_second_family():
     assert validate_two_family(model) == ()
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: ladder_lower(1), "truncation must be at least 2, got 1"),
+        (lambda: build_tfim(1), "tfim needs at least 2 sites"),
+        (lambda: build_commuting_ising(1), "commuting_ising needs at least 2 sites"),
+        (lambda: build_dicke_chain(0), "dicke_chain needs at least 1 spin"),
+    ],
+    ids=["ladder", "tfim", "commuting_ising", "dicke_chain"],
+)
+def test_builders_refuse_too_small_a_model(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_build_model_dispatch_and_unknown_name():
     assert build_model("tfim", 3).name == "tfim"
     assert build_model("dicke_chain", 2, truncation=3).name == "dicke_chain"

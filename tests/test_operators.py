@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrlab.operators import (
+    NumericalError,
     commutator,
     connected_components,
     decompose,
@@ -70,6 +71,15 @@ def test_embed_rejects_unsorted_sites():
 def test_embed_rejects_wrong_payload_shape():
     with pytest.raises(ValueError, match="shape"):
         embed_dense(X, (0, 1), (2, 2))
+
+
+def test_embed_rejects_an_empty_or_outside_support():
+    with pytest.raises(ValueError, match="at least one site"):
+        embed_dense(np.eye(1), (), (2, 2))
+    with pytest.raises(ValueError, match=r"sites \[1, 2\] outside lattice of 2 sites"):
+        embed_dense(np.kron(X, Z), (1, 2), (2, 2))
+    with pytest.raises(ValueError, match=r"sites \[-1\] outside lattice"):
+        embed_dense(X, (-1,), (2, 2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -408,6 +418,16 @@ def test_spectral_norm_of_rectangular_block():
 def test_decompose_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_decompose_refuses_an_eigenbasis_that_does_not_reconstruct(monkeypatch):
+    # eigh's eigenvalues with the identity for a basis: X's block comes back
+    # as diag(-1, 1), off by 1 in every entry.
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.linalg.eigvalsh(a),
+                                                      np.eye(len(a))))
+    with pytest.raises(NumericalError) as exc:
+        decompose(X)
+    assert str(exc.value) == "eigendecomposition reconstruction off by 1.000e+00"
 
 
 def _reconstruct(dec):
