@@ -64,7 +64,7 @@ def main() -> int:
         noncommuting_adjacency,
         observable_conditions,
         observable_from_sites,
-        pair_commutator_norm,
+        operator_norm_on_union,
     )
     from lrlab.models import PAULI_X, build_dicke_chain, mode_quadratures
     from lrlab.operators import spectral_norm
@@ -97,7 +97,7 @@ def main() -> int:
         model = build_dicke_chain(args.length, h=args.h, truncation=m)
         gid = {t.index: g for g, t in enumerate(model.terms)}
         h_0, h_1 = model.terms[gid[0]], model.terms[gid[1]]
-        pair_full = pair_commutator_norm(model, h_0, h_1)
+        pair_full = operator_norm_on_union(model, (h_0, h_1))
         adj = noncommuting_adjacency(model, projected=True)
         # The adjacency keeps the projected norm of each noncommuting pair.
         pair_proj = adj.pair_norms.get((gid[0], gid[1]), 0.0)

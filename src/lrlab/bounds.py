@@ -63,6 +63,7 @@ def _certified_order(consts: BoundConstants, t: float, tol: float):
             raise NumericalError("series tail does not certify; tolerance too tight")
 
 
+# A one-line wrapper kept because perfbench/tracer.py times it as its own span.
 def series_terms_needed(consts: BoundConstants, t: float, tol: float) -> int:
     """Smallest order N whose certified tail drops below `tol`."""
     return _certified_order(consts, t, tol)[0]

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from .lattice import NoncommutingAdjacency, SupportRegion
 
+# The cap of count_chains_bruteforce, kept with it for perfbench/workloads.py.
 BRUTE_FORCE_MAX_ORDER = 10
 
 
@@ -66,6 +67,7 @@ def count_chains_dp(
     return ChainCountTable(start=start, target=target, n_max=n_max, counts=counts)
 
 
+# A test oracle kept in the package because perfbench/workloads.py imports it.
 def count_chains_bruteforce(
     adj: NoncommutingAdjacency, start: int, target: SupportRegion, n_max: int
 ) -> ChainCountTable:

@@ -81,7 +81,7 @@ def _observables(cfg: RunConfig):
     model = _model(cfg)
     paulis = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
     o = cfg.observables
-    n = model.graph.site_count
+    n = len(model.graph)
 
     def one(site: int, pauli: str, *path):
         path = ("observables", *path)

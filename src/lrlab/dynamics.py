@@ -236,7 +236,7 @@ def free_fermion_sweep(
     refusal = _free_fermion_refusal(model, (op_p, *oq_list))
     if refusal is not None:
         raise ValueError(refusal)
-    modes = 2 * model.graph.site_count
+    modes = 2 * len(model.graph)
     # h_{2j,2j+1} = -2g (fields), h_{2j+1,2j+2} = -2J (bonds).
     h = np.diag(-2.0 * np.where(np.arange(modes - 1) % 2, model.h0, model.h1), 1)
     lam, v = np.linalg.eigh(-(h + h.T))

@@ -21,7 +21,8 @@ cross-family pairs and lends the index to `chains` through its own
 and the payload contract (`_payload_failure`): a term or an observable is
 a Hermitian matrix of its support's dimension, checked when the model or
 the observable is built, so every norm here may take a structure hint.
-The graph stores neighbours, not distances: one breadth-first search
+The interaction graph is a plain tuple, each site's sorted neighbours
+(`build_graph`), and stores no distances: one breadth-first search
 (`_shells`) gives a separation d, or every O_Q's separation at once, the
 connectivity check and the term diameters behind R, when they are read.
 The adjacency records whether it was built from interior-projected norms,
@@ -75,33 +76,21 @@ NONCOMMUTING_TOL = 1e-12
 DENSE_UNION_MAX_DIM = 36
 
 
-@dataclass(frozen=True)
-class InteractionGraph:
-    """Connected interaction graph, stored as `neighbours[s]`, the sorted
-    tuple of sites adjacent to site s, and nothing else: distances are
-    taken by breadth-first search when read (`region_distance`)."""
-
-    neighbours: tuple
-
-    @property
-    def site_count(self) -> int:
-        return len(self.neighbours)
-
-
-def _shells(graph: InteractionGraph, sources):
+def _shells(graph: tuple, sources):
     """The breadth-first shells around `sources`: the set of sites at
     distance 0 (the sources), then 1, 2, ..., up to the last one reached.
     A reader stops at the shell it needs."""
-    neighbours, shell = graph.neighbours, set(sources)
+    shell = set(sources)
     seen = set(shell)
     while shell:
         yield shell
-        shell = {v for u in shell for v in neighbours[u]} - seen
+        shell = {v for u in shell for v in graph[u]} - seen
         seen |= shell
 
 
-def build_graph(site_count: int, edges) -> InteractionGraph:
-    """Validate an edge list and index each site's neighbours.
+def build_graph(site_count: int, edges) -> tuple:
+    """Validate an edge list and return the interaction graph: the tuple
+    whose entry s is the sorted tuple of sites adjacent to site s.
 
     Single-site graphs may have no edges; anything larger must be connected.
     """
@@ -119,12 +108,13 @@ def build_graph(site_count: int, edges) -> InteractionGraph:
     if site_count > 1 and not any(adj):
         raise ValueError("edge list is empty for a multi-site graph")
 
-    graph = InteractionGraph(tuple(tuple(sorted(n)) for n in adj))
+    graph = tuple(tuple(sorted(n)) for n in adj)
     if sum(map(len, _shells(graph, (0,)))) < site_count:
         raise ValueError("interaction graph is not connected")
     return graph
 
 
+# Not a bare tuple: perfbench/tracer.py reads `.support.sites` and `.target.sites`.
 @dataclass(frozen=True)
 class SupportRegion:
     """A nonempty set of sites, sorted."""
@@ -132,32 +122,32 @@ class SupportRegion:
     sites: tuple
 
 
-def region(graph: InteractionGraph, sites) -> SupportRegion:
+def region(graph: tuple, sites) -> SupportRegion:
     sites = tuple(sorted(int(s) for s in set(sites)))
     if not sites:
         raise ValueError("support region must be nonempty")
-    if sites[0] < 0 or sites[-1] >= graph.site_count:
+    if sites[0] < 0 or sites[-1] >= len(graph):
         raise ValueError(f"sites {sites} outside graph")
     return SupportRegion(sites=sites)
 
 
-def region_distance(graph: InteractionGraph, a: SupportRegion, b: SupportRegion) -> int:
+def region_distance(graph: tuple, a: SupportRegion, b: SupportRegion) -> int:
     """Minimum graph distance between two regions (0 when they overlap): the
     first shell around `a` that meets `b`."""
     return next(d for d, shell in enumerate(_shells(graph, a.sites))
                 if not shell.isdisjoint(b.sites))
 
 
-def region_distances(graph: InteractionGraph, a: SupportRegion, regions) -> tuple:
+def region_distances(graph: tuple, a: SupportRegion, regions) -> tuple:
     """`region_distance` from `a` to each of `regions`, read off one
     breadth-first search from `a`'s sites."""
     depth = {s: d for d, shell in enumerate(_shells(graph, a.sites)) for s in shell}
     return tuple(min(depth[s] for s in r.sites) for r in regions)
 
 
-def _diameter(graph: InteractionGraph, sites) -> int:
+def _diameter(graph: tuple, sites) -> int:
     """Largest graph distance between two of `sites`."""
-    return max(region_distance(graph, SupportRegion((s,)), SupportRegion((t,)))
+    return max(next(d for d, shell in enumerate(_shells(graph, (s,))) if t in shell)
                for s in sites for t in sites)
 
 
@@ -196,13 +186,16 @@ def _payload_failure(site_dims, sites, payload) -> str | None:
 class TwoFamilyHamiltonian:
     """H = h0 * sum(family0) + h1 * sum(family1).
 
-    Raises ValueError, naming every offending term, unless each term's
+    Raises ValueError unless `site_dims` holds one dimension per site of
+    `graph`, and then, naming every offending term, unless each term's
     payload is a Hermitian matrix of its support's dimension
-    (`_payload_failure`); building one takes no commutator norm.  Whether
-    each family commutes is measured by `validate_two_family`.
+    (`_payload_failure`, asked once per distinct payload object and support
+    dimensions: the builders share one array among terms of one kind);
+    building one takes no commutator norm.  Whether each family commutes is
+    measured by `validate_two_family`.
     """
 
-    graph: InteractionGraph
+    graph: tuple
     site_dims: tuple
     family0: tuple
     family1: tuple
@@ -212,13 +205,18 @@ class TwoFamilyHamiltonian:
     name: str = ""
 
     def __post_init__(self):
-        failures = [
-            f"term {fam}:{term.index} {why}"
-            for fam, family in enumerate((self.family0, self.family1))
-            for term in family
-            if (why := _payload_failure(self.site_dims, term.support.sites,
-                                        term.payload))
-        ]
+        if len(self.site_dims) != len(self.graph):
+            raise ValueError(f"site_dims has {len(self.site_dims)} entries for "
+                             f"a graph of {len(self.graph)} sites")
+        dims, verdicts, failures = self.site_dims, {}, []
+        for fam, family in enumerate((self.family0, self.family1)):
+            for term in family:
+                sites = term.support.sites
+                key = (id(term.payload), tuple(dims[s] for s in sites))
+                if key not in verdicts:
+                    verdicts[key] = _payload_failure(dims, sites, term.payload)
+                if verdicts[key]:
+                    failures.append(f"term {fam}:{term.index} {verdicts[key]}")
         if failures:
             raise ValueError("; ".join(failures))
 
@@ -301,7 +299,7 @@ def occupation_projector_diagonal(
     """
     check_occupation_cap(max_level)
     if sites is None:
-        sites = range(model.graph.site_count)
+        sites = range(len(model.graph))
     keep = np.ones(1)
     for s in sites:
         d = model.site_dims[s]
@@ -407,10 +405,7 @@ def _block_norm(model, ops, keep, structure) -> float:
     return best
 
 
-def pair_commutator_norm(model, a, b, projected: bool = False) -> float:
-    return operator_norm_on_union(model, (a, b), projected=projected)
-
-
+# A one-line alias kept because perfbench/tracer.py times it as its own span.
 def triple_commutator_norm(model, a, b, c, projected: bool = False) -> float:
     return operator_norm_on_union(model, (a, b, c), projected=projected)
 
@@ -432,7 +427,7 @@ def validate_two_family(model: TwoFamilyHamiltonian) -> tuple:
         fam, end = (0, n0) if ga < n0 else (1, len(terms))
         for gb in sorted(g for g in model.touching(a.support) if ga < g < end):
             b = terms[gb]
-            nrm = pair_commutator_norm(model, a, b)
+            nrm = operator_norm_on_union(model, (a, b))
             if nrm > INTRA_FAMILY_TOL:
                 failures.append(
                     f"family {fam} terms {a.index},{b.index} do not commute "
@@ -486,7 +481,7 @@ def noncommuting_adjacency(
     pair_norms = {}
     for i in range(n0):
         for j in sorted(g for g in model.touching(terms[i].support) if g >= n0):
-            nrm = pair_commutator_norm(model, terms[i], terms[j], projected=projected)
+            nrm = operator_norm_on_union(model, (terms[i], terms[j]), projected)
             if nrm > NONCOMMUTING_TOL:
                 pair_norms[(i, j)] = nrm
                 staged[i].add(j)
@@ -646,8 +641,10 @@ def observable_conditions(
     # A term that does not overlap an observable commutes with it.
     near_p = adjacency.touching(op_p.support)
     near_q = adjacency.touching(op_q.support)
-    p_norms = [pair_commutator_norm(model, op_p, terms[g], projected) for g in near_p]
-    q_norms = [pair_commutator_norm(model, op_q, terms[g], projected) for g in near_q]
+    p_norms = [operator_norm_on_union(model, (op_p, terms[g]), projected)
+               for g in near_p]
+    q_norms = [operator_norm_on_union(model, (op_q, terms[g]), projected)
+               for g in near_q]
     n_P = sum(1 for x in p_norms if x > NONCOMMUTING_TOL)
     F_P = max(p_norms, default=0.0) / consts.K
     F_Q = max(q_norms, default=0.0) / consts.K

@@ -50,7 +50,7 @@ def _xx_bonds(graph):
     xx = np.kron(PAULI_X, PAULI_X)
     return tuple(
         LocalTerm(i, region(graph, (i, i + 1)), xx)
-        for i in range(graph.site_count - 1)
+        for i in range(len(graph) - 1)
     )
 
 
@@ -58,9 +58,8 @@ def build_tfim(length: int, j: float = 1.0, g: float = 1.0) -> TwoFamilyHamilton
     if length < 2:
         raise ValueError("tfim needs at least 2 sites")
     graph = _path_graph(length)
-    fields = tuple(
-        LocalTerm(i, region(graph, (i,)), PAULI_Z.copy()) for i in range(length)
-    )
+    z = PAULI_Z.copy()  # one array for every field, like the bonds' X X
+    fields = tuple(LocalTerm(i, region(graph, (i,)), z) for i in range(length))
     return TwoFamilyHamiltonian(
         graph=graph,
         site_dims=(2,) * length,
@@ -99,20 +98,19 @@ def build_dicke_chain(
     dims = tuple(m if s % 2 == 0 else 2 for s in range(site_count))
     p_op, q_op = mode_quadratures(m)
     id_m = np.eye(m)
+    # One array for every bulk term, on (mode_n, spin_n, mode_{n+1}).
+    bulk = np.kron(p_op, np.kron(PAULI_Z, id_m)) + np.kron(
+        id_m, np.kron(PAULI_Z, q_op)
+    )
 
-    terms = []
-    for n in range(length):
-        if n < length - 1:
-            # Support (mode_n, spin_n, mode_{n+1}) in increasing site order.
-            sites = (2 * n, 2 * n + 1, 2 * n + 2)
-            payload = np.kron(p_op, np.kron(PAULI_Z, id_m)) + np.kron(
-                id_m, np.kron(PAULI_Z, q_op)
-            )
-        else:
-            # Open boundary: the last spin couples only to its own mode.
-            sites = (2 * n, 2 * n + 1)
-            payload = np.kron(p_op, PAULI_Z)
-        terms.append(LocalTerm(n, region(graph, sites), payload))
+    terms = [
+        LocalTerm(n, region(graph, (2 * n, 2 * n + 1, 2 * n + 2)), bulk)
+        for n in range(length - 1)
+    ]
+    # Open boundary: the last spin couples only to its own mode.
+    last = 2 * length - 2
+    terms.append(LocalTerm(length - 1, region(graph, (last, last + 1)),
+                           np.kron(p_op, PAULI_Z)))
 
     return TwoFamilyHamiltonian(
         graph=graph,

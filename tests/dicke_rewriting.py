@@ -21,7 +21,7 @@ def dicke_commuting_terms(model: TwoFamilyHamiltonian) -> tuple:
     """
     if model.name != "dicke_chain":
         raise ValueError("commuting rewriting defined for dicke_chain only")
-    length = model.graph.site_count // 2
+    length = len(model.graph) // 2
     m = model.site_dims[0]
     p_op, q_op = mode_quadratures(m)
     out = []

@@ -38,7 +38,7 @@ from lrlab.lattice import (
     noncommuting_adjacency,
     observable_conditions,
     observable_from_sites,
-    pair_commutator_norm,
+    operator_norm_on_union,
     region,
     region_distance,
 )
@@ -151,8 +151,9 @@ def test_criterion_04_dicke_truncation_constants():
         model = build_dicke_chain(4, truncation=m)
         by_n = {t.index: t for t in model.terms}
         for n in range(3):
-            full = pair_commutator_norm(model, by_n[n], by_n[n + 1])
-            proj = pair_commutator_norm(model, by_n[n], by_n[n + 1], projected=True)
+            pair = (by_n[n], by_n[n + 1])
+            full = operator_norm_on_union(model, pair)
+            proj = operator_norm_on_union(model, pair, projected=True)
             ok = ok and abs(full - 2.0 * (m - 1)) <= tol and abs(proj - 2.0) <= tol
         adj = noncommuting_adjacency(model, projected=True)
         consts = compute_bound_constants(model, adj)
@@ -194,7 +195,7 @@ def test_criterion_05_dicke_commuting_rewriting():
         for i in range(len(terms)):
             for k in range(i + 1, len(terms)):
                 worst_comm = max(
-                    worst_comm, pair_commutator_norm(model, terms[i], terms[k])
+                    worst_comm, operator_norm_on_union(model, (terms[i], terms[k]))
                 )
     _report(
         5,

@@ -24,7 +24,6 @@ from lrlab.lattice import (
     observable_from_sites,
     occupation_projector_diagonal,
     operator_norm_on_union,
-    pair_commutator_norm,
     region,
     region_distance,
     region_distances,
@@ -80,7 +79,7 @@ def test_build_graph_rejects_self_loop():
 
 def test_build_graph_single_site_allows_no_edges():
     g = build_graph(1, [])
-    assert g.site_count == 1
+    assert len(g) == 1
     assert _site_distance(g, 0, 0) == 0
 
 
@@ -204,7 +203,7 @@ def test_build_graph_refuses_exactly_the_disconnected_graphs(graph, data):
     kept = [e for e, k in zip(edges, keep) if k]
     dist = _all_pairs_distances(n, kept)
     if all((0, t) in dist for t in range(n)):
-        assert build_graph(n, kept).site_count == n
+        assert len(build_graph(n, kept)) == n
     else:
         with pytest.raises(ValueError, match="not connected" if kept else "empty"):
             build_graph(n, kept)
@@ -226,9 +225,9 @@ def test_graphs_and_models_from_reordered_edge_lists_are_equal(graph, data):
     ]
     g, h = build_graph(n, edges), build_graph(n, other)
     assert g == h and hash(g) == hash(h)
-    assert g.site_count == len(g.neighbours) == n
-    assert all(list(nb) == sorted(nb) for nb in g.neighbours)
-    assert {(s, t) for s, nb in enumerate(g.neighbours) for t in nb} == {
+    assert len(g) == n
+    assert all(list(nb) == sorted(nb) for nb in g)
+    assert {(s, t) for s, nb in enumerate(g) for t in nb} == {
         e for a, b in edges for e in ((a, b), (b, a))
     }
 
@@ -248,7 +247,7 @@ def test_build_tfim_holds_no_all_pairs_array():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model.graph.site_count == 1024
+    assert len(model.graph) == 1024
     assert held < 4_000_000
 
 
@@ -367,8 +366,7 @@ def _refuse_norms(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a commutator norm was taken")
 
-    for name in ("operator_norm_on_union", "pair_commutator_norm"):
-        monkeypatch.setattr(lattice, name, refused)
+    monkeypatch.setattr(lattice, "operator_norm_on_union", refused)
 
 
 def test_model_refuses_a_non_hermitian_term_instead_of_trusting_it_to_commute(
@@ -417,6 +415,46 @@ def test_model_refuses_a_misshapen_term(monkeypatch):
         "term 0:0 payload shape (3, 3) != support dim 2; "
         "term 1:0 payload not Hermitian (dev 1.000e+00)"
     )
+
+
+@pytest.mark.parametrize("site_dims", [(2, 2), (2, 2, 2, 2)], ids=["short", "long"])
+def test_model_refuses_site_dims_of_another_length_before_any_check(
+    monkeypatch, site_dims
+):
+    # Too few dimensions would fail inside the payload check with a bare
+    # IndexError; too many would give a Hilbert dimension of sites that the
+    # graph does not have.  One ValueError names both lengths, before any
+    # payload is checked or any norm taken.
+    _refuse_norms(monkeypatch)
+
+    def unchecked(*args):
+        raise AssertionError("a payload was checked")
+
+    monkeypatch.setattr(lattice, "_payload_failure", unchecked)
+    g = build_graph(3, [(0, 1), (1, 2)])
+    fields = tuple(LocalTerm(s, region(g, (s,)), PAULI_Z) for s in range(3))
+    with pytest.raises(ValueError) as exc:
+        TwoFamilyHamiltonian(g, site_dims, fields, (), 1.0, 0.0)
+    assert str(exc.value) == (
+        f"site_dims has {len(site_dims)} entries for a graph of 3 sites"
+    )
+
+
+def test_model_reports_a_shared_payload_for_each_term_that_holds_it():
+    # One array on three terms is checked once per support dimension, yet
+    # the refusal still names every term that holds it, in order.
+    g = build_graph(3, [(0, 1), (1, 2)])
+    shared = tuple(LocalTerm(s, region(g, (s,)), _RAISING) for s in range(3))
+    with pytest.raises(ValueError) as exc:
+        TwoFamilyHamiltonian(g, (2, 2, 2), (), shared, 1.0, 1.0)
+    assert str(exc.value) == "; ".join(
+        f"term 1:{s} payload not Hermitian (dev 1.000e+00)" for s in range(3)
+    )
+    # The same array on a site of another dimension gets its own verdict.
+    z_fields = tuple(LocalTerm(s, region(g, (s,)), PAULI_Z) for s in range(3))
+    with pytest.raises(ValueError) as exc:
+        TwoFamilyHamiltonian(g, (2, 3, 2), z_fields, (), 1.0, 0.0)
+    assert str(exc.value) == "term 0:1 payload shape (2, 2) != support dim 3"
 
 
 def _payload_failures(site_dims, families) -> tuple:
@@ -506,11 +544,11 @@ def test_validate_measures_only_overlapping_pairs(monkeypatch):
     # fields are disjoint, and so are bonds further apart.
     calls = []
 
-    def counted(model, a, b, projected=False):
-        calls.append((a.index, b.index))
-        return operator_norm_on_union(model, (a, b), projected=projected)
+    def counted(model, ops, projected=False):
+        calls.append(tuple(op.index for op in ops))
+        return operator_norm_on_union(model, ops, projected)
 
-    monkeypatch.setattr(lattice, "pair_commutator_norm", counted)
+    monkeypatch.setattr(lattice, "operator_norm_on_union", counted)
     assert validate_two_family(build_tfim(1024)) == ()
     assert calls == [(i, i + 1) for i in range(1022)]
 
@@ -592,16 +630,16 @@ def test_adjacency_visits_only_overlapping_pairs_and_keeps_the_full_scan(
     for i in range(n0):
         for j in range(n0, len(terms)):
             overlapping += _overlap(terms[i].support, terms[j].support)
-            nrm = pair_commutator_norm(model, terms[i], terms[j])
+            nrm = operator_norm_on_union(model, (terms[i], terms[j]))
             if nrm > lattice.NONCOMMUTING_TOL:
                 full[(i, j)] = nrm
     visited = []
 
-    def recorded(model, a, b, projected=False):
-        visited.append(_overlap(a.support, b.support))
-        return pair_commutator_norm(model, a, b, projected)
+    def recorded(model, ops, projected=False):
+        visited.append(_overlap(*(op.support for op in ops)))
+        return operator_norm_on_union(model, ops, projected)
 
-    monkeypatch.setattr(lattice, "pair_commutator_norm", recorded)
+    monkeypatch.setattr(lattice, "operator_norm_on_union", recorded)
     adj = noncommuting_adjacency(model)
     assert list(adj.pair_norms.items()) == list(full.items())
     assert all(visited)
@@ -843,7 +881,7 @@ def test_block_norm_of_empty_and_diagonal_brackets(monkeypatch):
 
 def test_pair_commutator_norm_disjoint_is_zero():
     model = build_tfim(6)
-    assert pair_commutator_norm(model, model.family0[0], model.family1[4]) == 0.0
+    assert operator_norm_on_union(model, (model.family0[0], model.family1[4])) == 0.0
 
 
 def _conditions(model, op, oq, projected=False):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from dicke_rewriting import dicke_commuting_terms
+from lrlab import lattice
 from lrlab.lattice import (
     occupation_projector_diagonal,
-    pair_commutator_norm,
+    operator_norm_on_union,
     validate_two_family,
 )
 from lrlab.models import (
@@ -100,15 +101,40 @@ def test_build_model_dispatch_and_unknown_name():
 
 def test_dicke_layout_is_a_path_of_modes_and_spins():
     model = build_dicke_chain(3, truncation=4)
-    assert model.graph.site_count == 6
+    assert len(model.graph) == 6
     assert model.site_dims == (4, 2, 4, 2, 4, 2)
     assert model.boson_sites == frozenset({0, 2, 4})
-    assert model.graph.neighbours == ((1,), (0, 2), (1, 3), (2, 4), (3, 5), (4,))
+    assert model.graph == ((1,), (0, 2), (1, 3), (2, 4), (3, 5), (4,))
     # Interior terms span (mode_n, spin_n, mode_{n+1}); the last term is the
     # open boundary.
     supports = [t.support.sites for t in sorted(model.terms, key=lambda t: t.index)]
     assert supports == [(0, 1, 2), (2, 3, 4), (4, 5)]
     assert validate_two_family(model) == ()
+
+
+@pytest.mark.parametrize(
+    "build,length,checks",
+    [(build_tfim, n, 2) for n in (2, 5, 64, 1024)]
+    + [(build_commuting_ising, n, 1) for n in (2, 64)]
+    + [(build_dicke_chain, n, min(n, 2)) for n in (1, 2, 6)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_builders_check_each_distinct_payload_once(
+    monkeypatch, build, length, checks
+):
+    # The builders share one array among the terms of one kind (the bonds,
+    # the fields, the Dicke bulk terms), and the model checks each distinct
+    # array once per support dimension, whatever the length.
+    calls = []
+    check = lattice._payload_failure
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(lattice, "_payload_failure", counted)
+    build(length)
+    assert len(calls) == checks
 
 
 def test_dicke_families_split_by_parity():
@@ -122,8 +148,9 @@ def test_dicke_adjacent_commutator_norms():
         model = build_dicke_chain(3, truncation=m)
         by_n = {t.index: t for t in model.terms}
         for n in (0, 1):
-            full = pair_commutator_norm(model, by_n[n], by_n[n + 1])
-            proj = pair_commutator_norm(model, by_n[n], by_n[n + 1], projected=True)
+            pair = (by_n[n], by_n[n + 1])
+            full = operator_norm_on_union(model, pair)
+            proj = operator_norm_on_union(model, pair, projected=True)
             assert full == pytest.approx(2.0 * (m - 1), abs=1e-9)
             assert proj == pytest.approx(2.0, abs=1e-9)
 
